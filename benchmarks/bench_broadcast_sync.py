@@ -2,11 +2,12 @@
 
 PR 3's pool shipped the pending mutation log *with every task*: a batch
 of T tasks after a mutation burst serialised the delta packet T times.
-The broadcast protocol sends the packet once per **worker** through its
-inbox instead — sync cost per batch is O(workers), no matter how many
-tasks the batch carries.
+The broadcast protocol sends the packet once per **worker** as one SYNC
+frame on its stream instead — sync cost per batch is O(workers), no
+matter how many tasks the batch carries.
 
-This benchmark reproduces both wire shapes over the same pool backend
+This benchmark reproduces both wire shapes over the same worker fleet
+(:class:`~repro.exec.PoolBackend`, the fleet with forked local workers)
 and the same mutation-heavy workload, so the measured gap is exactly
 the per-task packet shipping:
 
@@ -241,8 +242,8 @@ def run_broadcast_comparison(
     # Arm 2: per-task replay — the packet rides with every task.
     live = {user: list(vec) for user, vec in profiles.items()}
     outputs: list[list[tuple[str, float]]] = []
-    with PoolBackend(workers=workers, sync="delta") as backend:
-        # Prime the pool (untimed, like bench_pool_backend).
+    with PoolBackend(workers=workers) as backend:
+        # Prime the pool (untimed).
         backend.map_items(
             _score_task_with_packet,
             [(users[0], 0, ())],
@@ -277,7 +278,7 @@ def run_broadcast_comparison(
     # Arm 3: broadcast — one packet per worker, bare tasks.
     live = {user: list(vec) for user, vec in profiles.items()}
     outputs = []
-    with PoolBackend(workers=workers, sync="delta") as backend:
+    with PoolBackend(workers=workers) as backend:
         backend.bind_delta_applier(_apply_profile_delta, _boot_profiles)
         backend.map_items(
             _score_task,
@@ -335,7 +336,6 @@ def run_autoscale_scenario(
     burst = [rng.choice(users) for _ in range(burst_tasks)]
     with PoolBackend(
         workers=min_workers,
-        sync="delta",
         min_workers=min_workers,
         max_workers=max_workers,
         idle_ttl=idle_ttl,

@@ -3,12 +3,12 @@
 The ``repro.exec`` refactor promises two things:
 
 1. **bit-identical results** on every backend (serial / thread /
-   process) — asserted here on both the neighbour-index rows and the
+   pool) — asserted here on both the neighbour-index rows and the
    batch recommendations;
 2. **real parallelism for the CPU-bound paths** — the index build is
-   pure Pearson arithmetic, so the process backend should beat serial
-   once ≥ 2 CPU cores are available (threads stay GIL-bound, they are
-   measured for reference).
+   pure Pearson arithmetic, so the pool's worker processes should beat
+   serial once ≥ 2 CPU cores are available (threads stay GIL-bound,
+   they are measured for reference).
 
 Run directly (``python benchmarks/bench_exec_backends.py [--quick]``)
 or via ``pytest benchmarks/bench_exec_backends.py``.  Either way the
@@ -40,7 +40,7 @@ from repro.serving import RecommendationService, synthetic_workload  # noqa: E40
 #: Where the measured numbers are written for regression diffing.
 RESULT_PATH = _ROOT / "BENCH_exec.json"
 
-BACKENDS = ("serial", "thread", "process")
+BACKENDS = ("serial", "thread", "pool")
 
 
 @dataclass
@@ -71,10 +71,10 @@ class ExecBenchResult:
         raise KeyError(backend)
 
     @property
-    def process_build_speedup(self) -> float:
+    def pool_build_speedup(self) -> float:
         serial = self.timing("serial").build_ms
-        process = self.timing("process").build_ms
-        return serial / process if process > 0 else float("inf")
+        pool = self.timing("pool").build_ms
+        return serial / pool if pool > 0 else float("inf")
 
 
 def run_backend_comparison(
@@ -156,7 +156,7 @@ def write_result(result: ExecBenchResult, path: Path = RESULT_PATH) -> Path:
             "available_cpus": result.available_cpus,
         },
         "identical_results": result.identical_results,
-        "process_build_speedup": result.process_build_speedup,
+        "pool_build_speedup": result.pool_build_speedup,
         "timings": [asdict(row) for row in result.timings],
     }
     path.write_text(json.dumps(payload, indent=2) + "\n")
@@ -164,15 +164,15 @@ def write_result(result: ExecBenchResult, path: Path = RESULT_PATH) -> Path:
 
 
 def test_backends_bit_identical():
-    """Serial, thread and process must agree on rows and rankings."""
+    """Serial, thread and pool must agree on rows and rankings."""
     result = run_backend_comparison(
         num_users=80, num_items=100, ratings_per_user=15, num_requests=8
     )
     assert result.identical_results
 
 
-def test_process_backend_beats_serial_on_index_build():
-    """The acceptance bar: process wins the build on >= 2 workers.
+def test_pool_backend_beats_serial_on_index_build():
+    """The acceptance bar: the pool wins the build on >= 2 workers.
 
     A single-CPU machine cannot parallelise anything — the comparison
     is only meaningful (and only asserted) with >= 2 cores available.
@@ -184,8 +184,8 @@ def test_process_backend_beats_serial_on_index_build():
     result = run_backend_comparison(workers=max(2, default_workers()))
     write_result(result)
     assert result.identical_results
-    assert result.process_build_speedup > 1.0, (
-        f"process build {result.timing('process').build_ms:.0f} ms not "
+    assert result.pool_build_speedup > 1.0, (
+        f"pool build {result.timing('pool').build_ms:.0f} ms not "
         f"faster than serial {result.timing('serial').build_ms:.0f} ms"
     )
 
@@ -211,8 +211,8 @@ def main(argv: list[str] | None = None) -> int:
     )
     print(
         f"\nbit-identical across backends: {result.identical_results}\n"
-        f"process vs serial build speedup: "
-        f"{result.process_build_speedup:.2f}x "
+        f"pool vs serial build speedup: "
+        f"{result.pool_build_speedup:.2f}x "
         f"({result.available_cpus} CPU(s) available)"
     )
     path = write_result(result)

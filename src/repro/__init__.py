@@ -19,8 +19,9 @@ The package is organised in layers:
 * :mod:`repro.mapreduce` — an in-process MapReduce engine and the
   paper's three-job implementation;
 * :mod:`repro.exec` — the execution substrate (serial / thread /
-  process backends with deterministic, bit-identical results) shared
-  by the engine, the index builds, batch serving and the eval grids;
+  worker-process backends with deterministic, bit-identical results)
+  shared by the engine, the index builds, batch serving and the eval
+  grids;
 * :mod:`repro.eval` — metrics, timing and the experiment harness that
   regenerates the paper's Table II and the extension ablations;
 * :mod:`repro.serving` — the stateful serving layer: a neighbour
@@ -71,7 +72,7 @@ from .exceptions import ReproError, ValidationError
 from .kernels import PackedRatings, get_packed
 from .exec import (
     ExecutionBackend,
-    ProcessBackend,
+    PoolBackend,
     SerialBackend,
     ThreadBackend,
     get_backend,
@@ -111,7 +112,7 @@ __all__ = [
     "PackedRatings",
     "PearsonRatingSimilarity",
     "PersonalHealthRecord",
-    "ProcessBackend",
+    "PoolBackend",
     "ProfileSimilarity",
     "RatingMatrix",
     "RecommendationService",

@@ -106,8 +106,9 @@ def _add_workload_arguments(sub: argparse.ArgumentParser) -> None:
         default=None,
         help=(
             "worker count for the chosen backend (default: one CPU per "
-            "worker for thread/process); with --backend serial, >1 falls "
-            "back to a thread pool over runs of consecutive group requests"
+            "worker for thread/pool/remote); with --backend serial, >1 "
+            "falls back to a thread pool over runs of consecutive group "
+            "requests"
         ),
     )
     sub.add_argument("--seed", type=int, default=7)
@@ -185,23 +186,13 @@ def build_parser() -> argparse.ArgumentParser:
     )
     _add_workload_arguments(serve)
     serve.add_argument(
-        "--pool-sync",
-        choices=["delta", "full"],
-        default="delta",
-        help=(
-            "with --backend pool: how stale resident workers re-sync after "
-            "an update (broadcast a per-epoch mutation packet — one message "
-            "per worker — or re-ship the full state)"
-        ),
-    )
-    serve.add_argument(
         "--pool-min-workers",
         type=int,
         default=0,
         help=(
-            "with --backend pool: autoscaling floor — idle workers shrink "
-            "to this width after --pool-idle-ttl seconds (0 = pin at the "
-            "--workers width)"
+            "with --backend pool/remote: autoscaling floor — idle workers "
+            "shrink to this width after --pool-idle-ttl seconds (0 = pin "
+            "at the --workers width)"
         ),
     )
     serve.add_argument(
@@ -209,9 +200,9 @@ def build_parser() -> argparse.ArgumentParser:
         type=int,
         default=0,
         help=(
-            "with --backend pool: autoscaling ceiling — the pool grows "
-            "toward this width under batch queue depth (0 = pin at the "
-            "--workers width)"
+            "with --backend pool/remote: autoscaling ceiling — the fleet "
+            "grows toward this width under batch queue depth (0 = pin at "
+            "the --workers width)"
         ),
     )
     serve.add_argument(
@@ -219,8 +210,8 @@ def build_parser() -> argparse.ArgumentParser:
         type=float,
         default=DEFAULT_IDLE_TTL,
         help=(
-            "with --backend pool: seconds without a dispatch before the "
-            "pool shrinks back to --pool-min-workers"
+            "with --backend pool/remote: seconds without a dispatch before "
+            "the fleet shrinks back to --pool-min-workers"
         ),
     )
     serve.add_argument(
@@ -228,8 +219,8 @@ def build_parser() -> argparse.ArgumentParser:
         type=float,
         default=0.0,
         help=(
-            "with --backend pool: latency-target autoscaling — grow one "
-            "worker while the windowed batch p99 exceeds this many ms, "
+            "with --backend pool/remote: latency-target autoscaling — grow "
+            "one worker while the windowed batch p99 exceeds this many ms, "
             "shrink one after it recovers below half the target "
             "(0 = queue-depth scaling only)"
         ),
@@ -332,21 +323,11 @@ def build_parser() -> argparse.ArgumentParser:
         ),
     )
     serve.add_argument(
-        "--remote-workers",
-        type=int,
-        default=0,
-        help=(
-            "with --backend remote: loopback worker processes the "
-            "backend spawns (0 = the --workers width); externally "
-            "started 'repro worker' processes join on top"
-        ),
-    )
-    serve.add_argument(
         "--remote-heartbeat-interval",
         type=float,
         default=2.0,
         help=(
-            "with --backend remote: seconds between a worker's "
+            "with --backend pool/remote: seconds between a worker's "
             "heartbeat beacons"
         ),
     )
@@ -355,18 +336,9 @@ def build_parser() -> argparse.ArgumentParser:
         type=float,
         default=10.0,
         help=(
-            "with --backend remote: seconds of mid-batch silence after "
-            "which a worker is declared dead and its in-flight tasks "
-            "are requeued onto the survivors"
-        ),
-    )
-    serve.add_argument(
-        "--remote-connect-timeout",
-        type=float,
-        default=30.0,
-        help=(
-            "with --backend remote: seconds to wait for workers to "
-            "connect before a dispatch fails loudly"
+            "with --backend pool/remote: seconds of mid-batch silence "
+            "after which a worker is declared dead and its in-flight "
+            "tasks are requeued onto the survivors"
         ),
     )
     serve.add_argument(
@@ -374,7 +346,7 @@ def build_parser() -> argparse.ArgumentParser:
         choices=["off", "serial"],
         default="off",
         help=(
-            "with --backend remote: total-fleet-loss policy — 'off' "
+            "with --backend pool/remote: total-fleet-loss policy — 'off' "
             "fails the batch loudly, 'serial' falls back to "
             "bit-identical in-process serial execution (responses are "
             'marked "degraded": true)'
@@ -757,9 +729,8 @@ def _serve_listen(service, registry, args: argparse.Namespace) -> int:
     host, port = _parse_endpoint(args.listen)
     # A remote backend shares the story: print the worker rendezvous
     # address so external `repro worker` processes can join the fleet.
-    backend_listen = getattr(service.backend, "listen", None)
-    if backend_listen is not None:
-        worker_host, worker_port = backend_listen()
+    if service.backend.name == "remote":
+        worker_host, worker_port = service.backend.listen()
         print(
             f"remote workers join with: repro worker "
             f"--connect {worker_host}:{worker_port}"
@@ -857,15 +828,12 @@ def _command_serve(args: argparse.Namespace) -> int:
         args,
         similarity_cache_size=args.similarity_cache,
         relevance_cache_size=args.relevance_cache,
-        pool_sync=args.pool_sync,
         pool_min_workers=args.pool_min_workers,
         pool_max_workers=args.pool_max_workers,
         pool_idle_ttl=args.pool_idle_ttl,
         pool_target_p99_ms=args.pool_target_p99_ms,
-        remote_workers=args.remote_workers,
         remote_heartbeat_interval=args.remote_heartbeat_interval,
         remote_heartbeat_timeout=args.remote_heartbeat_timeout,
-        remote_connect_timeout=args.remote_connect_timeout,
         degraded_mode=args.degraded_mode,
         index_shards=args.shards,
         packed_spill=args.packed_spill or "",

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import hashlib
 import json
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 from typing import Any, Mapping
 
 from .exceptions import ConfigurationError
@@ -41,17 +41,7 @@ KNOWN_SIMILARITIES: tuple[str, ...] = (
 #: Execution backend names accepted by :class:`RecommenderConfig`
 #: (mirrors :data:`repro.exec.BACKEND_NAMES` without importing it —
 #: config must stay import-light).
-KNOWN_EXEC_BACKENDS: tuple[str, ...] = (
-    "serial",
-    "thread",
-    "process",
-    "pool",
-    "remote",
-)
-
-#: Pool state-sync strategies accepted by :class:`RecommenderConfig`
-#: (mirrors :data:`repro.exec.POOL_SYNC_MODES`).
-KNOWN_POOL_SYNCS: tuple[str, ...] = ("full", "delta")
+KNOWN_EXEC_BACKENDS: tuple[str, ...] = ("serial", "thread", "pool", "remote")
 
 #: Similarity/prediction kernel names accepted by
 #: :class:`RecommenderConfig` (mirrors :data:`repro.kernels.KERNEL_NAMES`
@@ -63,7 +53,7 @@ KNOWN_KERNELS: tuple[str, ...] = ("packed", "dict")
 #: it — config must stay import-light).
 KNOWN_VALIDATION_MODES: tuple[str, ...] = ("strict", "log", "off")
 
-#: Total-fleet-loss policies of the remote backend (see
+#: Total-fleet-loss policies of the worker fleet (see
 #: :class:`~repro.exec.remote.RemoteBackend`).
 KNOWN_DEGRADED_MODES: tuple[str, ...] = ("off", "serial")
 
@@ -136,28 +126,25 @@ class RecommenderConfig:
         ``1`` serves batches sequentially.
     exec_backend:
         Default execution backend (``"serial"``, ``"thread"``,
-        ``"process"``, ``"pool"`` or ``"remote"``) used by the compute
-        layers (MapReduce engine, index builds, batch serving, eval
-        grids).  All backends produce bit-identical results; this is
-        purely a performance knob.
+        ``"pool"`` or ``"remote"``) used by the compute layers
+        (MapReduce engine, index builds, batch serving, eval grids).
+        ``"pool"`` and ``"remote"`` are the same worker fleet; the
+        latter also accepts ``repro worker`` processes over TCP.  All
+        backends produce bit-identical results; this is purely a
+        performance knob.
     exec_workers:
-        Worker count for the execution backend; ``0`` selects the
-        number of available CPUs.
-    pool_sync:
-        How the long-lived ``"pool"`` backend refreshes stale worker
-        state after an update: ``"delta"`` broadcasts a per-epoch
-        packet of rating / profile mutations to the resident workers
-        (one control message per worker), ``"full"`` restarts the pool
-        and re-ships the whole state.  Ignored by the other backends.
+        Worker count for the execution backend — for the worker fleet,
+        the number of local worker processes; ``0`` selects the number
+        of available CPUs.
     pool_min_workers:
-        Autoscaling floor of the ``"pool"`` backend: idle workers are
-        shrunk down to this width.  ``0`` (default) pins the pool at
+        Autoscaling floor of the worker fleet: idle local workers are
+        shrunk down to this width.  ``0`` (default) pins the fleet at
         the resolved ``exec_workers`` width (no autoscaling floor of
         its own).
     pool_max_workers:
-        Autoscaling ceiling of the ``"pool"`` backend: the pool grows
-        toward this width when a batch's queue depth exceeds the live
-        worker count.  ``0`` (default) pins the ceiling at the
+        Autoscaling ceiling of the worker fleet: it grows toward this
+        width when a batch's queue depth exceeds the live worker
+        count.  ``0`` (default) pins the ceiling at the
         resolved ``exec_workers`` width — or at ``pool_min_workers``
         when that floor is higher (a lone floor implies a covering
         ceiling, never a contradiction).
@@ -166,37 +153,26 @@ class RecommenderConfig:
         shrinks back to ``pool_min_workers``.  Only meaningful when
         the bounds leave room to scale.
     pool_target_p99_ms:
-        Latency target for the ``"pool"`` backend's p99-driven
-        autoscaling: while the windowed p99 of batch latency breaches
-        this many milliseconds the pool grows toward
+        Latency target for the worker fleet's p99-driven autoscaling:
+        while the windowed p99 of batch latency breaches this many
+        milliseconds the fleet grows toward
         ``pool_max_workers``, shrinking again once p99 recovers below
         half the target.  ``0.0`` (default) disables the policy
         (queue-depth growth and idle-TTL shrinking still apply).
-    remote_workers:
-        Fleet width of the ``"remote"`` backend: how many loopback
-        worker processes it spawns (externally started ``repro worker``
-        processes join on top).  ``0`` (default) uses the resolved
-        ``exec_workers`` width.  Ignored by the other backends; purely
-        operational (excluded from :meth:`fingerprint`).
     remote_heartbeat_interval:
-        Seconds between a remote worker's heartbeat beacons.  Must be
+        Seconds between a fleet worker's heartbeat beacons.  Must be
         smaller than ``remote_heartbeat_timeout``.  Purely operational
         (excluded from :meth:`fingerprint`).
     remote_heartbeat_timeout:
-        Seconds of mid-batch silence after which the ``"remote"``
-        parent declares a worker dead and requeues its in-flight tasks
-        onto the surviving workers.  Purely operational (excluded from
+        Seconds of mid-batch silence after which the fleet's parent
+        declares a worker dead and requeues its in-flight tasks onto
+        the surviving workers.  Purely operational (excluded from
         :meth:`fingerprint`).
-    remote_connect_timeout:
-        Seconds the ``"remote"`` parent waits for workers to connect
-        before a dispatch fails with
-        :class:`~repro.exec.remote.FleetLossError`.  Purely operational
-        (excluded from :meth:`fingerprint`).
     degraded_mode:
-        Total-fleet-loss policy of the ``"remote"`` backend: ``"off"``
+        Total-fleet-loss policy of the worker fleet: ``"off"``
         (default) raises :class:`~repro.exec.remote.FleetLossError`,
         ``"serial"`` falls back to bit-identical in-process serial
-        execution (counted as ``remote_degraded_dispatches``; served
+        execution (counted as ``pool_degraded_dispatches``; served
         responses carry ``"degraded": true``).  Results never differ —
         purely operational (excluded from :meth:`fingerprint`).
     index_shards:
@@ -255,15 +231,12 @@ class RecommenderConfig:
     serve_workers: int = 1
     exec_backend: str = "serial"
     exec_workers: int = 0
-    pool_sync: str = "delta"
     pool_min_workers: int = 0
     pool_max_workers: int = 0
     pool_idle_ttl: float = 30.0
     pool_target_p99_ms: float = 0.0
-    remote_workers: int = 0
     remote_heartbeat_interval: float = 2.0
     remote_heartbeat_timeout: float = 10.0
-    remote_connect_timeout: float = 30.0
     degraded_mode: str = "off"
     index_shards: int = 1
     kernel: str = "packed"
@@ -321,11 +294,6 @@ class RecommenderConfig:
             )
         if self.exec_workers < 0:
             raise ConfigurationError("exec_workers must be >= 0 (0 = auto)")
-        if self.pool_sync not in KNOWN_POOL_SYNCS:
-            raise ConfigurationError(
-                f"unknown pool_sync {self.pool_sync!r}; "
-                f"expected one of {KNOWN_POOL_SYNCS}"
-            )
         if self.pool_min_workers < 0:
             raise ConfigurationError(
                 "pool_min_workers must be >= 0 (0 = exec_workers width)"
@@ -349,10 +317,6 @@ class RecommenderConfig:
             raise ConfigurationError(
                 "pool_target_p99_ms must be >= 0 (0 = disabled)"
             )
-        if self.remote_workers < 0:
-            raise ConfigurationError(
-                "remote_workers must be >= 0 (0 = exec_workers width)"
-            )
         if self.remote_heartbeat_interval <= 0:
             raise ConfigurationError(
                 "remote_heartbeat_interval must be positive"
@@ -364,8 +328,6 @@ class RecommenderConfig:
                 f"remote_heartbeat_interval "
                 f"({self.remote_heartbeat_interval})"
             )
-        if self.remote_connect_timeout <= 0:
-            raise ConfigurationError("remote_connect_timeout must be positive")
         if self.degraded_mode not in KNOWN_DEGRADED_MODES:
             raise ConfigurationError(
                 f"unknown degraded_mode {self.degraded_mode!r}; "
@@ -405,41 +367,15 @@ class RecommenderConfig:
         return replace(self, **changes)
 
     def to_dict(self) -> dict[str, Any]:
-        """Serialise the configuration to plain JSON-friendly types."""
-        return {
-            "peer_threshold": self.peer_threshold,
-            "max_peers": self.max_peers,
-            "top_k": self.top_k,
-            "top_z": self.top_z,
-            "rating_scale": list(self.rating_scale),
-            "aggregation": self.aggregation,
-            "similarity": self.similarity,
-            "hybrid_weights": list(self.hybrid_weights),
-            "candidate_pool_size": self.candidate_pool_size,
-            "random_seed": self.random_seed,
-            "similarity_cache_size": self.similarity_cache_size,
-            "relevance_cache_size": self.relevance_cache_size,
-            "group_cache_size": self.group_cache_size,
-            "serve_workers": self.serve_workers,
-            "exec_backend": self.exec_backend,
-            "exec_workers": self.exec_workers,
-            "pool_sync": self.pool_sync,
-            "pool_min_workers": self.pool_min_workers,
-            "pool_max_workers": self.pool_max_workers,
-            "pool_idle_ttl": self.pool_idle_ttl,
-            "pool_target_p99_ms": self.pool_target_p99_ms,
-            "remote_workers": self.remote_workers,
-            "remote_heartbeat_interval": self.remote_heartbeat_interval,
-            "remote_heartbeat_timeout": self.remote_heartbeat_timeout,
-            "remote_connect_timeout": self.remote_connect_timeout,
-            "degraded_mode": self.degraded_mode,
-            "index_shards": self.index_shards,
-            "kernel": self.kernel,
-            "packed_scan": self.packed_scan,
-            "packed_topk": self.packed_topk,
-            "packed_spill": self.packed_spill,
-            "validation": self.validation,
-        }
+        """Serialise the configuration to plain JSON-friendly types.
+
+        One key per dataclass field; tuple fields become lists.
+        """
+        payload: dict[str, Any] = {}
+        for item in fields(self):
+            value = getattr(self, item.name)
+            payload[item.name] = list(value) if isinstance(value, tuple) else value
+        return payload
 
     def fingerprint(self) -> str:
         """Stable hash of the *recommendation semantics* of this config.
@@ -467,8 +403,18 @@ class RecommenderConfig:
 
     @classmethod
     def from_dict(cls, payload: Mapping[str, Any]) -> "RecommenderConfig":
-        """Rebuild a configuration from :meth:`to_dict` output."""
+        """Rebuild a configuration from :meth:`to_dict` output.
+
+        Unknown keys (e.g. a knob a newer or older version saved) raise
+        :class:`ConfigurationError` naming them.
+        """
         data = dict(payload)
+        unknown = sorted(set(data) - {item.name for item in fields(cls)})
+        if unknown:
+            raise ConfigurationError(
+                f"unknown RecommenderConfig key(s) {unknown}; "
+                f"expected a subset of the config fields"
+            )
         if "rating_scale" in data:
             data["rating_scale"] = tuple(data["rating_scale"])
         if "hybrid_weights" in data:

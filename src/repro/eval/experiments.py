@@ -190,7 +190,7 @@ def run_table2(
     the limit (useful for quick smoke runs); the full grid (the paper's
     largest cell enumerates ``(30 choose 12) ≈ 8.6 × 10^7`` subsets) can
     take minutes of CPU, exactly as the paper reports.  ``backend``
-    fans the grid cells out (the process backend genuinely parallelises
+    fans the grid cells out (the pool backend genuinely parallelises
     the brute-force enumeration; note per-cell *timings* then share the
     machine, so compare cells within one run only).
     """

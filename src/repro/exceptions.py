@@ -88,7 +88,7 @@ class MapReduceError(ReproError, RuntimeError):
 class ExecutionError(ReproError, RuntimeError):
     """Raised when an execution backend cannot run a task.
 
-    The most common cause is handing the process backend a task that
+    The most common cause is handing the pool backend a task that
     cannot be pickled (a closure, a lambda, or state holding a lock);
     the error message names the offending callable.
     """

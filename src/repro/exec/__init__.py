@@ -1,21 +1,20 @@
 """repro.exec — the execution substrate shared by every compute layer.
 
 One abstraction (:class:`~repro.exec.backends.ExecutionBackend`) with
-five implementations — serial, thread, process, pool, remote — used by
-the MapReduce engine, the similarity batch builds, the neighbour index,
-the serving batch API and the evaluation grids.  All backends produce
+four backend names — serial, thread, pool, remote — used by the
+MapReduce engine, the similarity batch builds, the neighbour index, the
+serving batch API and the evaluation grids.  All backends produce
 bit-identical results; they differ only in wall-clock and in how state
-reaches the workers (:mod:`repro.exec.pool` documents the long-lived
-pool's broadcast epoch-sync protocol and autoscaling policy;
-:mod:`repro.exec.remote` takes the same protocol over TCP with
-heartbeats and dead-peer requeue, framed by :mod:`repro.exec.wire`;
-``docs/ARCHITECTURE.md`` has the cross-layer picture).
+reaches the workers.  ``"pool"`` and ``"remote"`` are one class,
+:class:`~repro.exec.remote.RemoteBackend`: resident worker processes
+speaking the frames of :mod:`repro.exec.wire`, with broadcast epoch
+sync, heartbeats, dead-peer requeue and autoscaling
+(``docs/ARCHITECTURE.md`` has the cross-layer picture).
 """
 
 from .backends import (
     BACKEND_NAMES,
     ExecutionBackend,
-    ProcessBackend,
     SerialBackend,
     ThreadBackend,
     backend_scope,
@@ -25,16 +24,13 @@ from .backends import (
     get_backend,
     resolve_backend,
 )
-from .pool import (
-    DEFAULT_IDLE_TTL,
-    DEFAULT_MAX_DELTA_LOG,
-    POOL_SYNC_MODES,
-    PoolBackend,
-)
+from .pool import PoolBackend
 from .remote import (
     DEFAULT_CONNECT_TIMEOUT,
     DEFAULT_HEARTBEAT_INTERVAL,
     DEFAULT_HEARTBEAT_TIMEOUT,
+    DEFAULT_IDLE_TTL,
+    DEFAULT_MAX_DELTA_LOG,
     DEGRADED_MODES,
     FleetLossError,
     HashRing,
@@ -55,9 +51,7 @@ __all__ = [
     "FleetLossError",
     "HashRing",
     "PeerDisconnected",
-    "POOL_SYNC_MODES",
     "PoolBackend",
-    "ProcessBackend",
     "RemoteBackend",
     "SerialBackend",
     "ThreadBackend",

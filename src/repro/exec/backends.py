@@ -1,4 +1,4 @@
-"""Pluggable execution backends (serial / thread / process / pool).
+"""Pluggable execution backends (serial / thread / pool / remote).
 
 The paper frames the recommender as three MapReduce jobs precisely
 because peer-set and relevance computation dominate at scale — yet the
@@ -9,20 +9,16 @@ module is the single substrate they all share:
 * :class:`SerialBackend` — a plain loop; the reference semantics.
 * :class:`ThreadBackend` — a persistent thread pool; parallelises
   workloads that release the GIL or block, and batch request fan-out.
-* :class:`ProcessBackend` — a process pool created per call, for the
-  CPU-bound workloads (Pearson over co-rated items) where threads are
-  GIL-bound.  Task functions and arguments must be picklable; per-call
-  pools mean workers observe the parent's state *as of each call*, so
-  an in-place data update between calls can never leave this backend
-  serving stale data.  The freshness is paid for on every call (fork +
-  state re-ship), even when nothing changed.
-* :class:`~repro.exec.pool.PoolBackend` — a *long-lived*, autoscaling
-  process pool whose workers keep resident state between calls and
-  re-sync through broadcast per-epoch delta packets — one control
-  message per worker, never per task (:mod:`repro.exec.pool`).
-  Steady-state batches ship only task arguments; the freshness
-  guarantee then depends on the state owner reporting every mutation
-  via :meth:`ExecutionBackend.notify_state_change`.
+* :class:`~repro.exec.remote.RemoteBackend` — the worker fleet, for
+  the CPU-bound workloads (Pearson over co-rated items) where threads
+  are GIL-bound: *long-lived* worker processes that keep resident state
+  between calls and re-sync through broadcast per-epoch delta packets,
+  one frame per worker, never per task.  Task functions and arguments
+  must be picklable.  As ``"pool"`` its workers are forked local
+  children; as ``"remote"`` ``repro worker`` processes on other hosts
+  join over TCP too.  The freshness guarantee depends on the state
+  owner reporting every mutation via
+  :meth:`ExecutionBackend.notify_state_change`.
 
 Every backend maps a function over items **in input order** and returns
 a list — results are bit-identical across backends by construction,
@@ -32,11 +28,10 @@ performance knob.
 
 from __future__ import annotations
 
-import multiprocessing
 import os
 import pickle
 from abc import ABC, abstractmethod
-from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
+from concurrent.futures import ThreadPoolExecutor
 from contextlib import contextmanager
 from typing import Any, Callable, Iterable, Iterator, Sequence, TypeVar
 
@@ -47,13 +42,7 @@ T = TypeVar("T")
 R = TypeVar("R")
 
 #: Backend names accepted by :func:`get_backend` (and the CLI/config).
-BACKEND_NAMES: tuple[str, ...] = (
-    "serial",
-    "thread",
-    "process",
-    "pool",
-    "remote",
-)
+BACKEND_NAMES: tuple[str, ...] = ("serial", "thread", "pool", "remote")
 
 
 def ensure_picklable(fn: Callable[..., Any]) -> None:
@@ -70,7 +59,7 @@ def ensure_picklable(fn: Callable[..., Any]) -> None:
         pickle.dumps(fn)
     except Exception as exc:
         raise ExecutionError(
-            f"process backend requires picklable tasks; cannot pickle "
+            f"worker processes require picklable tasks; cannot pickle "
             f"{fn!r}: {exc}. Use a module-level function and plain-data "
             f"arguments (see repro.exec)."
         ) from exc
@@ -153,7 +142,7 @@ class ExecutionBackend(ABC):
 
         Results are returned in input order regardless of completion
         order.  ``initializer``/``initargs`` set up per-worker state
-        (the process backend runs it once in every worker; the in-process
+        (worker processes run it once when they boot; the in-process
         backends run it once before mapping, so the same task function
         works everywhere).  ``deadline`` is an optional
         :class:`~repro.resilience.Deadline`; when the budget runs out a
@@ -187,11 +176,10 @@ class ExecutionBackend(ABC):
     def notify_state_change(self, delta: Any = None) -> int:
         """Report that per-worker state mutated since the last dispatch.
 
-        Backends without resident worker state (serial, thread, and the
-        per-call process pool) re-read the parent's state on every call,
-        so this is a no-op for them.  The long-lived
-        :class:`~repro.exec.pool.PoolBackend` overrides it to bump its
-        sync epoch (and, when ``delta`` is given, log the mutation for
+        Backends without resident worker state (serial, thread) read
+        the parent's state on every call, so this is a no-op for them.
+        The worker fleet (:class:`~repro.exec.remote.RemoteBackend`)
+        overrides it to bump its sync epoch (and, when ``delta`` is given, log the mutation for
         replay).  State owners should call it unconditionally after
         every mutation — it is how the backend family keeps the
         bit-identity contract under updates.
@@ -253,7 +241,7 @@ class ThreadBackend(ExecutionBackend):
     Right for I/O-bound or lock-releasing tasks and for fan-out whose
     per-task state lives in the parent process (no pickling).  The
     CPU-bound inner loops of this library are GIL-bound under threads —
-    use :class:`ProcessBackend` for those.
+    use the ``"pool"`` backend for those.
     """
 
     name = "thread"
@@ -301,99 +289,31 @@ class ThreadBackend(ExecutionBackend):
             self._pool = None
 
 
-class ProcessBackend(ExecutionBackend):
-    """A process pool created per ``map_items`` call.
-
-    Task functions must be defined at module level and every argument
-    and result must be picklable — hand it a *chunked task spec*
-    (module-level function + plain-data chunks, per-worker state shipped
-    once through ``initializer``/``initargs``), not a closure.
-
-    A fresh pool per call costs fork overhead plus a full state re-ship
-    on *every* call, and buys a structural property: workers see the
-    parent's state **as of each call** (pinned by regression test), so
-    an ``ingest_rating`` between two batches can never be served stale.
-    :class:`~repro.exec.pool.PoolBackend` deliberately trades that
-    always-fresh-by-construction property for resident workers plus an
-    explicit epoch protocol — same freshness, provided every mutation
-    is reported through :meth:`ExecutionBackend.notify_state_change`.
-    """
-
-    name = "process"
-    requires_pickling = True
-
-    def __init__(self, workers: int | None = None) -> None:
-        super().__init__(workers)
-        methods = multiprocessing.get_all_start_methods()
-        # fork is substantially cheaper than spawn and inherits the
-        # parent's imports; fall back to the platform default elsewhere.
-        self._context = multiprocessing.get_context(
-            "fork" if "fork" in methods else None
-        )
-
-    def map_items(
-        self,
-        fn: Callable[[T], R],
-        items: Iterable[T],
-        *,
-        initializer: Callable[..., None] | None = None,
-        initargs: tuple[Any, ...] = (),
-        deadline: Deadline | None = None,
-    ) -> list[R]:
-        """Map on a fresh process pool; workers see state as of this call.
-
-        A ``deadline`` is checked before the pool is built — forking
-        workers for a batch whose budget already ran out wastes a full
-        state ship.
-        """
-        items = list(items)
-        if not items:
-            return []
-        self._check_picklable(fn)
-        if deadline is not None:
-            deadline.check(f"process dispatch of {len(items)} task item(s)")
-        workers = min(self.workers, len(items))
-        chunksize = max(1, len(items) // (workers * 4))
-        with ProcessPoolExecutor(
-            max_workers=workers,
-            mp_context=self._context,
-            initializer=initializer,
-            initargs=initargs,
-        ) as pool:
-            return list(pool.map(fn, items, chunksize=chunksize))
-
-    _check_picklable = staticmethod(ensure_picklable)
-
-
 def get_backend(
     name: str | None,
     workers: int | None = None,
     *,
-    pool_sync: str = "delta",
     pool_min_workers: int | None = None,
     pool_max_workers: int | None = None,
     pool_idle_ttl: float | None = None,
     pool_target_p99_ms: float | None = None,
-    remote_workers: int | None = None,
     remote_heartbeat_interval: float | None = None,
     remote_heartbeat_timeout: float | None = None,
-    remote_connect_timeout: float | None = None,
     remote_fingerprint: str | None = None,
     degraded_mode: str = "off",
     metrics: Any = None,
 ) -> ExecutionBackend:
     """Instantiate a backend by name (``None`` means serial).
 
-    The ``pool_*`` keywords configure the
-    :class:`~repro.exec.pool.PoolBackend` (state-sync strategy,
-    autoscaling bounds and the p99 latency target), the ``remote_*``
-    keywords plus ``degraded_mode`` the
-    :class:`~repro.exec.remote.RemoteBackend` (fleet width, heartbeat
-    cadence/timeout, the worker-connect deadline, the config
-    fingerprint its handshake enforces, and whether total fleet loss
-    degrades to serial execution instead of raising), and ``metrics``
-    is the :class:`~repro.obs.MetricsRegistry` the stateful backends
-    report into; all are ignored by the other backends.
+    ``"pool"`` and ``"remote"`` both build the worker fleet,
+    :class:`~repro.exec.remote.RemoteBackend` (``"remote"`` also opens
+    its TCP listener for ``repro worker`` processes).  The ``pool_*``
+    keywords set its autoscaling bounds and p99 latency target, the
+    ``remote_*`` keywords its heartbeat cadence/timeout and the config
+    fingerprint its handshake enforces, ``degraded_mode`` whether total fleet loss degrades to
+    serial execution instead of raising, and ``metrics`` the
+    :class:`~repro.obs.MetricsRegistry` it reports into.  The other
+    backends ignore them all.
 
     >>> get_backend("serial").name
     'serial'
@@ -409,31 +329,20 @@ def get_backend(
         return SerialBackend(workers)
     if name == "thread":
         return ThreadBackend(workers)
-    if name == "process":
-        return ProcessBackend(workers)
-    if name == "pool":
-        from .pool import PoolBackend
-
-        return PoolBackend(
-            workers,
-            sync=pool_sync,
-            min_workers=pool_min_workers,
-            max_workers=pool_max_workers,
-            idle_ttl=pool_idle_ttl,
-            target_p99_ms=pool_target_p99_ms,
-            metrics=metrics,
-        )
-    if name == "remote":
+    if name in ("pool", "remote"):
         from .remote import (
-            DEFAULT_CONNECT_TIMEOUT,
             DEFAULT_HEARTBEAT_INTERVAL,
             DEFAULT_HEARTBEAT_TIMEOUT,
             RemoteBackend,
         )
 
         return RemoteBackend(
-            remote_workers or workers,
-            sync=pool_sync,
+            workers,
+            min_workers=pool_min_workers,
+            max_workers=pool_max_workers,
+            idle_ttl=pool_idle_ttl,
+            target_p99_ms=pool_target_p99_ms,
+            port=0 if name == "remote" else None,
             heartbeat_interval=(
                 remote_heartbeat_interval
                 if remote_heartbeat_interval is not None
@@ -443,11 +352,6 @@ def get_backend(
                 remote_heartbeat_timeout
                 if remote_heartbeat_timeout is not None
                 else DEFAULT_HEARTBEAT_TIMEOUT
-            ),
-            connect_timeout=(
-                remote_connect_timeout
-                if remote_connect_timeout is not None
-                else DEFAULT_CONNECT_TIMEOUT
             ),
             fingerprint=remote_fingerprint,
             degraded_mode=degraded_mode,
@@ -461,24 +365,13 @@ def get_backend(
 def resolve_backend(
     backend: "ExecutionBackend | str | None",
     workers: int | None = None,
-    *,
-    pool_sync: str = "delta",
-    pool_min_workers: int | None = None,
-    pool_max_workers: int | None = None,
-    pool_idle_ttl: float | None = None,
-    pool_target_p99_ms: float | None = None,
-    remote_workers: int | None = None,
-    remote_heartbeat_interval: float | None = None,
-    remote_heartbeat_timeout: float | None = None,
-    remote_connect_timeout: float | None = None,
-    remote_fingerprint: str | None = None,
-    degraded_mode: str = "off",
-    metrics: Any = None,
+    **options: Any,
 ) -> ExecutionBackend:
     """Coerce a backend spec (instance, name or ``None``) to an instance.
 
     ``None`` resolves to the serial backend, keeping every refactored
-    call site backward compatible by default.
+    call site backward compatible by default; a name is built by
+    :func:`get_backend` with ``workers`` and its keyword ``options``.
 
     >>> resolve_backend(None).name
     'serial'
@@ -490,22 +383,7 @@ def resolve_backend(
         return SerialBackend()
     if isinstance(backend, ExecutionBackend):
         return backend
-    return get_backend(
-        backend,
-        workers,
-        pool_sync=pool_sync,
-        pool_min_workers=pool_min_workers,
-        pool_max_workers=pool_max_workers,
-        pool_idle_ttl=pool_idle_ttl,
-        pool_target_p99_ms=pool_target_p99_ms,
-        remote_workers=remote_workers,
-        remote_heartbeat_interval=remote_heartbeat_interval,
-        remote_heartbeat_timeout=remote_heartbeat_timeout,
-        remote_connect_timeout=remote_connect_timeout,
-        remote_fingerprint=remote_fingerprint,
-        degraded_mode=degraded_mode,
-        metrics=metrics,
-    )
+    return get_backend(backend, workers, **options)
 
 
 @contextmanager

@@ -1,1012 +1,12 @@
-"""A long-lived, autoscaling worker pool with broadcast delta sync.
+"""The ``"pool"`` spelling of the worker fleet.
 
-:class:`~repro.exec.backends.ProcessBackend` buys staleness-freedom by
-building a fresh pool per ``map_items`` call — every batch pays fork and
-state-shipping overhead even when nothing changed between batches.
-:class:`PoolBackend` keeps the workers alive instead and makes the
-staleness hazard explicit through a **message-shaped sync protocol**
-(deliberately shaped like a distributed system, so the same protocol can
-later span machines, not just processes):
-
-* each worker holds a **resident copy** of the per-call state (built by
-  the ``initializer`` when the worker boots — under the fork start
-  method the state is inherited, never pickled);
-* the owner of the state (e.g. a
-  :class:`~repro.serving.RecommendationService`) reports every mutation
-  through :meth:`PoolBackend.notify_state_change`, which bumps an
-  **epoch counter** and logs the mutation delta;
-* each worker owns a FIFO **inbox**; the parent talks to workers only
-  through messages (``sync`` / ``tasks`` / ``stop``).  When the parent
-  is ahead of the pool it **broadcasts** one per-epoch *delta packet* —
-  one control message per worker, each carrying the pending mutation
-  log once — instead of attaching the log to every task.  Sync cost per
-  batch is therefore O(workers), never O(tasks);
-* because every inbox is FIFO, a task enqueued after the broadcast can
-  only be seen by a worker that already applied the packet — the parent
-  can advance its view of the pool epoch and clear the log at broadcast
-  time, with no acknowledgements, no barrier, and no delta suffix
-  riding along with later dispatches;
-* when no delta is available (``sync="full"``, an undescribed mutation,
-  or a log grown past ``max_delta_log``) the pool restarts, re-shipping
-  the full state through the initializer;
-* the pool **autoscales**: it grows toward ``max_workers`` under queue
-  depth (each new worker bootstraps from the parent's *current* epoch —
-  a full ship via fork — and then joins delta sync like any other
-  worker) and shrinks idle workers back to ``min_workers`` once
-  ``idle_ttl`` elapses with no dispatch.
-
-In steady state (no mutations between batches) tasks ship nothing but
-their own arguments — this is the whole point.  The epoch protocol
-keeps the backend family's core contract intact: results are
-bit-identical to the serial backend, because a worker never runs a task
-against state older than the parent's at dispatch time.  Skipping
-:meth:`notify_state_change` after a mutation breaks that guarantee —
-the regression tests pin the resulting staleness as the documented
-counterexample.
-
-Delta entries are opaque to the backend.  The state owner registers a
-module-level **applier** via :meth:`bind_delta_applier`; workers call it
-once per unseen delta, in epoch order.  Appliers must be deterministic:
-replaying the same deltas over the same resident state must reproduce
-the parent's state exactly, or bit-identity silently breaks.
-
-Example — the protocol in miniature (see ``docs/ARCHITECTURE.md`` for
-the full sequence diagram)::
-
-    backend = PoolBackend(workers=2, sync="delta")
-    backend.bind_delta_applier(apply_mutation, build_state)
-    backend.map_items(fn, items, initializer=build_state, initargs=args)
-    backend.notify_state_change(delta=mutation)   # epoch 0 -> 1
-    backend.map_items(fn, items, initializer=build_state, initargs=args)
-    # one sync message per worker, then bare tasks
+A pool is a :class:`~repro.exec.remote.RemoteBackend` without a TCP
+listener: its workers are forked local children, each on one end of a
+``socket.socketpair()``, booted from fork-inherited state and speaking
+the same frames as ``repro worker`` processes.  :class:`PoolBackend` is
+that class under its historical import path.
 """
 
-from __future__ import annotations
+from .remote import RemoteBackend as PoolBackend
 
-import multiprocessing
-import pickle
-import queue as queue_module
-import threading
-import time
-import traceback
-from typing import Any, Callable, Iterable, TypeVar
-
-from ..exceptions import ConfigurationError, ExecutionError
-from ..obs import MetricsRegistry, get_registry
-from ..resilience import Deadline, RetryPolicy
-from .backends import ExecutionBackend, chunk_evenly, ensure_picklable
-
-T = TypeVar("T")
-R = TypeVar("R")
-
-#: Sliding-window length (seconds) of the batch-latency histogram the
-#: p99 autoscaling policy reads.  A window — not the cumulative
-#: histogram — is what lets the pool scale back *down*: observations
-#: from a past latency spike age out instead of pinning p99 forever.
-P99_WINDOW_SECONDS = 30.0
-
-#: Sync strategies accepted by :class:`PoolBackend` (and the config's
-#: ``pool_sync`` knob).
-POOL_SYNC_MODES: tuple[str, ...] = ("full", "delta")
-
-#: Delta-log length beyond which replaying mutations costs more than a
-#: pool restart; the backend re-ships the full state instead.
-DEFAULT_MAX_DELTA_LOG = 256
-
-#: How long a worker may stay idle (no dispatch reaching the pool)
-#: before an autoscaling pool shrinks it, in seconds.  ``None`` on the
-#: backend disables idle shrinking.
-DEFAULT_IDLE_TTL = 30.0
-
-#: Seconds the parent waits for a result before re-checking worker
-#: liveness (a dead worker turns the wait into an ExecutionError).
-_RESULT_POLL_SECONDS = 0.1
-
-#: Seconds a worker gets to exit after receiving a stop message before
-#: the parent terminates it.
-_JOIN_TIMEOUT_SECONDS = 5.0
-
-#: Inbox chunks dispatched per worker per batch: enough slack to absorb
-#: uneven task costs without making dispatch O(tasks) messages.
-_CHUNKS_PER_WORKER = 4
-
-#: Every inbox message crosses the wire pre-pickled (the parent
-#: serialises in the dispatching thread, so an unpicklable task item
-#: raises a catchable error instead of being dropped by the queue's
-#: feeder thread and hanging the collect loop).  The stop message never
-#: varies, so it is serialised once here.
-_STOP_BLOB: bytes = pickle.dumps(("stop",))
-
-
-#: The escalation ladder a stopping worker process is driven through:
-#: one bounded join per attempt (after the STOP message, after
-#: ``terminate()``, after ``kill()``).  The policy contributes the
-#: attempt count and the flat backoff shape; each join's timeout is
-#: ``delay(attempt) * _JOIN_TIMEOUT_SECONDS``, so the module constant
-#: (which tests shrink) still scales the whole ladder.
-_STOP_ESCALATION = RetryPolicy(
-    max_attempts=3, base_delay=1.0, multiplier=1.0, max_delay=1.0
-)
-
-
-def join_with_escalation(
-    process: Any, policy: RetryPolicy = _STOP_ESCALATION
-) -> bool:
-    """Join ``process``, escalating terminate → kill between bounded joins.
-
-    Returns ``True`` when escalation was needed — the process ignored
-    its orderly stop and had to be signalled.  Shared by the pool's
-    worker shutdown and the remote backend's loopback-process reaping,
-    so both count forced stops through the same policy.
-    """
-    escalation = (
-        process.terminate,
-        getattr(process, "kill", process.terminate),
-    )
-    forced = False
-    for attempt in policy.attempts():
-        process.join(timeout=policy.delay(attempt) * _JOIN_TIMEOUT_SECONDS)
-        if not process.is_alive() or attempt > len(escalation):
-            break
-        forced = True
-        escalation[attempt - 1]()
-    return forced
-
-
-def _same_elements(a: tuple[Any, ...], b: tuple[Any, ...]) -> bool:
-    """Element-wise identity of two initarg tuples.
-
-    Identity (not equality): comparing a large dataset by value per
-    dispatch would cost more than the dispatch, and the resident-state
-    contract is about *which objects* the workers were built from.
-    Call sites that want pool reuse must pass a stable initargs tuple
-    (the serving layer caches its per-service tuple for exactly this
-    reason).
-    """
-    return len(a) == len(b) and all(x is y for x, y in zip(a, b))
-
-
-# -- worker-side resident state ---------------------------------------------
-#
-# One copy per worker process.  ``_EPOCH`` is the age of the resident
-# state; sync packets arriving through the worker's inbox advance it.
-
-_EPOCH: int = -1
-_APPLIER: Callable[[Any], None] | None = None
-
-
-def _encode_result(index: int, value: Any, delta: Any = None) -> bytes:
-    """Pickle one successful task result in the worker's main thread.
-
-    Pickling here (rather than letting the queue's feeder thread do it)
-    turns an unpicklable result into a catchable, reportable error
-    instead of a silently dropped message and a hung parent.  ``delta``
-    is the optional piggybacked metrics payload,
-    ``(worker_id, drained_delta)`` — attached to the last result of
-    each task chunk so worker-side telemetry reaches the parent with
-    zero extra messages.
-    """
-    return pickle.dumps(("ok", index, value, delta))
-
-
-def _encode_error(index: int, exc: BaseException, delta: Any = None) -> bytes:
-    """Pickle one failed task so the parent can re-raise the original."""
-    try:
-        exc_bytes: bytes | None = pickle.dumps(exc)
-    except Exception:
-        exc_bytes = None
-    return pickle.dumps(
-        ("err", index, exc_bytes, repr(exc), traceback.format_exc(), delta)
-    )
-
-
-def _drain_worker_delta(worker_id: int) -> Any:
-    """This worker's metrics increments since the last drain (or None).
-
-    The worker's registry is the fork-copied process-default registry;
-    an initial drain at boot baselines away everything inherited from
-    the parent, so only worker-side increments ever travel.
-    """
-    delta = get_registry().drain_delta()
-    if delta is None:
-        return None
-    return (worker_id, delta)
-
-
-def _apply_sync_packet(target_epoch: int, entries: tuple) -> None:
-    """Replay the unseen suffix of one broadcast delta packet.
-
-    Timed into the worker's registry (``worker_sync_ms`` /
-    ``worker_syncs`` / ``worker_deltas_applied``) — the parent surfaces
-    these per worker once the next result message carries them home.
-    """
-    global _EPOCH
-    started = time.perf_counter()
-    applied = 0
-    for delta_epoch, delta in entries:
-        if delta_epoch > _EPOCH:
-            if _APPLIER is None:
-                raise ExecutionError(
-                    "pool worker received a sync packet but no delta "
-                    "applier is bound; the parent should have restarted "
-                    "the pool instead of broadcasting"
-                )
-            _APPLIER(delta)
-            applied += 1
-    _EPOCH = max(_EPOCH, target_epoch)
-    registry = get_registry()
-    registry.observe(
-        "worker_sync_ms", (time.perf_counter() - started) * 1000.0
-    )
-    registry.inc("worker_syncs")
-    if applied:
-        registry.inc("worker_deltas_applied", applied)
-
-
-def _worker_loop(
-    worker_id: int,
-    initializer: Callable[..., None] | None,
-    initargs: tuple[Any, ...],
-    boot_epoch: int,
-    applier: Callable[[Any], None] | None,
-    inbox: Any,
-    results: Any,
-) -> None:
-    """Message loop of one resident worker process.
-
-    Builds the resident state (a full ship: under fork the initargs are
-    inherited from the parent's *current* memory, so a worker spawned
-    mid-stream boots at the parent's current epoch), then serves its
-    inbox in FIFO order.  The FIFO is the protocol's correctness
-    backbone: a ``sync`` enqueued before a ``task`` is always applied
-    before it.
-
-    Telemetry recorded in the worker (kernel timings, repacks, sync
-    replay costs) accumulates in the fork-copied default registry; the
-    last result of each task chunk carries the drained increments back
-    to the parent (see :func:`_drain_worker_delta`).
-    """
-    global _EPOCH, _APPLIER
-    if initializer is not None:
-        initializer(*initargs)
-    _EPOCH = boot_epoch
-    _APPLIER = applier
-    # Baseline the fork-copied registry: anything recorded by the
-    # parent (or the initializer replaying parent history) is already
-    # counted parent-side and must not ship back as worker activity.
-    get_registry().drain_delta()
-    while True:
-        message = pickle.loads(inbox.get())
-        kind = message[0]
-        if kind == "stop":
-            break
-        if kind == "sync":
-            _apply_sync_packet(message[1], message[2])
-            continue
-        # ("tasks", fn, ((index, item), ...), epoch)
-        _, fn, pairs, epoch = message
-        if epoch > _EPOCH:
-            # A task may never outrun its sync packet (FIFO): reaching
-            # here means the parent cleared the log without telling
-            # this worker — fail loudly rather than serve stale state.
-            violation = ExecutionError(
-                f"pool sync protocol violation: task epoch {epoch} is "
-                f"ahead of resident epoch {_EPOCH} with no sync packet "
-                f"in the inbox"
-            )
-            for position, (index, _item) in enumerate(pairs):
-                delta = (
-                    _drain_worker_delta(worker_id)
-                    if position == len(pairs) - 1
-                    else None
-                )
-                results.put(_encode_error(index, violation, delta))
-            continue
-        for position, (index, item) in enumerate(pairs):
-            last = position == len(pairs) - 1
-            try:
-                value = fn(item)
-                delta = _drain_worker_delta(worker_id) if last else None
-                payload = _encode_result(index, value, delta)
-            except KeyboardInterrupt:  # pragma: no cover - interactive
-                raise
-            except BaseException as exc:
-                delta = _drain_worker_delta(worker_id) if last else None
-                payload = _encode_error(index, exc, delta)
-            results.put(payload)
-
-
-class _Worker:
-    """Parent-side handle of one resident worker: process + inbox.
-
-    Lifecycle is fully synchronous: a worker is either in the pool's
-    live list or already stopped and joined — there is no in-between
-    state to reap later.
-    """
-
-    __slots__ = ("worker_id", "process", "inbox")
-
-    def __init__(self, worker_id: int, process: Any, inbox: Any) -> None:
-        self.worker_id = worker_id
-        self.process = process
-        self.inbox = inbox
-
-    def stop(self) -> bool:
-        """Send the targeted stop message, join, release the inbox.
-
-        Every join is time-bounded: a worker that ignores its stop
-        message is driven through :func:`join_with_escalation`'s
-        ``terminate()`` (SIGTERM) → ``kill()`` (SIGKILL) ladder rather
-        than stalling pool shutdown behind an unbounded join.  Returns
-        ``True`` when escalation was needed so the pool can count
-        forced stops (``pool_forced_stops``).
-        """
-        if self.process.is_alive():
-            try:
-                self.inbox.put(_STOP_BLOB)
-            except (ValueError, OSError):  # pragma: no cover - closed
-                pass
-        forced = join_with_escalation(self.process)
-        self.inbox.close()
-        self.inbox.cancel_join_thread()
-        return forced
-
-
-class PoolBackend(ExecutionBackend):
-    """A persistent, autoscaling process pool with broadcast state sync.
-
-    Parameters
-    ----------
-    workers:
-        Default pool width, as for every backend.  It seeds both
-        autoscaling bounds, so a plain ``PoolBackend(workers=4)`` is a
-        fixed-size pool of 4.
-    sync:
-        ``"delta"`` (default) broadcasts logged mutations to stale
-        workers (one control message per worker); ``"full"`` restarts
-        the pool (re-shipping the state through the initializer) after
-        any mutation.  Both are exactly as fresh as
-        :class:`~repro.exec.backends.ProcessBackend`; they differ only
-        in how much crosses the process boundary.
-    max_delta_log:
-        Pending-delta count beyond which a delta sync falls back to a
-        full restart (replaying a long history into every worker costs
-        more than one re-ship).
-    min_workers / max_workers:
-        Autoscaling bounds.  Both default to ``workers`` (fixed size);
-        a lone ``min_workers`` above ``workers`` raises the default
-        ceiling with it (``max(workers, min_workers)``).
-        With ``min_workers < max_workers`` the pool grows toward
-        ``max_workers`` when a dispatch's queue depth exceeds the live
-        width, and shrinks back to ``min_workers`` after ``idle_ttl``
-        seconds without a dispatch.  A newly grown worker bootstraps
-        from the parent's current epoch (full ship via fork) and then
-        participates in delta sync like any resident worker.
-    idle_ttl:
-        Idle seconds before excess workers are shrunk (``None`` — the
-        default — never shrinks).  Shrinking is applied lazily: at the
-        next dispatch, :meth:`autoscale` call, or :meth:`pool_stats`
-        read.
-    target_p99_ms:
-        Latency-targeted autoscaling: when set, the pool reads the p99
-        of its batch-latency histogram over a sliding
-        :data:`P99_WINDOW_SECONDS` window and grows one worker per
-        dispatch while p99 breaches the target (up to ``max_workers``),
-        shrinking one worker once p99 recovers below half the target
-        (down to ``min_workers``).  Queue-depth growth and idle-TTL
-        shrinking stay active as fallbacks.  ``None`` (default)
-        disables the policy.
-    clock:
-        Monotonic time source (injectable for tests); defaults to
-        :func:`time.monotonic`.  Also drives the latency window.
-    metrics:
-        Registry the pool's counters and histograms live in (restarts,
-        sync volume, scale events, ``pool_batch_ms``, merged worker
-        deltas).  Defaults to a fresh registry; the serving layer
-        passes its own so pool telemetry joins the unified view.
-
-    The resident state is bound by the first ``map_items`` call's
-    ``initializer``.  A later call with a *different* initializer
-    rebinds: the pool restarts with the new state (so one backend can
-    serve the index build and the batch-serve path in turn; only the
-    steady, repeated call site gets the resident-state speedup).
-    """
-
-    name = "pool"
-    requires_pickling = True
-
-    def __init__(
-        self,
-        workers: int | None = None,
-        sync: str = "delta",
-        max_delta_log: int = DEFAULT_MAX_DELTA_LOG,
-        min_workers: int | None = None,
-        max_workers: int | None = None,
-        idle_ttl: float | None = None,
-        target_p99_ms: float | None = None,
-        clock: Callable[[], float] | None = None,
-        metrics: MetricsRegistry | None = None,
-    ) -> None:
-        super().__init__(workers)
-        if sync not in POOL_SYNC_MODES:
-            raise ConfigurationError(
-                f"unknown pool sync mode {sync!r}; "
-                f"expected one of {POOL_SYNC_MODES}"
-            )
-        if max_delta_log < 0:
-            raise ConfigurationError("max_delta_log must be >= 0")
-        self.sync = sync
-        self.max_delta_log = max_delta_log
-        if max_workers is not None:
-            self.max_workers = max_workers
-        elif min_workers is not None:
-            # A lone floor implies the ceiling covers it: min_workers=4
-            # with no explicit ceiling means "at least 4", not a
-            # min-above-max contradiction with the default width.
-            self.max_workers = max(self.workers, min_workers)
-        else:
-            self.max_workers = self.workers
-        if self.max_workers < 1:
-            raise ConfigurationError("max_workers must be >= 1")
-        self.min_workers = (
-            min_workers
-            if min_workers is not None
-            else min(self.workers, self.max_workers)
-        )
-        if self.min_workers < 1:
-            raise ConfigurationError("min_workers must be >= 1")
-        if self.min_workers > self.max_workers:
-            raise ConfigurationError(
-                f"min_workers ({self.min_workers}) must not exceed "
-                f"max_workers ({self.max_workers})"
-            )
-        if idle_ttl is not None and idle_ttl <= 0:
-            raise ConfigurationError("idle_ttl must be positive or None")
-        self.idle_ttl = idle_ttl
-        if target_p99_ms is not None and target_p99_ms <= 0:
-            raise ConfigurationError("target_p99_ms must be positive or None")
-        self.target_p99_ms = target_p99_ms
-        self._clock = clock or time.monotonic
-        methods = multiprocessing.get_all_start_methods()
-        # fork keeps worker boots cheap: the initializer arguments are
-        # inherited through the fork snapshot, never pickled — which is
-        # also what lets a mid-stream spawn see the current epoch.
-        self._context = multiprocessing.get_context(
-            "fork" if "fork" in methods else None
-        )
-        # _lock guards the parent-side protocol state; _dispatch_lock
-        # serializes whole map_items calls (dispatch + collection), so
-        # two threads can never interleave results on the shared queue.
-        self._lock = threading.RLock()
-        self._dispatch_lock = threading.Lock()
-        self._workers: list[_Worker] = []
-        self._results: Any = None
-        self._next_worker_id = 0
-        self._bound_init: Callable[..., None] | None = None
-        self._bound_initargs: tuple[Any, ...] = ()
-        self._applier: Callable[[Any], None] | None = None
-        self._applier_init: Callable[..., None] | None = None
-        # The applier the *live workers* were spawned with.  Broadcast
-        # is only sound while this matches the parent's current
-        # binding — an applier bound (or re-bound) after boot must
-        # force a restart, not a broadcast the workers cannot apply.
-        self._pool_applier: Callable[[Any], None] | None = None
-        self._epoch = 0
-        self._pool_epoch = -1
-        self._deltas: list[tuple[int, Any]] = []
-        self._log_complete = True
-        self._booted = False
-        self._last_dispatch = self._clock()
-        # Operational counters live in the registry; pool_stats() and
-        # the introspection properties are views over these.
-        self.metrics = metrics if metrics is not None else MetricsRegistry()
-        self._restarts = self.metrics.counter("pool_restarts")
-        self._delta_syncs = self.metrics.counter("pool_delta_syncs")
-        self._sync_messages = self.metrics.counter("pool_sync_messages")
-        self._sync_bytes = self.metrics.counter("pool_sync_bytes")
-        self._scale_ups = self.metrics.counter("pool_scale_ups")
-        self._scale_downs = self.metrics.counter("pool_scale_downs")
-        self._bootstrap_bytes = self.metrics.counter("pool_bootstrap_bytes")
-        self._forced_stops = self.metrics.counter("pool_forced_stops")
-        # Pickled size of the current initargs binding, cached per
-        # binding identity (the tuple is rebound wholesale on restart).
-        self._initargs_size_cache: tuple[tuple[Any, ...], int] | None = None
-        self._batch_latency = self.metrics.histogram(
-            "pool_batch_ms", window_s=P99_WINDOW_SECONDS, clock=self._clock
-        )
-
-    # -- state registration ----------------------------------------------------
-
-    def bind_delta_applier(
-        self,
-        applier: Callable[[Any], None],
-        initializer: Callable[..., None],
-    ) -> None:
-        """Register the worker-side mutation applier for delta sync.
-
-        ``applier`` must be a module-level (picklable) function that
-        applies one delta payload to the resident state built by
-        ``initializer``.  Deltas are only broadcast while the pool is
-        bound to that same initializer; any other resident state falls
-        back to a full restart.
-        """
-        with self._lock:
-            self._applier = applier
-            self._applier_init = initializer
-
-    def notify_state_change(self, delta: Any = None) -> int:
-        """Record one mutation of the state behind the resident copies.
-
-        ``delta`` is an opaque, picklable description of the mutation
-        (broadcast to and replayed by every live worker before its next
-        task).  ``None`` means the change cannot be described as a
-        delta — the next dispatch re-ships the full state.  Returns the
-        new epoch.
-        """
-        with self._lock:
-            self._epoch += 1
-            if delta is not None and self.sync == "delta":
-                self._deltas.append((self._epoch, delta))
-            else:
-                # An undescribed mutation poisons the log: replaying
-                # the surviving entries would skip this change.
-                self._deltas.clear()
-                self._log_complete = False
-            return self._epoch
-
-    # -- introspection ---------------------------------------------------------
-
-    @property
-    def epoch(self) -> int:
-        """The parent-side state epoch (mutations seen so far)."""
-        with self._lock:
-            return self._epoch
-
-    @property
-    def resident_epoch(self) -> int:
-        """Epoch every resident worker is guaranteed to have reached.
-
-        Advances on boot, on restart, and at each broadcast (-1 before
-        the first dispatch).  The FIFO inboxes are what make advancing
-        at broadcast time sound: no worker can run a later task without
-        first consuming the sync packet queued ahead of it.
-        """
-        with self._lock:
-            return self._pool_epoch
-
-    @property
-    def restarts(self) -> int:
-        """Number of full pool (re)boots, the full-re-ship counter."""
-        return int(self._restarts.value)
-
-    @property
-    def pending_deltas(self) -> int:
-        """Logged mutations not yet broadcast to the pool."""
-        with self._lock:
-            return len(self._deltas)
-
-    @property
-    def live_workers(self) -> int:
-        """Resident worker processes currently in the pool."""
-        with self._lock:
-            return len(self._workers)
-
-    def pool_stats(self) -> dict[str, Any]:
-        """Operational counters for service/CLI statistics output.
-
-        Keys: ``sync`` mode, ``epoch``/``resident_epoch``, ``restarts``
-        (full re-ships), ``delta_syncs`` (broadcasts), ``sync_messages``
-        and ``sync_bytes`` (control-plane volume — O(workers) per
-        broadcast by construction), ``bootstrap_bytes`` (cumulative
-        pickled initargs size over worker spawns — the state-ship cost
-        the mmap'd packed spill collapses), ``pending_deltas``, the live width
-        and autoscaling bounds, ``scale_ups``/``scale_downs``, plus the
-        latency policy: ``target_p99_ms`` and the windowed
-        ``batch_p99_ms`` it reads (``None`` while the window is empty).
-        The dict is a view over the pool's metrics registry; reading
-        stats also applies any due autoscaling.
-        """
-        self.autoscale()
-        with self._lock:
-            return {
-                "sync": self.sync,
-                "epoch": self._epoch,
-                "resident_epoch": self._pool_epoch,
-                "restarts": int(self._restarts.value),
-                "delta_syncs": int(self._delta_syncs.value),
-                "sync_messages": int(self._sync_messages.value),
-                "sync_bytes": int(self._sync_bytes.value),
-                "bootstrap_bytes": int(self._bootstrap_bytes.value),
-                "pending_deltas": len(self._deltas),
-                "live_workers": len(self._workers),
-                "min_workers": self.min_workers,
-                "max_workers": self.max_workers,
-                "idle_ttl": self.idle_ttl,
-                "scale_ups": int(self._scale_ups.value),
-                "scale_downs": int(self._scale_downs.value),
-                "forced_stops": int(self._forced_stops.value),
-                "target_p99_ms": self.target_p99_ms,
-                "batch_p99_ms": self._batch_latency.windowed_quantile(0.99),
-            }
-
-    # -- autoscaling -----------------------------------------------------------
-
-    def autoscale(self) -> int:
-        """Apply the scaling policies now; returns the live width.
-
-        Two policies run, both opportunistically (skipped while a
-        dispatch is in flight — never stop a worker that may hold
-        queued tasks):
-
-        * **idle shrink** — with ``idle_ttl`` set, a pool over
-          ``min_workers`` that saw no dispatch for ``idle_ttl`` seconds
-          shrinks back to ``min_workers``;
-        * **p99 policy** — with ``target_p99_ms`` set, the windowed
-          batch-latency p99 grows the pool by one worker while
-          breached and shrinks by one once it recovers below half the
-          target (see :meth:`_apply_p99_policy`).
-        """
-        if not self._dispatch_lock.acquire(blocking=False):
-            return len(self._workers)
-        try:
-            with self._lock:
-                if (
-                    self._booted
-                    and self.idle_ttl is not None
-                    and len(self._workers) > self.min_workers
-                    and self._clock() - self._last_dispatch >= self.idle_ttl
-                ):
-                    self._shrink_to(self.min_workers)
-                self._apply_p99_policy(allow_shrink=True)
-                return len(self._workers)
-        finally:
-            self._dispatch_lock.release()
-
-    def _apply_p99_policy(self, allow_shrink: bool) -> None:
-        """One p99-driven scaling step (under ``_lock``; booted pools only).
-
-        Reads the sliding-window p99 of ``pool_batch_ms``: above
-        ``target_p99_ms`` the pool grows one worker toward
-        ``max_workers``; at or below half the target (the hysteresis
-        band that keeps grow/shrink from oscillating) it shrinks one
-        worker toward ``min_workers``.  An empty window — no recent
-        batches — takes no action.  Shrinking is suppressed on the
-        dispatch path (``allow_shrink=False``): a dispatch wants
-        capacity now, reclaiming it is :meth:`autoscale`'s job.
-        """
-        if self.target_p99_ms is None or not self._booted or not self._workers:
-            return
-        p99 = self._batch_latency.windowed_quantile(0.99)
-        if p99 is None:
-            return
-        if p99 > self.target_p99_ms and len(self._workers) < self.max_workers:
-            self._spawn_worker()
-            self._scale_ups.inc()
-        elif (
-            allow_shrink
-            and p99 <= self.target_p99_ms * 0.5
-            and len(self._workers) > self.min_workers
-        ):
-            self._shrink_to(len(self._workers) - 1)
-
-    def _shrink_to(self, width: int) -> None:
-        """Stop excess workers via targeted stop messages (under _lock)."""
-        stopped, self._workers = self._workers[width:], self._workers[:width]
-        if stopped:
-            self._scale_downs.inc(len(stopped))
-        for worker in stopped:
-            if worker.stop():
-                self._forced_stops.inc()
-
-    def _spawn_worker(self) -> None:
-        """Fork one worker bootstrapped at the parent's current epoch.
-
-        Every worker of one pool generation gets the generation's
-        applier (:attr:`_pool_applier`), never the parent's possibly
-        newer binding — mixed appliers within one pool would break the
-        broadcast soundness argument.
-        """
-        self._bootstrap_bytes.inc(self._initargs_bytes())
-        inbox = self._context.Queue()
-        process = self._context.Process(
-            target=_worker_loop,
-            args=(
-                self._next_worker_id,
-                self._bound_init,
-                self._bound_initargs,
-                self._epoch,
-                self._pool_applier,
-                inbox,
-                self._results,
-            ),
-            daemon=True,
-        )
-        process.start()
-        self._workers.append(_Worker(self._next_worker_id, process, inbox))
-        self._next_worker_id += 1
-
-    def _initargs_bytes(self) -> int:
-        """Pickled size of the bound initargs — the per-worker ship cost.
-
-        The pool forks, so the state is inherited rather than pickled;
-        this models what each spawn *would* ship under a spawn/remote
-        start method, which is the number the mmap'd-spill bootstrap
-        (tiny initargs, state mapped from disk) is measured against.
-        Unpicklable initargs count as 0.
-        """
-        cached = self._initargs_size_cache
-        if cached is not None and _same_elements(cached[0], self._bound_initargs):
-            return cached[1]
-        try:
-            size = len(pickle.dumps(self._bound_initargs))
-        except Exception:
-            size = 0
-        self._initargs_size_cache = (self._bound_initargs, size)
-        return size
-
-    def _spawn_width(self, queue_depth: int) -> int:
-        """Initial/restart width for a dispatch of ``queue_depth`` tasks."""
-        return min(self.max_workers, max(self.min_workers, queue_depth))
-
-    # -- dispatch --------------------------------------------------------------
-
-    def _can_delta_sync(self, initializer: Callable[..., None] | None) -> bool:
-        if self.sync != "delta" or not self._log_complete:
-            return False
-        if self._applier is None or initializer is not self._applier_init:
-            return False
-        if self._applier is not self._pool_applier:
-            # The live workers were spawned before this applier was
-            # bound (or under a different one) — they could not replay
-            # the packet.  Fall back to a restart, which re-captures
-            # the binding.
-            return False
-        return len(self._deltas) <= self.max_delta_log
-
-    def _restart_pool(
-        self,
-        initializer: Callable[..., None] | None,
-        initargs: tuple[Any, ...],
-        queue_depth: int,
-    ) -> None:
-        """Full re-ship: stop everything, respawn at the current epoch."""
-        self._shutdown_pool()
-        self._bound_init = initializer
-        self._bound_initargs = initargs
-        self._pool_applier = (
-            self._applier
-            if initializer is self._applier_init
-            else None
-        )
-        self._results = self._context.Queue()
-        for _ in range(self._spawn_width(queue_depth)):
-            self._spawn_worker()
-        self._pool_epoch = self._epoch
-        self._deltas.clear()
-        self._log_complete = True
-        self._booted = True
-        self._restarts.inc()
-
-    def _broadcast_sync(self) -> None:
-        """Fan the pending delta packet out: one message per worker.
-
-        This is the tentpole invariant: sync cost is O(workers) — the
-        packet is serialised once per *worker*, never per task — and
-        after the fan-out the parent may clear the log, because every
-        inbox now holds the packet ahead of any future task.
-        """
-        blob = pickle.dumps(("sync", self._epoch, tuple(self._deltas)))
-        for worker in self._workers:
-            worker.inbox.put(blob)
-        self._delta_syncs.inc()
-        self._sync_messages.inc(len(self._workers))
-        self._sync_bytes.inc(len(blob) * len(self._workers))
-        self._pool_epoch = self._epoch
-        self._deltas.clear()
-
-    def _prepare_dispatch(
-        self,
-        initializer: Callable[..., None] | None,
-        initargs: tuple[Any, ...],
-        queue_depth: int,
-    ) -> tuple[list[_Worker], int]:
-        """Bring the pool to the current epoch; returns (workers, epoch).
-
-        Must run under :attr:`_lock`.  Order matters: decide restart vs
-        broadcast first (stale workers get the packet), then grow
-        (fresh workers boot at the current epoch and need no packet).
-        """
-        self._last_dispatch = self._clock()
-        rebind = (
-            not self._booted
-            or not self._workers
-            or initializer is not self._bound_init
-            or not _same_elements(initargs, self._bound_initargs)
-        )
-        stale = self._epoch > self._pool_epoch
-        if rebind or (stale and not self._can_delta_sync(initializer)):
-            self._restart_pool(initializer, initargs, queue_depth)
-        elif stale:
-            self._broadcast_sync()
-        target = min(self.max_workers, max(len(self._workers), queue_depth))
-        grown = target - len(self._workers)
-        for _ in range(grown):
-            self._spawn_worker()
-        if grown > 0:
-            self._scale_ups.inc(grown)
-        # Latency-targeted growth on top of queue depth: a breached
-        # windowed p99 adds one more worker per dispatch (shrinking is
-        # autoscale()'s job — a dispatch wants capacity, not less).
-        self._apply_p99_policy(allow_shrink=False)
-        return list(self._workers), self._pool_epoch
-
-    def map_items(
-        self,
-        fn: Callable[[T], R],
-        items: Iterable[T],
-        *,
-        initializer: Callable[..., None] | None = None,
-        initargs: tuple[Any, ...] = (),
-        deadline: Deadline | None = None,
-    ) -> list[R]:
-        """``[fn(item) for item in items]`` on the resident workers.
-
-        Tasks are split into contiguous chunks (a few per worker) and
-        enqueued round-robin into the worker inboxes — O(workers)
-        messages per batch.  Results come back tagged with their input
-        index and are reordered, so output order (and content) is
-        bit-identical to the serial backend.  A task exception is
-        re-raised in the parent for the earliest failing item, after
-        the batch drains.
-
-        ``deadline`` is checked *before* dispatch only: once chunks sit
-        in worker inboxes, aborting the collect loop would leave queued
-        results to corrupt the next batch, so an already-dispatched
-        batch always drains.
-        """
-        items = list(items)
-        if not items:
-            return []
-        ensure_picklable(fn)
-        if deadline is not None:
-            deadline.check(f"pool dispatch of {len(items)} task item(s)")
-        batch_started = self._clock()
-        with self._dispatch_lock:
-            with self._lock:
-                workers, epoch = self._prepare_dispatch(
-                    initializer, initargs, len(items)
-                )
-            # Serialisation and enqueuing run outside the state lock —
-            # a concurrent notify_state_change only appends to the
-            # delta log (broadcast next dispatch), while _dispatch_lock
-            # keeps the worker list and inbox ordering ours alone.
-            # Every message is serialised *before* any is enqueued: an
-            # unpicklable item surfaces here as an error (nothing
-            # dispatched, pool still consistent) instead of being
-            # dropped by the queue's feeder thread mid-batch.
-            chunks = chunk_evenly(
-                list(enumerate(items)),
-                min(len(items), len(workers) * _CHUNKS_PER_WORKER),
-            )
-            try:
-                blobs = [
-                    pickle.dumps(("tasks", fn, tuple(chunk), epoch))
-                    for chunk in chunks
-                ]
-            except Exception as exc:
-                raise ExecutionError(
-                    f"pool backend requires picklable task items; "
-                    f"cannot serialise a chunk for {fn!r}: {exc}. "
-                    f"Use plain-data arguments (see repro.exec)."
-                ) from exc
-            for position, blob in enumerate(blobs):
-                workers[position % len(workers)].inbox.put(blob)
-            try:
-                return self._collect(fn, len(items))
-            finally:
-                # One observation per batch (dispatch + drain), against
-                # the injectable clock — this histogram's windowed p99
-                # is what the latency-targeted autoscaler reads.
-                self._batch_latency.observe(
-                    (self._clock() - batch_started) * 1000.0
-                )
-
-    def _collect(self, fn: Callable[..., Any], expected: int) -> list[Any]:
-        """Drain ``expected`` tagged results, reorder, re-raise errors.
-
-        Result messages may carry a piggybacked worker metrics delta
-        (see :func:`_drain_worker_delta`); each is merged into the
-        pool's registry under a ``worker="N"`` label before the batch
-        returns — a worker that dies mid-batch loses only its final
-        undelivered delta, never corrupts the parent's counts.
-        """
-        values: dict[int, Any] = {}
-        failures: dict[int, tuple[bytes | None, str, str]] = {}
-        while len(values) + len(failures) < expected:
-            try:
-                blob = self._results.get(timeout=_RESULT_POLL_SECONDS)
-            except queue_module.Empty:
-                self._ensure_workers_alive(fn)
-                continue
-            message = pickle.loads(blob)
-            if message[0] == "ok":
-                _, index, value, delta = message
-                values[index] = value
-            else:
-                _, index, exc_bytes, summary, tb, delta = message
-                failures[index] = (exc_bytes, summary, tb)
-            if delta is not None:
-                worker_id, payload = delta
-                self.metrics.merge_delta(
-                    payload, extra_labels={"worker": str(worker_id)}
-                )
-        if failures:
-            index = min(failures)
-            exc_bytes, summary, tb = failures[index]
-            original: BaseException | None = None
-            if exc_bytes is not None:
-                try:
-                    loaded = pickle.loads(exc_bytes)
-                except Exception:  # pragma: no cover - defensive
-                    loaded = None
-                if isinstance(loaded, BaseException):
-                    original = loaded
-            if original is not None:
-                # Keep the original exception type (callers catch it),
-                # chaining the worker-side stack so the failure's
-                # origin is not lost at the process boundary.
-                raise original from ExecutionError(
-                    f"pool task {fn!r} failed in a worker process; "
-                    f"worker traceback:\n{tb}"
-                )
-            raise ExecutionError(
-                f"pool task {fn!r} failed with an unpicklable exception "
-                f"{summary}; worker traceback:\n{tb}"
-            )
-        return [values[index] for index in range(expected)]
-
-    def _ensure_workers_alive(self, fn: Callable[..., Any]) -> None:
-        """Turn a silent worker death into a loud ExecutionError."""
-        with self._lock:
-            dead = [
-                worker
-                for worker in self._workers
-                if not worker.process.is_alive()
-            ]
-            if dead:
-                codes = [worker.process.exitcode for worker in dead]
-                self._shutdown_pool()
-                raise ExecutionError(
-                    f"pool worker process died while mapping {fn!r} "
-                    f"(exit codes {codes})"
-                )
-
-    # -- lifecycle -------------------------------------------------------------
-
-    def _shutdown_pool(self) -> None:
-        """Stop every worker and drop the queues (under _lock)."""
-        workers, self._workers = self._workers, []
-        for worker in workers:
-            if worker.stop():
-                self._forced_stops.inc()
-        if self._results is not None:
-            self._results.close()
-            self._results.cancel_join_thread()
-            self._results = None
-        self._bound_init = None
-        self._bound_initargs = ()
-        self._booted = False
-        self._pool_epoch = -1
-
-    def close(self) -> None:
-        """Shut the resident workers down (idempotent)."""
-        with self._dispatch_lock:
-            with self._lock:
-                self._shutdown_pool()
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return (
-            f"PoolBackend(workers={self.workers}, sync={self.sync!r}, "
-            f"min_workers={self.min_workers}, max_workers={self.max_workers}, "
-            f"epoch={self._epoch})"
-        )
+__all__ = ["PoolBackend"]

@@ -1,12 +1,10 @@
-"""Length-prefixed frame codec of the remote execution protocol.
+"""Length-prefixed frame codec of the worker protocol.
 
-:mod:`repro.exec.pool` deliberately shaped its sync protocol like a
-distributed system — per-worker FIFO inboxes, one delta packet per
-epoch, results tagged with their input index — precisely so the
-``mp.Queue`` transport could later be swapped for a socket.  This module
-is that swap's wire format: every message of the pool protocol (plus
-the handshake and liveness messages a real network needs) becomes one
-**length-prefixed frame** on a TCP stream.
+Every message between a :class:`~repro.exec.remote.RemoteBackend` parent
+and its workers — forked local workers on a ``socket.socketpair()`` and
+``repro worker`` processes over TCP alike — is one **length-prefixed
+frame** on a byte stream: the handshake, the state boot, the per-epoch
+delta packet, task chunks, results, liveness beacons and shutdown.
 
 Frame layout (pinned by ``tests/exec/test_wire.py`` — it cannot drift
 silently)::
@@ -28,9 +26,9 @@ bytes, oversized or truncated frames, undecodable payloads — raises a
 typed :class:`WireError` naming the stream offset, never a bare
 ``struct`` or ``pickle`` error.
 
-TCP gives the same FIFO guarantee the pool's queues did, which is what
-keeps the sync-before-task correctness argument intact across machines:
-a TASK frame written after a SYNC frame is read after it.
+Both transports are in-order streams, which is what keeps the
+sync-before-task correctness argument intact: a TASK frame written
+after a SYNC frame is read after it.
 """
 
 from __future__ import annotations
@@ -67,12 +65,12 @@ DEFAULT_MAX_FRAME_BYTES: int = 256 * 1024 * 1024
 
 FRAME_HELLO = 1  #: worker -> parent: handshake, carries the fingerprint
 FRAME_WELCOME = 2  #: parent -> worker: handshake accept + worker id
-FRAME_BOOT = 3  #: parent -> worker: build/rebuild the resident state
-FRAME_SYNC = 4  #: parent -> worker: broadcast delta packet (pool "sync")
-FRAME_TASK = 5  #: parent -> worker: one task chunk (pool "tasks")
-FRAME_RESULT = 6  #: worker -> parent: one task result (pool "ok"/"err")
+FRAME_BOOT = 3  #: parent -> TCP worker: build/rebuild the resident state
+FRAME_SYNC = 4  #: parent -> worker: broadcast delta packet
+FRAME_TASK = 5  #: parent -> worker: one task chunk
+FRAME_RESULT = 6  #: worker -> parent: one task result
 FRAME_HEARTBEAT = 7  #: worker -> parent: liveness beacon
-FRAME_STOP = 8  #: parent -> worker: orderly shutdown (pool "stop")
+FRAME_STOP = 8  #: parent -> worker: orderly shutdown
 FRAME_FAULT = 9  #: either way: typed protocol-level rejection
 
 #: Human-readable frame-type names, for error messages and tooling.
@@ -218,8 +216,8 @@ class Hello:
 
     ``fingerprint`` is the worker's expected config fingerprint
     (:meth:`repro.config.RecommenderConfig.fingerprint`) or ``None``
-    when the worker takes whatever the parent ships (the loopback
-    workers the backend spawns itself).  A mismatch is answered with a
+    when the worker takes whatever the parent ships.  A mismatch is
+    answered with a
     :class:`Fault` and the connection is closed — a worker built for
     different recommendation semantics must never receive tasks.
     """
@@ -237,25 +235,24 @@ class Welcome:
 
 @dataclass(frozen=True)
 class Boot:
-    """Parent -> worker: (re)build the resident state.
+    """Parent -> TCP worker: (re)build the resident state.
 
-    The remote analogue of a pool restart: instead of killing and
-    respawning processes, the parent re-sends a ``BOOT`` and the worker
-    rebuilds in place.  Carries the same ``initializer``/``initargs``
-    the pool ships through fork, the epoch the state is current at, the
-    delta ``applier`` for later ``SYNC`` frames, and the sync mode.
+    A TCP worker's re-ship: the parent sends a ``BOOT`` and the worker
+    rebuilds in place (local workers inherit the same arguments through
+    fork instead).  Carries the ``initializer``/``initargs``, the epoch
+    the state is current at, and the delta ``applier`` for later
+    ``SYNC`` frames.
     """
 
     initializer: Callable[..., None] | None
     initargs: tuple[Any, ...]
     epoch: int
     applier: Callable[[Any], None] | None
-    sync: str = "delta"
 
 
 @dataclass(frozen=True)
 class Sync:
-    """Parent -> worker: one broadcast delta packet (pool ``sync``)."""
+    """Parent -> worker: one broadcast delta packet, ``(epoch, delta)`` entries."""
 
     epoch: int
     entries: tuple[tuple[int, Any], ...]
@@ -263,7 +260,7 @@ class Sync:
 
 @dataclass(frozen=True)
 class Task:
-    """Parent -> worker: one chunk of tagged task items (pool ``tasks``)."""
+    """Parent -> worker: one chunk of ``(index, item)`` task pairs."""
 
     chunk_id: int
     fn: Callable[..., Any]
@@ -273,11 +270,11 @@ class Task:
 
 @dataclass(frozen=True)
 class TaskResult:
-    """Worker -> parent: one task's outcome (pool ``ok``/``err``).
+    """Worker -> parent: one task's outcome, tagged with its input index.
 
     ``delta`` is the piggybacked worker metrics payload
     ``(worker_id, drained_delta)`` attached to the last result of each
-    chunk, exactly as on the pool's result queue.
+    chunk.
     """
 
     chunk_id: int
@@ -299,7 +296,7 @@ class Heartbeat:
 
 @dataclass(frozen=True)
 class Stop:
-    """Parent -> worker: orderly shutdown (pool ``stop``)."""
+    """Parent -> worker: orderly shutdown."""
 
 
 @dataclass(frozen=True)
@@ -380,7 +377,7 @@ def decode_message(frame_type: int, payload: bytes, offset: int = 0) -> Any:
 
 
 class FrameConnection:
-    """One framed, message-typed TCP connection.
+    """One framed, message-typed stream connection (TCP or socketpair).
 
     Wraps a connected socket with buffered frame reassembly and
     thread-safe sends.  Two read styles, matching the two sides of the
@@ -451,7 +448,11 @@ class FrameConnection:
         return self._peer_cache
 
     def send(self, message: Any) -> int:
-        """Frame and write one message; returns the bytes written.
+        """Frame and write one message; returns the bytes written."""
+        return self.send_frame(encode_message(message, self._max_bytes))
+
+    def send_frame(self, frame: bytes) -> int:
+        """Write one already-encoded frame; returns the bytes written.
 
         Thread-safe: the worker's heartbeat thread and its result path
         (and the parent's dispatch and requeue paths) interleave whole
@@ -462,8 +463,7 @@ class FrameConnection:
         (:class:`~repro.resilience.faults.FaultInjector`) is consulted
         per frame and may swallow or tear the write.
         """
-        frame = encode_message(message, self._max_bytes)
-        frame_name = FRAME_NAMES[FRAME_TYPES[type(message)]]
+        frame_name = FRAME_NAMES[frame[5]]
         peer = self.peer  # resolve (and cache) while the socket lives
         with self._send_lock:
             if self._injector is not None:
@@ -528,8 +528,7 @@ class FrameConnection:
 
         Call after a readiness event.  Raises :class:`WireError` on
         garbage, and a :class:`TruncatedFrameError` when the peer
-        closed the stream mid-frame (a *torn frame* — the remote
-        analogue of the pool's torn journal tail).
+        closed the stream mid-frame (a *torn frame*).
         """
         if not self._eof:
             try:
@@ -602,6 +601,20 @@ class FrameConnection:
             else:
                 self._buffer.extend(data)
                 self.bytes_received += len(data)
+
+    def shutdown(self) -> None:
+        """End the stream in both directions (idempotent).
+
+        Unlike :meth:`close`, which releases only this process's
+        descriptor, this acts on the connection itself: the peer sees
+        the stream end, and a thread blocked in :meth:`recv` wakes up
+        with EOF.  Never call it on a descriptor another process still
+        serves from.
+        """
+        try:
+            self._sock.shutdown(socket_module.SHUT_RDWR)
+        except OSError:  # already closed or never connected
+            pass
 
     def close(self) -> None:
         """Close the underlying socket (idempotent)."""

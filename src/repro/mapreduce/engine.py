@@ -25,7 +25,7 @@ counters, which the tests use to assert the data flow.
 Every phase executes through an :class:`~repro.exec.ExecutionBackend`:
 the map phase over contiguous input chunks, the combine and reduce
 phases over whole partitions.  Partitions therefore buy real
-parallelism under the thread/process backends instead of merely
+parallelism under the thread/pool backends instead of merely
 simulating a cluster — and because chunks and partitions are processed
 in a fixed order, the output (pairs *and* counters) is bit-identical
 across backends.  The process and pool backends additionally require
@@ -153,9 +153,9 @@ class JobResult:
 
 # -- phase tasks ---------------------------------------------------------------
 #
-# Module-level so the process backend can pickle them; each takes only
+# Module-level so the worker fleet can pickle them; each takes only
 # plain data plus the job's user functions (which must themselves be
-# picklable for the process backend).
+# picklable for the worker fleet).
 
 
 def _map_chunk(
@@ -233,7 +233,7 @@ class MapReduceEngine:
     backend:
         Execution backend (instance, name or ``None`` for serial) the
         map/combine/reduce phases run on.  The result is bit-identical
-        for every backend; the process backend requires picklable job
+        for every backend; the pool/remote backends require picklable job
         functions.
     """
 

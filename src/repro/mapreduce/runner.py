@@ -78,7 +78,7 @@ class MapReduceGroupRecommender:
     backend:
         Execution backend (instance, name or ``None`` for serial) the
         engine phases run on.  Note the jobs' mapper/reducer closures
-        capture group state, so the process backend cannot pickle them —
+        capture group state, so the pool backend cannot pickle them —
         use serial or thread here.
     kernel:
         ``"packed"`` (default) replaces the pair-partial similarity

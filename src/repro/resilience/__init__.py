@@ -18,7 +18,7 @@ hard-coding failure behaviour per site:
   Nth frame, delay heartbeats, die after task M).
 
 ``docs/RESILIENCE.md`` has the cross-layer picture: how the policies
-compose with the remote backend's requeue, rejoin and degraded-mode
+compose with the worker fleet's requeue, rejoin and degraded-mode
 serving.
 """
 

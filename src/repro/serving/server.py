@@ -317,9 +317,9 @@ class RequestServer:
 
         With a ``request_timeout`` configured, a fresh
         :class:`~repro.resilience.Deadline` rides the request into the
-        service (and from there into backend dispatch).  If the remote
-        backend served this request degraded (its
-        ``remote_degraded_dispatches`` counter moved while the request
+        service (and from there into backend dispatch).  If the worker
+        fleet served this request degraded (its
+        ``pool_degraded_dispatches`` counter moved while the request
         ran), the response is marked ``"degraded": true`` — clients see
         that the answer is correct but was computed without the fleet.
         """
@@ -333,7 +333,7 @@ class RequestServer:
         )
         service_metrics = getattr(self.service, "metrics", None)
         degraded_before = (
-            service_metrics.value("remote_degraded_dispatches")
+            service_metrics.value("pool_degraded_dispatches")
             if service_metrics is not None
             else 0.0
         )
@@ -372,7 +372,7 @@ class RequestServer:
             self._latency.observe((time.perf_counter() - started) * 1000.0)
         if service_metrics is not None:
             degraded_after = service_metrics.value(
-                "remote_degraded_dispatches"
+                "pool_degraded_dispatches"
             )
             if degraded_after > degraded_before:
                 self._degraded_responses.inc()

@@ -56,7 +56,6 @@ from ..exec import (
     SerialBackend,
     ThreadBackend,
     get_backend,
-    resolve_backend,
 )
 from ..kernels import (
     SpillError,
@@ -125,16 +124,16 @@ class _ReadWriteLock:
                 self._condition.notify_all()
 
 
-# -- process/pool-backend worker state --------------------------------------
+# -- worker-fleet state ------------------------------------------------------
 #
-# ``recommend_many`` under the process and pool backends builds one
-# service per worker (shipped the dataset/config once via the backend
+# ``recommend_many`` under the pool/remote worker fleet builds one
+# service per worker (from the dataset/config of the backend
 # initializer) and answers group requests from it.  The warm/cold
 # bit-identity invariant makes the worker's answers equal to the
-# parent's.  Under the long-lived pool backend the worker service stays
-# resident between batches; ``_apply_serve_delta`` replays the parent's
-# rating/profile mutations into it so an epoch-stale worker converges
-# on exactly the parent's state.
+# parent's.  The worker service stays resident between batches;
+# ``_apply_serve_delta`` replays the parent's rating/profile mutations
+# into it so an epoch-stale worker converges on exactly the parent's
+# state.
 
 _SERVE_WORKER: "RecommendationService | None" = None
 
@@ -358,23 +357,10 @@ class RecommendationService:
         if isinstance(backend, ExecutionBackend):
             self.backend = backend
         else:
-            self.backend = get_backend(
-                backend or config.exec_backend,
-                config.exec_workers or None,
-                pool_sync=config.pool_sync,
-                pool_min_workers=config.pool_min_workers or None,
-                pool_max_workers=config.pool_max_workers or None,
-                pool_idle_ttl=config.pool_idle_ttl,
-                pool_target_p99_ms=config.pool_target_p99_ms or None,
-                remote_workers=config.remote_workers or None,
-                remote_heartbeat_interval=config.remote_heartbeat_interval,
-                remote_heartbeat_timeout=config.remote_heartbeat_timeout,
-                remote_connect_timeout=config.remote_connect_timeout,
-                remote_fingerprint=config.fingerprint(),
-                degraded_mode=config.degraded_mode,
-                metrics=self.metrics,
+            self.backend = self._make_backend(
+                backend or config.exec_backend, config.exec_workers or None
             )
-        # A pool backend keeps a resident worker service between
+        # A worker fleet keeps a resident worker service between
         # batches; teach it how to replay this service's mutations so
         # a stale worker can delta-sync instead of a full re-ship.
         bind_applier = getattr(self.backend, "bind_delta_applier", None)
@@ -964,10 +950,10 @@ class RecommendationService:
           :meth:`update_profile` waits for in-flight requests to drain
           (results computed while an update slips in between requests
           are simply not cached — see :attr:`ScoreCache.epoch`);
-        * **process** — each worker process receives the dataset and
-          config once and computes groups CPU-parallel; results are
-          bit-identical (the warm/cold invariant) and are folded back
-          into this service's group cache.
+        * **pool / remote** — each resident worker process holds the
+          dataset and config and computes groups CPU-parallel; results
+          are bit-identical (the warm/cold invariant) and are folded
+          back into this service's group cache.
 
         A ``deadline`` (see :class:`~repro.resilience.Deadline`) caps
         the whole batch end-to-end: it is checked on entry, between
@@ -1018,6 +1004,29 @@ class RecommendationService:
                 resolved.close()
         return [results[tuple(group.member_ids)] for group in groups]
 
+    def _make_backend(self, name: str, workers: int | None) -> ExecutionBackend:
+        """Build a backend by name with this service's config knobs.
+
+        The one factory call behind the service backend and every
+        per-call batch backend, so a batch backend reports into
+        :attr:`metrics` and keeps the configured autoscaling,
+        heartbeat, fingerprint and degraded-mode settings.
+        """
+        config = self.config
+        return get_backend(
+            name,
+            workers,
+            pool_min_workers=config.pool_min_workers or None,
+            pool_max_workers=config.pool_max_workers or None,
+            pool_idle_ttl=config.pool_idle_ttl,
+            pool_target_p99_ms=config.pool_target_p99_ms or None,
+            remote_heartbeat_interval=config.remote_heartbeat_interval,
+            remote_heartbeat_timeout=config.remote_heartbeat_timeout,
+            remote_fingerprint=config.fingerprint(),
+            degraded_mode=config.degraded_mode,
+            metrics=self.metrics,
+        )
+
     def _batch_backend(
         self,
         workers: int | None,
@@ -1028,12 +1037,12 @@ class RecommendationService:
             if isinstance(backend, ExecutionBackend):
                 self._sync_foreign_pool(backend)
                 return backend, False
-            return resolve_backend(backend, workers), True
+            return self._make_backend(backend, workers), True
         if self.backend.name != "serial":
             if workers is not None and workers != self.backend.workers:
                 # An explicit per-call width wins over the service
                 # default — spin up a same-kind backend for this batch.
-                return resolve_backend(self.backend.name, workers), True
+                return self._make_backend(self.backend.name, workers), True
             return self.backend, False
         workers = workers or self.config.serve_workers
         if workers > 1:
@@ -1238,7 +1247,7 @@ class RecommendationService:
 
         A group entry is also dropped when any member's peer row is not
         built in this service's index: results folded back from worker
-        processes (the process/pool batch path) can be cached before
+        processes (the pool/remote batch path) can be cached before
         the parent ever builds the supporting rows, and without a row
         the targeted-invalidation machinery cannot know whether the
         member depends on the touched user — conservatively treating
@@ -1302,7 +1311,4 @@ class RecommendationService:
         pool_stats = getattr(self.backend, "pool_stats", None)
         if pool_stats is not None:
             stats["pool"] = pool_stats()
-        remote_stats = getattr(self.backend, "remote_stats", None)
-        if remote_stats is not None:
-            stats["remote"] = remote_stats()
         return stats

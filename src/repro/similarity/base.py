@@ -88,7 +88,7 @@ class UserSimilarity(ABC):
 
         The rows are computed independently, so they fan out on the
         execution backend: threads share this measure in place, while
-        the process backend ships :meth:`picklable_measure` and the
+        the pool backend ships :meth:`picklable_measure` and the
         candidate pool to each worker once and chunks the users.  Row
         order follows ``user_ids``; scores are bit-identical across
         backends.

@@ -18,9 +18,10 @@ Layout:
   JSON, manifest) raise :class:`SpillError`, and a worker booting from
   a spill with a torn journal converges on the parent's acknowledged
   state;
-* ``TestWorkerKillMatrix`` — killing resident pool workers mid-stream
-  (flat and sharded index, strict validation on) surfaces as
-  :class:`ExecutionError` and the rebooted pool serves bit-identically;
+* ``TestWorkerKillMatrix`` — killing one of two resident pool workers
+  mid-stream (flat and sharded index, strict validation on) is absorbed
+  by requeue, bit-identically; killing all of them surfaces as
+  :class:`FleetLossError` and the respawned pool serves bit-identically;
 * ``TestMutationInterleaveParity`` — rating/profile mutations
   interleaved with batches replay bit-identically across the backend
   matrix, with strict validation observing every answer.
@@ -38,6 +39,7 @@ from repro.config import RecommenderConfig
 from repro.data.datasets import HealthDataset, generate_dataset
 from repro.data.groups import Group
 from repro.exceptions import ExecutionError
+from repro.exec import FleetLossError
 from repro.kernels import PackedRatings, SpillError
 from repro.obs import get_registry
 from repro.serving import RecommendationService
@@ -239,14 +241,14 @@ class TestSpillFileCorruption:
             with journal.open("ab") as handle:
                 handle.write(b'["rating", "' + user.encode() + b'", "d')
 
-            # Kill the resident workers; the pool surfaces a typed error
-            # on some subsequent batch, then reboots from the torn spill.
+            # Kill the resident workers; the pool surfaces a typed
+            # fleet loss, then re-forks workers that boot from the torn
+            # spill.
             for victim in list(service.backend._workers):
                 victim.process.terminate()
                 victim.process.join()
-            with pytest.raises(ExecutionError):
-                for _ in range(10):
-                    service.recommend_many(groups, z=4)
+            with pytest.raises(FleetLossError):
+                service.recommend_many(groups, z=4)
             recovered = [
                 repr(rec) for rec in service.recommend_many(groups, z=4)
             ]
@@ -258,11 +260,7 @@ class TestSpillFileCorruption:
 class TestWorkerKillMatrix:
     """Pool workers killed mid-stream, across the index matrix."""
 
-    @pytest.mark.parametrize("shards", [1, 3])
-    def test_kill_surfaces_typed_error_then_recovers(self, dataset, shards):
-        payload = dataset.to_dict()
-        groups = _groups(dataset, seed=47)
-        reference = _serial_reference(payload, groups)
+    def _service(self, payload, shards) -> RecommendationService:
         config = _config(
             exec_backend="pool",
             exec_workers=2,
@@ -272,20 +270,48 @@ class TestWorkerKillMatrix:
             index_shards=shards,
             validation="strict",
         )
-        service = RecommendationService(HealthDataset.from_dict(payload), config)
+        return RecommendationService(HealthDataset.from_dict(payload), config)
+
+    @pytest.mark.parametrize("shards", [1, 3])
+    def test_one_kill_is_requeued_bit_identically(self, dataset, shards):
+        payload = dataset.to_dict()
+        groups = _groups(dataset, seed=47)
+        reference = _serial_reference(payload, groups)
+        service = self._service(payload, shards)
         try:
             first = [repr(rec) for rec in service.recommend_many(groups, z=4)]
             assert first == reference
             victim = service.backend._workers[0]
             victim.process.terminate()
             victim.process.join()
-            with pytest.raises(ExecutionError):
-                for _ in range(10):
-                    service.recommend_many(groups, z=4)
+            again = [repr(rec) for rec in service.recommend_many(groups, z=4)]
+            assert again == reference
+            stats = service.backend.pool_stats()
+            assert stats["dead_workers"] == 1
+            assert stats["requeues"] >= 1
+            assert stats["live_workers"] == 1
+        finally:
+            service.close()
+
+    @pytest.mark.parametrize("shards", [1, 3])
+    def test_kill_surfaces_typed_error_then_recovers(self, dataset, shards):
+        payload = dataset.to_dict()
+        groups = _groups(dataset, seed=47)
+        reference = _serial_reference(payload, groups)
+        service = self._service(payload, shards)
+        try:
+            first = [repr(rec) for rec in service.recommend_many(groups, z=4)]
+            assert first == reference
+            for victim in list(service.backend._workers):
+                victim.process.terminate()
+                victim.process.join()
+            with pytest.raises(FleetLossError):
+                service.recommend_many(groups, z=4)
             recovered = [
                 repr(rec) for rec in service.recommend_many(groups, z=4)
             ]
             assert recovered == reference
+            assert service.backend.live_workers == 2
         finally:
             service.close()
 

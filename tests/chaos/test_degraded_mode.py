@@ -3,7 +3,7 @@
 The issue's headline chaos scenario, end to end: SIGKILL the *entire*
 remote fleet mid-batch with ``degraded_mode="serial"`` and the batch
 must still be answered — bit-identical to the serial reference, with
-``remote_degraded_dispatches`` counting the fallback and no exception
+``pool_degraded_dispatches`` counting the fallback and no exception
 reaching the caller.  Then the other half of the contract: a worker
 (re)connecting through the ordinary handshake is re-admitted at the
 parent's *current* epoch and the next batch is served remotely with
@@ -99,7 +99,7 @@ class TestDegradedBackend:
             workers=2, degraded_mode="serial", **FAST
         ) as backend:
             backend.map_items(_square, [0])  # boot the fleet
-            victims = list(backend._spawned)
+            victims = [worker.process for worker in backend._workers]
 
             def massacre() -> None:
                 time.sleep(0.3)
@@ -114,7 +114,7 @@ class TestDegradedBackend:
                 killer.join()
             # No exception reached us, and the answer is bit-identical.
             assert result == [x * x for x in range(24)]
-            stats = backend.remote_stats()
+            stats = backend.pool_stats()
             assert stats["degraded_dispatches"] >= 1
             assert stats["dead_workers"] >= 2
             # Recovery: the next batch respawns a fleet and is served
@@ -122,7 +122,7 @@ class TestDegradedBackend:
             assert backend.map_items(_square, range(8)) == [
                 x * x for x in range(8)
             ]
-            after = backend.remote_stats()
+            after = backend.pool_stats()
             assert after["degraded_dispatches"] == stats["degraded_dispatches"]
             assert after["live_workers"] == 2
 
@@ -146,7 +146,7 @@ class TestDegradedBackend:
             assert backend.map_items(_square, range(6)) == [
                 x * x for x in range(6)
             ]
-            assert backend.remote_stats()["degraded_dispatches"] == 1
+            assert backend.pool_stats()["degraded_dispatches"] == 1
 
 
 class TestDegradedService:
@@ -185,14 +185,14 @@ class TestDegradedService:
                 for rec in service.recommend_many(groups, z=4, backend=backend)
             ]
             assert degraded == reference
-            stats = backend.remote_stats()
+            stats = backend.pool_stats()
             assert stats["degraded_dispatches"] >= 1
             assert stats["live_workers"] == 0
 
             outcome = _start_worker(backend)
             assert _wait_for(
                 lambda: sum(
-                    backend.remote_stats()[k]
+                    backend.pool_stats()[k]
                     for k in ("live_workers", "pending_workers")
                 )
                 >= 1
@@ -202,13 +202,13 @@ class TestDegradedService:
             reference_after = _serial_reference(
                 payload, groups, mutations=[(user, item, 4.0)]
             )
-            before = backend.remote_stats()
+            before = backend.pool_stats()
             again = [
                 repr(rec)
                 for rec in service.recommend_many(groups, z=4, backend=backend)
             ]
             assert again == reference_after
-            after = backend.remote_stats()
+            after = backend.pool_stats()
             assert after["degraded_dispatches"] == before["degraded_dispatches"]
             assert after["requeues"] == before["requeues"]
             assert after["live_workers"] == 1

@@ -1,4 +1,4 @@
-"""Scripted fault-injection chaos suite for the remote backend.
+"""Scripted fault-injection chaos suite for the worker fleet's TCP workers.
 
 Where :mod:`tests.chaos.test_remote_faults` kills real processes and
 hand-drives raw sockets, this suite scripts the faults *inside* the
@@ -120,17 +120,17 @@ def _wait_for(predicate, timeout: float = 10.0) -> bool:
 
 
 def _fleet_size(backend: RemoteBackend) -> int:
-    stats = backend.remote_stats()
+    stats = backend.pool_stats()
     return stats["live_workers"] + stats["pending_workers"]
 
 
 def _connect_sequenced(backend: RemoteBackend, faulty: _WorkerThread) -> None:
     """Admit the faulty worker first, then a clean survivor.
 
-    Sequencing pins worker ids (faulty = ``worker-0``), and the hash
-    ring's placement of the ``chunk-N`` keys is MD5-stable — so the
-    faulty worker owns the majority of the chunks on every run and the
-    seeded fault ordinals are guaranteed to be reachable.
+    Sequencing makes the faulty worker the first live worker, so
+    round-robin chunk placement hands it chunks 0, 2, 4, ... — half the
+    items on every run — and the seeded fault ordinals are guaranteed
+    to be reachable.
     """
     assert _wait_for(lambda: _fleet_size(backend) >= 1), (
         "faulty worker never connected"
@@ -163,7 +163,7 @@ class TestScriptedFaults:
             assert backend.map_items(_square, ITEMS) == [
                 x * x for x in ITEMS
             ]
-            stats = backend.remote_stats()
+            stats = backend.pool_stats()
         assert injector.results_dropped == 1
         assert injector.deaths == 1
         assert stats["requeues"] >= 1
@@ -181,7 +181,7 @@ class TestScriptedFaults:
             assert backend.map_items(_square, ITEMS) == [
                 x * x for x in ITEMS
             ]
-            stats = backend.remote_stats()
+            stats = backend.pool_stats()
         assert injector.frames_torn == 1
         assert stats["torn_frames"] >= 1
         assert stats["requeues"] >= 1
@@ -207,7 +207,7 @@ class TestScriptedFaults:
             assert backend.map_items(_square, ITEMS) == [
                 x * x for x in ITEMS
             ]
-            stats = backend.remote_stats()
+            stats = backend.pool_stats()
         assert injector.frames_muted >= 1
         assert stats["dead_workers"] >= 1
         assert stats["requeues"] >= 1
@@ -218,7 +218,7 @@ class TestScriptedFaults:
 
         Batch one survives the death via requeue onto the survivor;
         the dead worker then reconnects through the normal handshake
-        (counted as a ``remote_rejoins``) and batch two is served by a
+        (counted as ``pool_rejoins``) and batch two is served by a
         full two-worker fleet with zero additional requeues.
         """
         rng = _rng("rejoin")
@@ -236,15 +236,15 @@ class TestScriptedFaults:
             ]
             assert injector.deaths == 1
             assert _wait_for(
-                lambda: backend.remote_stats()["rejoins"] >= 1
+                lambda: backend.pool_stats()["rejoins"] >= 1
                 and _fleet_size(backend) >= 2
             ), "dead worker never rejoined"
-            before = backend.remote_stats()
+            before = backend.pool_stats()
             second = [x + 100 for x in ITEMS]
             assert backend.map_items(_square, second) == [
                 x * x for x in second
             ]
-            after = backend.remote_stats()
+            after = backend.pool_stats()
         assert after["requeues"] == before["requeues"]
         assert after["dead_workers"] == before["dead_workers"]
         assert after["live_workers"] == 2
@@ -265,12 +265,12 @@ class TestScriptedFaults:
                 backend.map_items(
                     _slow_square, ITEMS[:6], deadline=Deadline.after(0.3)
                 )
-            assert backend.remote_stats()["deadline_aborts"] == 1
+            assert backend.pool_stats()["deadline_aborts"] == 1
             # The fleet is still healthy: the next (budget-less) batch
             # must be answered in full and bit-identically.
             assert backend.map_items(_square, ITEMS) == [
                 x * x for x in ITEMS
             ]
-            stats = backend.remote_stats()
+            stats = backend.pool_stats()
         assert stats["stale_results"] >= 1
         assert stats["dead_workers"] == 0

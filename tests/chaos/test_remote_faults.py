@@ -1,4 +1,4 @@
-"""Network-fault chaos for the remote backend: bit-identical or loud.
+"""Network-fault chaos for the worker fleet: bit-identical or loud.
 
 The distributed analogue of ``test_chaos.py``'s binary promise: after
 any network fault — a worker process SIGKILLed mid-batch, a frame torn
@@ -148,7 +148,7 @@ class TestWorkerKillRequeue:
     def test_one_of_two_killed_mid_batch_stays_bit_identical(self):
         with RemoteBackend(workers=2, **FAST) as backend:
             backend.map_items(_square, [0])  # boot the fleet
-            victim = backend._spawned[0]
+            victim = backend._workers[0].process
 
             def assassinate():
                 time.sleep(0.3)
@@ -161,7 +161,7 @@ class TestWorkerKillRequeue:
             finally:
                 killer.join()
             assert result == [x * x for x in range(24)]
-            stats = backend.remote_stats()
+            stats = backend.pool_stats()
             assert stats["dead_workers"] >= 1
             assert stats["requeues"] >= 1
             # The next batch respawns back to width and stays correct.
@@ -173,7 +173,7 @@ class TestWorkerKillRequeue:
     def test_total_fleet_loss_is_loud_then_recovers(self):
         with RemoteBackend(workers=2, **FAST) as backend:
             backend.map_items(_square, [0])
-            victims = list(backend._spawned)
+            victims = [worker.process for worker in backend._workers]
 
             def massacre():
                 time.sleep(0.3)
@@ -191,7 +191,7 @@ class TestWorkerKillRequeue:
             assert backend.map_items(_slow_square, range(24)) == [
                 x * x for x in range(24)
             ]
-            assert backend.remote_stats()["dead_workers"] >= 2
+            assert backend.pool_stats()["dead_workers"] >= 2
 
     def test_service_results_identical_after_worker_death(self, dataset):
         """The service-level contract: recommendations after a worker
@@ -214,12 +214,12 @@ class TestWorkerKillRequeue:
         try:
             first = [repr(rec) for rec in service.recommend_many(groups, z=4)]
             assert first == reference
-            victim = service.backend._spawned[0]
+            victim = service.backend._workers[0].process
             os.kill(victim.pid, signal.SIGKILL)
             victim.join()
             again = [repr(rec) for rec in service.recommend_many(groups, z=4)]
             assert again == reference
-            assert service.backend.remote_stats()["dead_workers"] >= 1
+            assert service.backend.pool_stats()["dead_workers"] >= 1
         finally:
             service.close()
 
@@ -235,16 +235,16 @@ class TestTornFrames:
             saboteur = threading.Thread(target=fake.tear_on_first_task)
             saboteur.start()
             try:
-                # 12+ items → 12 chunks over 3 ring nodes; the fake
-                # (worker-2) deterministically owns several chunk keys,
-                # so it is guaranteed to receive the task it tears.
+                # 24 items → 12 chunks dealt round-robin over 3 live
+                # workers; the fake (third to join) receives chunks 2,
+                # 5, 8 and 11, so it is guaranteed a task to tear.
                 result = backend.map_items(_square, range(24))
             finally:
                 saboteur.join()
                 fake.close()
             assert result == [x * x for x in range(24)]
             assert 12345 not in result  # the torn value never decoded
-            stats = backend.remote_stats()
+            stats = backend.pool_stats()
             assert stats["torn_frames"] >= 1
             assert stats["dead_workers"] >= 1
             assert stats["requeues"] >= 1
@@ -269,11 +269,11 @@ class TestFingerprintMismatch:
             finally:
                 fake.close()
             # The reject is counted and the backend still serves
-            # correctly on its (fingerprint-agnostic) spawned worker.
+            # correctly on its (fingerprint-agnostic) forked worker.
             assert backend.map_items(_square, range(6)) == [
                 x * x for x in range(6)
             ]
-            stats = backend.remote_stats()
+            stats = backend.pool_stats()
             assert stats["handshake_rejects"] == 1
             assert stats["live_workers"] == 1
 
@@ -328,7 +328,7 @@ class TestHeartbeatPartition:
                 "have fired — the mute worker never owned a chunk and "
                 "the scenario is vacuous"
             )
-            stats = backend.remote_stats()
+            stats = backend.pool_stats()
             assert stats["dead_workers"] >= 1
             assert stats["requeues"] >= 1
             assert stats["heartbeats"] >= 1  # the live worker kept beating

@@ -131,7 +131,7 @@ class TestAblations:
 class TestExperimentBackends:
     """Grid sweeps must produce identical rows on every backend."""
 
-    @pytest.mark.parametrize("backend", ["thread", "process"])
+    @pytest.mark.parametrize("backend", ["thread", "pool"])
     def test_value_quality_rows_match_serial(self, backend):
         serial = run_value_quality(m_values=(8, 10), z_values=(3, 5))
         parallel = run_value_quality(
@@ -139,7 +139,7 @@ class TestExperimentBackends:
         )
         assert parallel == serial
 
-    @pytest.mark.parametrize("backend", ["thread", "process"])
+    @pytest.mark.parametrize("backend", ["thread", "pool"])
     def test_proposition1_rows_match_serial(self, backend):
         serial = verify_proposition1(
             group_sizes=(2, 3), z_values=(2, 4), num_candidates=12

@@ -1,9 +1,9 @@
-"""Autoscaling edge cases of the long-lived pool backend.
+"""Autoscaling edge cases of the worker fleet's local workers.
 
-The pool's autoscaling contract: grow toward ``max_workers`` when a
-dispatch's queue depth exceeds the live width (each new worker
-bootstraps a *full ship* of the parent's current state and then joins
-delta sync), and shrink idle workers back to ``min_workers`` once
+The autoscaling contract: grow toward ``max_workers`` when a
+dispatch's queue depth exceeds the live width (each new worker forks
+the parent's current state and then joins delta sync), and shrink
+idle workers back to ``min_workers`` once
 ``idle_ttl`` passes with no dispatch.  Scaling must never change
 results — a burst is served completely (no rejected tasks) and a worker
 spawned mid-mutation-stream must see exactly the parent's current
@@ -16,6 +16,7 @@ import pytest
 
 from repro.exceptions import ConfigurationError
 from repro.exec import PoolBackend
+from repro.obs import MetricsRegistry
 
 
 class FakeClock:
@@ -171,7 +172,7 @@ class TestBootstrapMidMutationStream:
         must land on the same value for every task."""
         _LIVE["value"] = 100
         with PoolBackend(
-            workers=1, min_workers=1, max_workers=4, sync="delta"
+            workers=1, min_workers=1, max_workers=4
         ) as backend:
             backend.bind_delta_applier(_apply_delta, _boot_from_live)
             assert backend.map_items(
@@ -203,7 +204,7 @@ class TestBootstrapMidMutationStream:
     def test_mutation_after_growth_broadcasts_to_every_worker(self):
         _LIVE["value"] = 0
         with PoolBackend(
-            workers=1, min_workers=1, max_workers=3, sync="delta"
+            workers=1, min_workers=1, max_workers=3
         ) as backend:
             backend.bind_delta_applier(_apply_delta, _boot_from_live)
             backend.map_items(
@@ -308,6 +309,19 @@ class TestP99Autoscaling:
             for _ in range(10):
                 backend._batch_latency.observe(40.0)  # < target, > half
             assert backend.autoscale() == 2
+
+    def test_shared_registry_latency_does_not_scale_this_fleet(self):
+        """Fleets reporting into one registry share its ``pool_batch_ms``
+        series; the p99 policy reads only this fleet's own batches."""
+        clock = FakeClock()
+        registry = MetricsRegistry()
+        with self._booted_backend(clock, metrics=registry) as backend:
+            shared = registry.histogram("pool_batch_ms")
+            for _ in range(10):
+                shared.observe(200.0)  # another fleet's breached batches
+            assert shared.count == 11  # the boot batch reported here too
+            assert backend.autoscale() == 1
+            assert backend.pool_stats()["scale_ups"] == 0
 
     def test_scaling_never_changes_results(self):
         clock = FakeClock()

@@ -12,7 +12,7 @@ import pytest
 from repro.exceptions import ConfigurationError, ExecutionError
 from repro.exec import (
     BACKEND_NAMES,
-    ProcessBackend,
+    PoolBackend,
     SerialBackend,
     ThreadBackend,
     chunk_evenly,
@@ -23,7 +23,7 @@ from repro.exec import (
 
 
 def _square(x: int) -> int:
-    """Module-level so the process backend can pickle it."""
+    """Module-level so the pool backend can pickle it."""
     return x * x
 
 
@@ -44,7 +44,7 @@ def _add_offset(x: int) -> int:
     return x + _INIT_STATE["offset"]
 
 
-ALL_BACKENDS = ["serial", "thread", "process", "pool"]
+ALL_BACKENDS = ["serial", "thread", "pool", "remote"]
 
 
 class TestChunkEvenly:
@@ -137,12 +137,14 @@ class TestMapSemantics:
 
 
 class TestProcessPicklingContract:
+    """Tasks that cross a process boundary must pickle."""
+
     def test_closure_rejected_with_useful_error(self):
         captured = 3
-        with pytest.raises(ExecutionError, match="picklable"):
-            ProcessBackend(workers=2).map_items(
-                lambda x: x + captured, range(4)
-            )
+        with PoolBackend(workers=2) as backend:
+            with pytest.raises(ExecutionError, match="picklable"):
+                backend.map_items(lambda x: x + captured, range(4))
 
     def test_module_level_function_accepted(self):
-        assert ProcessBackend(workers=2).map_items(_square, [2, 4]) == [4, 16]
+        with PoolBackend(workers=2) as backend:
+            assert backend.map_items(_square, [2, 4]) == [4, 16]

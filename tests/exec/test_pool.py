@@ -1,29 +1,27 @@
-"""The long-lived pool backend and its epoch-based state sync.
+"""The ``"pool"`` worker fleet and its epoch-based state sync.
 
-Two contracts are pinned here:
-
-* ``ProcessBackend`` (per-call pools): workers see the parent's state
-  **as of each call** — the guarantee its docstring claims, which the
-  exec docs historically stated as "always current"; the regression
-  test makes the claim checkable.
-* ``PoolBackend`` (resident workers): the *same* freshness, but only
-  through the epoch protocol — the staleness counterexample (mutating
-  parent state *without* ``notify_state_change``) is pinned as the
-  documented hazard the per-call backend structurally cannot have.
+``PoolBackend`` is the worker fleet with local workers only: forked
+children on a socketpair, booted from fork-inherited state.  Resident
+workers are exactly as fresh as the parent only through the epoch
+protocol — the staleness counterexample (mutating parent state
+*without* ``notify_state_change``) is pinned as the documented hazard.
+Local workers share the fleet's fault paths: a dead worker's items are
+requeued onto the survivors, losing every worker is a typed
+:class:`FleetLossError`, and a deadline aborts a batch mid-collect.
 """
 
 from __future__ import annotations
 
+import os
+import signal
+import threading
+import time
+
 import pytest
 
 from repro.exceptions import ConfigurationError, ExecutionError
-from repro.exec import (
-    BACKEND_NAMES,
-    POOL_SYNC_MODES,
-    PoolBackend,
-    ProcessBackend,
-    get_backend,
-)
+from repro.exec import BACKEND_NAMES, FleetLossError, PoolBackend, get_backend
+from repro.resilience import Deadline, DeadlineExceeded
 
 # -- module-level worker state (pickled by reference, inherited on fork) ----
 
@@ -50,6 +48,19 @@ def _reciprocal(x: int) -> float:
     return 1 / x
 
 
+def _keep_state(*_: object) -> None:
+    """An initializer that keeps the fork-inherited ``_STATE`` as is."""
+
+
+def _slow_square(x: int) -> int:
+    time.sleep(0.15)
+    return x * x
+
+
+def _echo(blob: bytes) -> bytes:
+    return blob
+
+
 class TestFactory:
     def test_pool_is_a_known_backend(self):
         assert "pool" in BACKEND_NAMES
@@ -58,16 +69,6 @@ class TestFactory:
         assert backend.name == "pool"
         assert backend.requires_pickling
         backend.close()
-
-    def test_pool_sync_knob(self):
-        for mode in POOL_SYNC_MODES:
-            backend = get_backend("pool", workers=1, pool_sync=mode)
-            assert backend.sync == mode
-            backend.close()
-
-    def test_unknown_sync_mode_rejected(self):
-        with pytest.raises(ConfigurationError, match="pool sync mode"):
-            PoolBackend(workers=1, sync="telepathy")
 
     def test_negative_delta_log_rejected(self):
         with pytest.raises(ConfigurationError, match="max_delta_log"):
@@ -130,6 +131,26 @@ class TestResidentState:
             assert backend.map_items(_square, []) == []
             assert backend.restarts == 0  # nothing ever forked
 
+    def test_large_tasks_and_results_do_not_deadlock(self):
+        """Task and result frames far larger than a socket buffer.
+
+        The parent writes a whole batch before it reads; a worker
+        blocked writing results must still drain its task stream, or
+        both sides wait on each other's full buffers forever.
+        """
+        blobs = [bytes([i]) * 200_000 for i in range(16)]
+        outcome: dict = {}
+
+        def _run() -> None:
+            with PoolBackend(workers=1) as backend:
+                outcome["result"] = backend.map_items(_echo, blobs)
+
+        runner = threading.Thread(target=_run, daemon=True)
+        runner.start()
+        runner.join(timeout=60)
+        assert not runner.is_alive(), "map_items deadlocked on full buffers"
+        assert outcome["result"] == blobs
+
     def test_close_is_idempotent(self):
         backend = PoolBackend(workers=1)
         backend.map_items(_square, [2])
@@ -143,24 +164,9 @@ class TestResidentState:
 class TestFreshnessContracts:
     """The load-bearing staleness semantics, pinned both ways."""
 
-    def test_process_backend_sees_state_at_each_call(self):
-        """Regression: the per-call pool's docstring guarantee holds.
-
-        The exec docs claim process workers observe the parent's state
-        at call time — mutate parent state between two calls and the
-        second call must see the new value without any notification.
-        """
-        backend = ProcessBackend(workers=2)
-        _set_state(10)
-        assert backend.map_items(_read_state, [None, None]) == [10, 10]
-        _set_state(11)  # no notify — the per-call pool needs none
-        assert backend.map_items(_read_state, [None, None]) == [11, 11]
-
     def test_pool_backend_staleness_counterexample(self):
-        """The hazard the per-call guarantee protects against.
-
-        A resident worker keeps serving its fork-time snapshot when the
-        parent mutates state without ``notify_state_change`` — the
+        """A resident worker keeps serving its fork-time snapshot when
+        the parent mutates state without ``notify_state_change`` — the
         counterexample that makes the epoch protocol necessary rather
         than decorative.
         """
@@ -171,17 +177,25 @@ class TestFreshnessContracts:
             assert backend.map_items(_read_state, [None]) == [20]  # stale!
 
     def test_notify_restores_freshness_via_full_resync(self):
-        with PoolBackend(workers=1, sync="full") as backend:
+        """``max_delta_log=0`` re-ships after every reported mutation,
+        even one that comes with a replayable delta."""
+        with PoolBackend(workers=1, max_delta_log=0) as backend:
+            backend.bind_delta_applier(_apply_delta, _keep_state)
             _set_state(30)
-            assert backend.map_items(_read_state, [None]) == [30]
+            assert backend.map_items(
+                _read_state, [None], initializer=_keep_state
+            ) == [30]
             _set_state(31)
-            backend.notify_state_change()
-            assert backend.map_items(_read_state, [None]) == [31]
+            backend.notify_state_change(delta=1)
+            assert backend.map_items(
+                _read_state, [None], initializer=_keep_state
+            ) == [31]
             assert backend.restarts == 2  # the resync was a re-ship
+            assert backend.pool_stats()["delta_syncs"] == 0
 
     def test_notify_without_delta_in_delta_mode_restarts(self):
         """An undescribed mutation cannot be replayed — full re-ship."""
-        with PoolBackend(workers=1, sync="delta") as backend:
+        with PoolBackend(workers=1) as backend:
             _set_state(40)
             assert backend.map_items(_read_state, [None]) == [40]
             _set_state(41)
@@ -192,7 +206,7 @@ class TestFreshnessContracts:
 
 class TestDeltaSync:
     def test_deltas_replay_without_restart(self):
-        with PoolBackend(workers=2, sync="delta") as backend:
+        with PoolBackend(workers=2) as backend:
             backend.bind_delta_applier(_apply_delta, _set_state)
             backend.map_items(
                 _read_state, [None], initializer=_set_state, initargs=(100,)
@@ -210,7 +224,7 @@ class TestDeltaSync:
 
     def test_delta_replay_is_idempotent_across_batches(self):
         """Workers that already applied a delta must not re-apply it."""
-        with PoolBackend(workers=2, sync="delta") as backend:
+        with PoolBackend(workers=2) as backend:
             backend.bind_delta_applier(_apply_delta, _set_state)
             backend.map_items(
                 _read_state, [None], initializer=_set_state, initargs=(0,)
@@ -225,7 +239,7 @@ class TestDeltaSync:
             assert first == second == [3, 3, 3]
 
     def test_delta_log_overflow_falls_back_to_restart(self):
-        with PoolBackend(workers=1, sync="delta", max_delta_log=2) as backend:
+        with PoolBackend(workers=1, max_delta_log=2) as backend:
             backend.bind_delta_applier(_apply_delta, _set_state)
             backend.map_items(
                 _read_state, [None], initializer=_set_state, initargs=(0,)
@@ -245,7 +259,7 @@ class TestDeltaSync:
         """Workers spawned before the applier was bound cannot replay a
         packet; the parent must fall back to a restart, not broadcast
         into workers whose resident applier is still None."""
-        with PoolBackend(workers=1, sync="delta") as backend:
+        with PoolBackend(workers=1) as backend:
             backend.map_items(
                 _read_state, [None], initializer=_set_state, initargs=(50,)
             )
@@ -267,7 +281,7 @@ class TestDeltaSync:
 
     def test_deltas_do_not_apply_to_a_different_resident_state(self):
         """Replaying serve deltas into build-state would corrupt it."""
-        with PoolBackend(workers=1, sync="delta") as backend:
+        with PoolBackend(workers=1) as backend:
             backend.bind_delta_applier(_apply_delta, _set_state)
             # Bind a *different* initializer than the applier's.
             backend.map_items(_square, [2])
@@ -276,7 +290,7 @@ class TestDeltaSync:
             assert backend.restarts == 2  # restart, not a bogus replay
 
     def test_pool_stats_shape(self):
-        with PoolBackend(workers=1, sync="delta") as backend:
+        with PoolBackend(workers=1) as backend:
             backend.bind_delta_applier(_apply_delta, _set_state)
             backend.map_items(
                 _read_state, [None], initializer=_set_state, initargs=(0,)
@@ -286,11 +300,10 @@ class TestDeltaSync:
                 _read_state, [None], initializer=_set_state, initargs=(0,)
             )
             stats = backend.pool_stats()
-            assert stats["sync"] == "delta"
             assert stats["epoch"] == 1
             assert stats["restarts"] == 1
             assert stats["delta_syncs"] == 1
-            # Broadcast sync: the packet reached every inbox at dispatch
+            # Broadcast sync: the packet reached every stream at dispatch
             # time, so the parent cleared the log then and there.
             assert stats["pending_deltas"] == 0
             assert stats["resident_epoch"] == 1
@@ -304,7 +317,7 @@ class TestDeltaSync:
         task count.  A stale dispatch of many tasks over W workers must
         send exactly W sync messages, and a second (clean) dispatch of
         the same size must send none."""
-        with PoolBackend(workers=3, sync="delta") as backend:
+        with PoolBackend(workers=3) as backend:
             backend.bind_delta_applier(_apply_delta, _set_state)
             backend.map_items(
                 _read_state, [None] * 30, initializer=_set_state, initargs=(0,)
@@ -351,9 +364,9 @@ class TestForcedStop:
         counting the escalation in ``pool_forced_stops``."""
         import time
 
-        from repro.exec import pool as pool_module
+        from repro.exec import remote as remote_module
 
-        monkeypatch.setattr(pool_module, "_JOIN_TIMEOUT_SECONDS", 0.2)
+        monkeypatch.setattr(remote_module, "_JOIN_TIMEOUT_SECONDS", 0.2)
         backend = PoolBackend(workers=1)
         try:
             assert backend.map_items(_wedge_worker, [7]) == [7]
@@ -370,3 +383,71 @@ class TestForcedStop:
         with PoolBackend(workers=2) as backend:
             backend.map_items(_square, [1, 2, 3])
         assert backend.metrics.counter("pool_forced_stops").value == 0
+
+
+# -- local workers on the fleet's fault paths --------------------------------
+
+
+def _kill_after(delay: float, pids: list[int]) -> threading.Thread:
+    def _kill() -> None:
+        time.sleep(delay)
+        for pid in pids:
+            os.kill(pid, signal.SIGKILL)
+
+    killer = threading.Thread(target=_kill)
+    killer.start()
+    return killer
+
+
+class TestLocalWorkerFaults:
+    def test_one_of_two_killed_mid_batch_is_requeued(self):
+        with PoolBackend(workers=2) as backend:
+            backend.map_items(_square, [0])  # boot the fleet
+            victim = backend._workers[0].process
+            killer = _kill_after(0.3, [victim.pid])
+            try:
+                result = backend.map_items(_slow_square, range(24))
+            finally:
+                killer.join()
+            assert result == [x * x for x in range(24)]
+            stats = backend.pool_stats()
+            assert stats["dead_workers"] == 1
+            assert stats["requeues"] >= 1
+            # The next batch regrows the fleet to its width.
+            assert backend.map_items(_square, range(8)) == [
+                x * x for x in range(8)
+            ]
+            assert backend.live_workers == 2
+
+    def test_total_loss_raises_fleet_loss_then_respawns(self):
+        with PoolBackend(workers=2) as backend:
+            backend.map_items(_square, [0])
+            pids = [worker.process.pid for worker in backend._workers]
+            killer = _kill_after(0.3, pids)
+            try:
+                with pytest.raises(FleetLossError, match="no workers survive"):
+                    backend.map_items(_slow_square, range(24))
+            finally:
+                killer.join()
+            assert backend.map_items(_square, range(24)) == [
+                x * x for x in range(24)
+            ]
+            assert backend.live_workers == 2
+
+    def test_deadline_aborts_mid_batch_then_next_batch_is_clean(self):
+        """A deadline fires between collect rounds, not only before
+        dispatch; stragglers of the abandoned batch are dropped."""
+        with PoolBackend(workers=1) as backend:
+            backend.map_items(_square, [0])
+            started = time.monotonic()
+            with pytest.raises(DeadlineExceeded, match="unanswered"):
+                backend.map_items(
+                    _slow_square, range(8), deadline=Deadline.after(0.3)
+                )
+            # 8 items x 0.15 s would take 1.2 s to drain.
+            assert time.monotonic() - started < 1.0
+            assert backend.pool_stats()["deadline_aborts"] == 1
+            assert backend.map_items(_square, range(6)) == [
+                x * x for x in range(6)
+            ]
+            assert backend.pool_stats()["stale_results"] >= 1

@@ -1,14 +1,20 @@
-"""The remote backend over real loopback TCP: placement, sync, faults.
+"""The worker fleet's sunny-day contracts: placement, sync, lifecycle.
 
 The chaos-grade fault scenarios (SIGKILL mid-batch, torn frames,
 fingerprint mismatch, heartbeat partitions) live in
-``tests/chaos/test_remote_faults.py``; this module pins the sunny-day
-contracts — the consistent-hash ring, the factory registration, the
-pool-identical sync protocol, exception propagation and lifecycle —
-against spawned worker processes speaking the real wire protocol.
+``tests/chaos/test_remote_faults.py``; this module pins the
+consistent-hash ring, the factory registration, the sync protocol,
+exception propagation and lifecycle against forked worker processes
+speaking the real wire protocol, and the same sync protocol against
+``run_worker`` processes that join over TCP.
 """
 
 from __future__ import annotations
+
+import multiprocessing
+import pickle
+import socket
+import time
 
 import pytest
 
@@ -18,9 +24,10 @@ from repro.exec import (
     HashRing,
     RemoteBackend,
     get_backend,
+    run_worker,
 )
 
-# Spawned workers beat fast so tests never wait on the production
+# Forked workers beat fast so tests never wait on the production
 # 2-second beacon; the timeout stays generous so a loaded CI box can
 # not spuriously declare healthy workers dead.
 FAST = {"heartbeat_interval": 0.2, "heartbeat_timeout": 5.0}
@@ -52,6 +59,28 @@ def _reciprocal(x: int) -> float:
 
 def _sum_partition(partition: list[int]) -> int:
     return sum(partition)
+
+
+def _join_tcp_workers(backend: RemoteBackend, count: int) -> list:
+    """Start ``count`` ``run_worker`` processes against ``backend``'s
+    listener and wait until all of them are parked as pending."""
+    host, port = backend.listen()
+    joiners = [
+        multiprocessing.Process(
+            target=run_worker,
+            args=(host, port),
+            kwargs={"heartbeat_interval": FAST["heartbeat_interval"]},
+            daemon=True,
+        )
+        for _ in range(count)
+    ]
+    for joiner in joiners:
+        joiner.start()
+    cutoff = time.monotonic() + 30.0
+    while backend.pool_stats()["pending_workers"] < count:
+        assert time.monotonic() < cutoff, "TCP workers never joined"
+        time.sleep(0.01)
+    return joiners
 
 
 class TestHashRing:
@@ -120,8 +149,7 @@ class TestFactory:
     def test_factory_forwards_remote_knobs(self):
         backend = get_backend(
             "remote",
-            workers=1,
-            remote_workers=3,
+            workers=3,
             remote_heartbeat_interval=0.5,
             remote_heartbeat_timeout=9.0,
             remote_fingerprint="deadbeef",
@@ -133,10 +161,6 @@ class TestFactory:
             assert backend.fingerprint == "deadbeef"
         finally:
             backend.close()
-
-    def test_unknown_sync_mode_rejected(self):
-        with pytest.raises(ConfigurationError, match="sync mode"):
-            RemoteBackend(workers=1, sync="telepathy")
 
     def test_timeout_must_exceed_interval(self):
         with pytest.raises(ConfigurationError, match="must exceed"):
@@ -177,11 +201,12 @@ class TestMapping:
     def test_fleet_survives_across_batches(self):
         with RemoteBackend(workers=2, **FAST) as backend:
             backend.map_items(_square, [1, 2, 3])
-            stats_first = backend.remote_stats()
+            pids = [worker.process.pid for worker in backend._workers]
             backend.map_items(_square, [4, 5, 6])
-            stats_second = backend.remote_stats()
-            assert stats_second["boots"] == stats_first["boots"]
-            assert stats_second["live_workers"] == 2
+            stats = backend.pool_stats()
+            assert stats["restarts"] == 1
+            assert stats["live_workers"] == 2
+            assert [worker.process.pid for worker in backend._workers] == pids
 
     def test_initializer_state_reaches_tasks(self):
         with RemoteBackend(workers=2, **FAST) as backend:
@@ -194,16 +219,15 @@ class TestMapping:
             backend.map_items(
                 _read_state, [None], initializer=_set_state, initargs=(1,)
             )
-            boots_before = backend.remote_stats()["boots"]
             assert backend.map_items(
                 _read_state, [None], initializer=_set_state, initargs=(2,)
             ) == [2]
-            assert backend.remote_stats()["boots"] > boots_before
+            assert backend.pool_stats()["restarts"] == 2
 
 
 class TestStateSync:
     def test_delta_sync_reaches_resident_workers(self):
-        with RemoteBackend(workers=2, sync="delta", **FAST) as backend:
+        with RemoteBackend(workers=2, **FAST) as backend:
             backend.bind_delta_applier(_apply_delta, _set_state)
             assert backend.map_items(
                 _read_state, [None] * 3, initializer=_set_state, initargs=(10,)
@@ -213,28 +237,78 @@ class TestStateSync:
             assert backend.map_items(
                 _read_state, [None] * 3, initializer=_set_state, initargs=(10,)
             ) == [15, 15, 15]
-            stats = backend.remote_stats()
+            stats = backend.pool_stats()
             assert stats["delta_syncs"] >= 1
             assert stats["sync_bytes"] > 0
             assert backend.pending_deltas == 0
             assert backend.resident_epoch == backend.epoch == 1
 
     def test_full_sync_reboots_instead_of_deltas(self):
-        with RemoteBackend(workers=1, sync="full", **FAST) as backend:
+        with RemoteBackend(workers=1, max_delta_log=0, **FAST) as backend:
             backend.bind_delta_applier(_apply_delta, _set_state)
             backend.map_items(
                 _read_state, [None], initializer=_set_state, initargs=(10,)
             )
-            boots_before = backend.remote_stats()["boots"]
             backend.notify_state_change(5)
-            # Full mode re-ships state through the initializer, so the
-            # delta's effect is *not* applied — parent state is truth.
+            # A zero-length log re-ships state through the initializer,
+            # so the delta's effect is *not* applied — parent state is
+            # truth.
             assert backend.map_items(
                 _read_state, [None], initializer=_set_state, initargs=(10,)
             ) == [10]
-            stats = backend.remote_stats()
-            assert stats["boots"] > boots_before
+            stats = backend.pool_stats()
+            assert stats["restarts"] == 2
             assert stats["delta_syncs"] == 0
+
+
+class TestTcpWorkers:
+    """The sync protocol against workers that join over TCP: state
+    arrives in pickled BOOT frames, mutations as SYNC frames."""
+
+    def test_boot_sync_and_rebind_reach_tcp_workers(self):
+        with RemoteBackend(
+            workers=2, spawn_workers=False, port=0, **FAST
+        ) as backend:
+            joiners = _join_tcp_workers(backend, 2)
+            backend.bind_delta_applier(_apply_delta, _set_state)
+            assert backend.map_items(
+                _read_state, [None] * 4, initializer=_set_state, initargs=(10,)
+            ) == [10] * 4
+            backend.notify_state_change(5)
+            assert backend.map_items(
+                _read_state, [None] * 4, initializer=_set_state, initargs=(10,)
+            ) == [15] * 4
+            # A new binding re-boots the same TCP workers in place.
+            assert backend.map_items(
+                _read_state, [None] * 4, initializer=_set_state, initargs=(1,)
+            ) == [1] * 4
+            stats = backend.pool_stats()
+            assert stats["delta_syncs"] == 1 and stats["sync_messages"] == 2
+            assert stats["restarts"] == 2
+            assert stats["live_workers"] == 2 and stats["dead_workers"] == 0
+        for joiner in joiners:
+            joiner.join(timeout=10.0)
+            assert joiner.exitcode == 0  # STOPped, not killed
+
+    def test_zero_delta_log_reships_tcp_workers_as_boot_frames(self):
+        with RemoteBackend(
+            workers=1, spawn_workers=False, port=0, max_delta_log=0, **FAST
+        ) as backend:
+            _join_tcp_workers(backend, 1)
+            backend.bind_delta_applier(_apply_delta, _set_state)
+            backend.map_items(
+                _read_state, [None], initializer=_set_state, initargs=(10,)
+            )
+            booted = backend.pool_stats()["bootstrap_bytes"]
+            backend.notify_state_change(5)
+            # The re-ship rebuilds state through the initializer, so the
+            # delta is not replayed: the parent's state is the truth.
+            assert backend.map_items(
+                _read_state, [None], initializer=_set_state, initargs=(10,)
+            ) == [10]
+            stats = backend.pool_stats()
+            assert stats["restarts"] == 2 and stats["delta_syncs"] == 0
+            assert stats["bootstrap_bytes"] == 2 * booted
 
 
 class TestFailures:
@@ -253,7 +327,38 @@ class TestFailures:
                 backend.map_items(lambda x: x + captured, [1])
 
 
+class TestWorkerLoop:
+    def test_task_ahead_of_resident_epoch_is_a_typed_violation(
+        self, monkeypatch
+    ):
+        """A TASK can never outrun its SYNC: a worker that receives one
+        answers every item with a typed error, never a stale value."""
+        from repro.exec import remote as remote_module
+        from repro.exec.wire import FrameConnection, Task
+
+        monkeypatch.setattr(remote_module, "_EPOCH", 0)
+        parent, child = socket.socketpair()
+        with parent, child:
+            task = Task(chunk_id=7, fn=_square, pairs=((0, 2), (1, 3)), epoch=5)
+            assert remote_module._execute_task(FrameConnection(child), 0, task) == 2
+            reader = FrameConnection(parent)
+            results = [reader.recv(timeout=5.0), reader.recv(timeout=5.0)]
+        assert [(r.index, r.ok) for r in results] == [(0, False), (1, False)]
+        assert all("protocol violation" in r.summary for r in results)
+        assert isinstance(pickle.loads(results[0].exc_bytes), ExecutionError)
+
+
 class TestLifecycle:
+    def test_pool_opens_no_listener(self):
+        with get_backend("pool", workers=1) as backend:
+            assert backend.map_items(_square, [2]) == [4]
+            assert backend.address is None
+
+    def test_remote_listens_from_the_first_dispatch(self):
+        with get_backend("remote", workers=1) as backend:
+            assert backend.map_items(_square, [2]) == [4]
+            assert backend.address is not None
+
     def test_listen_exposes_the_rendezvous_address(self):
         backend = RemoteBackend(workers=1, **FAST)
         try:
@@ -274,6 +379,14 @@ class TestLifecycle:
         assert backend.address is None
         backend.close()
 
+    def test_close_does_not_wait_on_the_accept_thread(self):
+        """Closing the listener wakes the thread blocked in accept()."""
+        backend = RemoteBackend(workers=1, port=0, **FAST)
+        backend.map_items(_square, [2])
+        started = time.monotonic()
+        backend.close()
+        assert time.monotonic() - started < 2.0
+
     def test_backend_recovers_after_close(self):
         backend = RemoteBackend(workers=1, **FAST)
         try:
@@ -284,19 +397,19 @@ class TestLifecycle:
             backend.close()
 
     def test_remote_stats_shape(self):
+        """The fleet's one stats view, ``pool_stats()``, carries the
+        transport and fault counters along with the pool ones."""
         with RemoteBackend(workers=2, **FAST) as backend:
             backend.map_items(_square, [1, 2, 3])
-            stats = backend.remote_stats()
+            stats = backend.pool_stats()
             for key in (
-                "sync",
                 "epoch",
                 "resident_epoch",
                 "address",
                 "live_workers",
                 "pending_workers",
-                "spawned_workers",
                 "pending_deltas",
-                "boots",
+                "restarts",
                 "delta_syncs",
                 "sync_messages",
                 "sync_bytes",
@@ -311,11 +424,13 @@ class TestLifecycle:
                 "handshake_rejects",
                 "heartbeat_interval",
                 "heartbeat_timeout",
+                "scale_ups",
+                "forced_stops",
+                "bootstrap_bytes",
             ):
                 assert key in stats, key
-            assert stats["sync"] == "delta"
             assert stats["live_workers"] == 2
-            assert stats["boots"] >= 1
+            assert stats["restarts"] == 1
             assert stats["frames_sent"] > 0
             assert stats["bytes_received"] > 0
             assert stats["dead_workers"] == 0

@@ -191,21 +191,27 @@ class TestSpillBootChaos:
             first = [repr(rec) for rec in service.recommend_many(groups, z=4)]
             assert first == reference
 
-            # Kill a resident worker out from under the pool, then keep
-            # serving.  The dead worker must turn into a loud
-            # ExecutionError (never a silent hang or a partial batch)
-            # on some subsequent batch...
+            # Kill every resident worker out from under the pool: the
+            # batch is a loud ExecutionError (never a silent hang or a
+            # partial batch)...
+            for victim in list(service.backend._workers):
+                victim.process.terminate()
+                victim.process.join()
+            with pytest.raises(ExecutionError):
+                service.recommend_many(groups, z=4)
+
+            # ...the next batch re-forks the pool, booting from the
+            # same mmap spill, and serves bit-identical results again...
+            recovered = [repr(rec) for rec in service.recommend_many(groups, z=4)]
+            assert recovered == reference
+
+            # ...and losing one of the re-forked workers costs only a
+            # requeue onto the survivor.
             victim = service.backend._workers[0]
             victim.process.terminate()
             victim.process.join()
-            with pytest.raises(ExecutionError):
-                for _ in range(10):
-                    service.recommend_many(groups, z=4)
-
-            # ...and the next batch re-boots the pool from the same
-            # mmap spill and serves bit-identical results again.
-            recovered = [repr(rec) for rec in service.recommend_many(groups, z=4)]
-            assert recovered == reference
+            again = [repr(rec) for rec in service.recommend_many(groups, z=4)]
+            assert again == reference
             pool_stats = service.stats()["backend"]["pool"]
             assert pool_stats["live_workers"] >= 1
         finally:

@@ -168,7 +168,7 @@ class TestErrors:
             MapReduceEngine().run(job, [(1, 1)])
 
 
-# -- module-level job functions (picklable, for the process backend) ----------
+# -- module-level job functions (picklable, for the pool backend) -------------
 
 
 def _picklable_mapper(key, line):
@@ -204,7 +204,7 @@ class TestExecutionBackends:
         engine = MapReduceEngine(backend=backend)
         return engine.run(picklable_word_count_job(), self.DOCUMENTS)
 
-    @pytest.mark.parametrize("backend", ["thread", "process", "pool"])
+    @pytest.mark.parametrize("backend", ["thread", "pool", "remote"])
     def test_output_and_counters_match_serial(self, backend):
         baseline = self._run("serial")
         parallel = self._run(backend)
@@ -234,7 +234,7 @@ class TestExecutionBackends:
     def test_closure_job_rejected_by_process_backend(self):
         from repro.exceptions import ExecutionError
 
-        engine = MapReduceEngine(backend="process")
+        engine = MapReduceEngine(backend="pool")
         with pytest.raises(ExecutionError, match="picklable"):
             engine.run(word_count_job(2), [(1, "a b"), (2, "c")])
 

@@ -1,6 +1,6 @@
 """Instrumentation must never change results or counts.
 
-The full backend matrix (serial/thread/process/pool × flat/sharded
+The full backend matrix (serial/thread/pool/remote × flat/sharded
 neighbor index) runs the same workload instrumented and bare —
 recommendations must be bit-identical, and the instrumented request
 counters must agree across every cell of the matrix (the *metrics
@@ -17,7 +17,7 @@ from repro.data.datasets import generate_dataset
 from repro.obs import MetricsRegistry, set_enabled
 from repro.serving import RecommendationService, synthetic_workload
 
-BACKENDS = ("serial", "thread", "process", "pool")
+BACKENDS = ("serial", "thread", "pool", "remote")
 SHARDS = (1, 3)
 
 

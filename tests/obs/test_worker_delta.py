@@ -2,9 +2,10 @@
 
 Pool workers keep the fork-copied default registry as their child
 registry and attach a :meth:`MetricsRegistry.drain_delta` payload to
-the last result message of each task chunk; the parent merges each
+the last result frame of each task chunk; the parent merges each
 delta under a ``worker="N"`` label.  A worker dying mid-batch loses at
-most its own undelivered delta — the batch fails loudly and the
+most its own undelivered delta: a survivor re-serves its items, or —
+when every worker dies — the batch fails loudly, and either way the
 parent's counts stay consistent.
 """
 
@@ -14,8 +15,7 @@ import os
 
 import pytest
 
-from repro.exceptions import ExecutionError
-from repro.exec import PoolBackend
+from repro.exec import FleetLossError, PoolBackend
 from repro.obs import get_registry
 
 
@@ -27,6 +27,20 @@ def _bump_and_square(x: int) -> int:
 def _bump_or_die(x: int) -> int:
     get_registry().inc("task_bumps")
     if x == 13:
+        os._exit(1)
+    return x * x
+
+
+def _bump_or_die_once(spec: tuple[int, str]) -> int:
+    """Kill the first worker that serves 13; a requeued 13 is answered.
+
+    ``spec`` is ``(x, marker_path)``: the marker file records the death
+    so the survivor that re-serves the item does not die too.
+    """
+    x, marker = spec
+    get_registry().inc("task_bumps")
+    if x == 13 and not os.path.exists(marker):
+        open(marker, "w").close()
         os._exit(1)
     return x * x
 
@@ -85,11 +99,13 @@ class TestDeltaMerge:
 
 class TestWorkerDeathMidBatch:
     def test_death_fails_loudly_and_counts_stay_consistent(self):
+        """Item 13 kills whichever worker serves it, so the requeue
+        kills the survivor too: total fleet loss, loud and typed."""
         with PoolBackend(workers=2) as backend:
             backend.map_items(_bump_and_square, range(4))
             before = backend.metrics.total("task_bumps")
             assert before == 4
-            with pytest.raises(ExecutionError, match="died"):
+            with pytest.raises(FleetLossError, match="died"):
                 backend.map_items(_bump_or_die, [1, 2, 13, 4, 5, 6])
             # Deltas from messages that never arrived are simply lost;
             # whatever did arrive merged cleanly on top of the old total.
@@ -99,4 +115,20 @@ class TestWorkerDeathMidBatch:
             # The pool recovers on the next dispatch and keeps counting.
             assert backend.map_items(_bump_and_square, [3]) == [9]
             assert backend.metrics.total("task_bumps") >= after + 1
-            assert backend.restarts >= 2
+            assert backend.pool_stats()["dead_workers"] == 2
+
+    def test_one_death_is_requeued_and_counts_stay_consistent(self, tmp_path):
+        marker = str(tmp_path / "died")
+        with PoolBackend(workers=2) as backend:
+            items = [1, 2, 13, 4, 5, 6]
+            specs = [(x, marker) for x in items]
+            assert backend.map_items(_bump_or_die_once, specs) == [
+                x * x for x in items
+            ]
+            # One item per chunk, so each result carries its own bump:
+            # the dead worker's bump for 13 died with it, the
+            # survivor's re-serve is counted — once per item, exactly.
+            assert backend.metrics.total("task_bumps") == len(items)
+            stats = backend.pool_stats()
+            assert stats["dead_workers"] == 1
+            assert stats["requeues"] >= 1

@@ -1,10 +1,11 @@
 """Randomized cross-backend parity: every backend, bit-identical, always.
 
 The execution layer's load-bearing promise is that the backend is a
-pure performance knob — serial, thread, process, the long-lived pool
-and the TCP-transported remote fleet must produce **bit-identical**
-recommendations on any workload, and the sharded index must agree with
-the flat one.  Long-lived workers make
+pure performance knob — serial, thread and the worker fleet (forked
+``"pool"`` workers, and ``"remote"`` workers that join over TCP and
+boot from pickled BOOT frames) must produce **bit-identical**
+recommendations on any workload, and the sharded index must agree
+with the flat one.  Long-lived workers make
 that promise fragile in exactly one place: state mutated *between*
 batches.  So the workloads here are seeded random interleavings of
 
@@ -19,70 +20,113 @@ every seed exercises the mutation-between-batches case even before the
 random tail begins.
 
 Each run replays the identical script against a fresh service per
-(backend, shards, sync) configuration and compares full recommendation
+configuration and compares full recommendation
 payloads — item ids, the plain top-z, and the float relevance tables —
 against the serial/flat reference with ``==`` (no tolerance).
 """
 
 from __future__ import annotations
 
+import multiprocessing
 import random
 import shutil
 import tempfile
+import time
 
 import pytest
 
 from repro.config import RecommenderConfig
 from repro.data.datasets import HealthDataset, generate_dataset
 from repro.data.groups import Group
+from repro.exec import DEFAULT_MAX_DELTA_LOG, RemoteBackend, run_worker
 from repro.serving import RecommendationService
 
 #: The fixed seed matrix (acceptance: >= 3 seeds).
 SEEDS = (3, 11, 29)
 
-#: Every backend, plus the sharded-index, sync-mode, autoscaling and
-#: kernel variants, as (backend, shards, sync, autoscale, kernel,
-#: extras) — ``autoscale`` opens the pool bounds (min 1, max 4) so
-#: broadcast sync runs against a pool whose width shifts between
-#: batches; ``kernel`` crosses the packed CSR kernels against the dict
-#: oracle (PR 5).  ``extras`` overrides further config knobs: the
-#: packed kernel with candidate scan + top-k *disabled* (the packed
-#: predictors over dict-produced candidates), and ``spill=True``
-#: variants where pool workers bootstrap from the mmap'd packed spill
-#: directory instead of pickled initargs (PR 7).  The first entry —
-#: serial, flat, dict oracle — is the reference everything else must
-#: equal bit-for-bit.
+#: Every backend, plus the sharded-index, re-ship, autoscaling and
+#: kernel variants, as (backend, shards, autoscale, kernel, extras) —
+#: ``autoscale`` opens the fleet bounds (min 1, max 4) so broadcast sync
+#: runs against a fleet whose width shifts between batches; ``kernel``
+#: crosses the packed CSR kernels against the dict oracle.  ``extras``
+#: overrides further config knobs: the packed kernel with candidate
+#: scan + top-k *disabled* (the packed predictors over dict-produced
+#: candidates), ``spill=True`` variants where workers bootstrap from
+#: the mmap'd packed spill directory instead of pickled initargs, and
+#: ``max_delta_log=0`` variants, run on an explicitly built fleet whose
+#: zero-length delta log re-ships the state after every mutation
+#: instead of broadcasting it.  ``"remote"`` rows run a fleet with no
+#: local workers, joined by two ``run_worker`` processes over loopback
+#: TCP (see :func:`_join_tcp_workers`); ``mixed=True`` instead joins one
+#: TCP worker to the config-built ``"remote"`` fleet beside its two
+#: forked workers.  The first entry — serial, flat, dict oracle — is
+#: the reference everything else must equal bit-for-bit.
 CONFIGURATIONS = (
-    ("serial", 1, "delta", False, "dict", {}),
-    ("serial", 1, "delta", False, "packed", {}),
-    ("serial", 1, "delta", False, "packed", {"packed_scan": False, "packed_topk": False}),
-    ("serial", 3, "delta", False, "packed", {}),
-    ("thread", 1, "delta", False, "packed", {}),
-    ("process", 1, "delta", False, "packed", {}),
-    ("pool", 1, "delta", False, "packed", {}),
-    ("pool", 3, "delta", False, "packed", {}),
-    ("pool", 1, "full", False, "packed", {}),
-    ("pool", 1, "delta", True, "packed", {}),
-    ("pool", 1, "delta", False, "packed", {"spill": True}),
-    ("pool", 3, "full", False, "packed", {"spill": True}),
-    ("pool", 3, "delta", False, "dict", {}),
+    ("serial", 1, False, "dict", {}),
+    ("serial", 1, False, "packed", {}),
+    ("serial", 1, False, "packed", {"packed_scan": False, "packed_topk": False}),
+    ("serial", 3, False, "packed", {}),
+    ("thread", 1, False, "packed", {}),
+    ("pool", 1, False, "packed", {}),
+    ("pool", 3, False, "packed", {}),
+    ("pool", 1, False, "packed", {"max_delta_log": 0}),
+    ("pool", 1, True, "packed", {}),
+    ("pool", 1, False, "packed", {"spill": True}),
+    ("pool", 3, False, "packed", {"spill": True, "max_delta_log": 0}),
+    ("pool", 3, False, "dict", {}),
     # Strict response validation must be a pure observer: on clean
     # traffic it re-checks every served answer against the paper
-    # invariants and changes nothing (PR 8) — serial/pool × flat/sharded.
-    ("serial", 1, "delta", False, "packed", {"validation": "strict"}),
-    ("serial", 3, "delta", False, "packed", {"validation": "strict"}),
-    ("pool", 1, "delta", False, "packed", {"validation": "strict"}),
-    ("pool", 3, "delta", False, "packed", {"validation": "strict"}),
-    # The remote backend: the pool's inbox protocol over loopback TCP
-    # (PR 9) — real sockets, real frame codec, spawned worker
-    # processes.  Flat/sharded × delta/full sync × strict validation,
-    # including the same pinned batch → ingest → batch staleness
-    # scenario every other backend replays.
-    ("remote", 1, "delta", False, "packed", {}),
-    ("remote", 3, "delta", False, "packed", {}),
-    ("remote", 1, "full", False, "packed", {}),
-    ("remote", 1, "delta", False, "packed", {"validation": "strict"}),
+    # invariants and changes nothing — serial/pool × flat/sharded.
+    ("serial", 1, False, "packed", {"validation": "strict"}),
+    ("serial", 3, False, "packed", {"validation": "strict"}),
+    ("pool", 1, False, "packed", {"validation": "strict"}),
+    ("pool", 3, False, "packed", {"validation": "strict"}),
+    # TCP-joined workers: HELLO/WELCOME, then state from pickled BOOT
+    # frames (the mmap'd spill for the spill row) and SYNC replay over
+    # loopback sockets, flat/sharded × broadcast/re-ship × spill ×
+    # strict validation, including the pinned batch → ingest → batch
+    # staleness scenario.
+    ("remote", 1, False, "packed", {}),
+    ("remote", 3, False, "packed", {}),
+    ("remote", 1, False, "packed", {"max_delta_log": 0}),
+    ("remote", 3, False, "packed", {"spill": True, "max_delta_log": 0}),
+    ("remote", 1, False, "packed", {"validation": "strict"}),
+    ("remote", 3, False, "packed", {"mixed": True}),
 )
+
+#: Seconds the TCP joiners of a ``"remote"`` row get to connect.
+_JOIN_SECONDS = 30.0
+
+
+def _join_tcp_workers(
+    fleet: RemoteBackend, count: int, fingerprint: str
+) -> list:
+    """Start ``count`` TCP worker processes against ``fleet``'s listener.
+
+    Each joiner is a plain :func:`run_worker` process (what ``repro
+    worker --connect`` runs): it handshakes with the config fingerprint
+    and builds every resident copy from a pickled BOOT frame, so the
+    ``"remote"`` rows keep the TCP join, re-boot and SYNC paths under
+    the parity check.  All joiners are parked before the first
+    dispatch, so every batch runs at full width.
+    """
+    host, port = fleet.listen()
+    joiners = [
+        multiprocessing.Process(
+            target=run_worker,
+            args=(host, port),
+            kwargs={"fingerprint": fingerprint, "heartbeat_interval": 0.2},
+            daemon=True,
+        )
+        for _ in range(count)
+    ]
+    for joiner in joiners:
+        joiner.start()
+    cutoff = time.monotonic() + _JOIN_SECONDS
+    while fleet.pool_stats()["pending_workers"] < count:
+        assert time.monotonic() < cutoff, "TCP workers never joined"
+        time.sleep(0.01)
+    return joiners
 
 
 def _build_script(seed: int, user_ids: list[str], item_ids: list[str]) -> list[tuple]:
@@ -134,7 +178,6 @@ def _run_script(
     script: list[tuple],
     backend: str,
     shards: int,
-    sync: str,
     autoscale: bool = False,
     kernel: str = "packed",
     extras: dict | None = None,
@@ -147,11 +190,13 @@ def _run_script(
     marker — their return value (the set of invalidated users) depends
     by design on how much the parent has cached locally, which differs
     between a serial parent (computes everything itself) and a
-    process/pool parent (offloads to workers), without ever changing
-    what is recommended.
+    pool parent (offloads to workers), without ever changing what is
+    recommended.
     """
     dataset = HealthDataset.from_dict(payload)
     overrides = dict(extras or {})
+    max_delta_log = overrides.pop("max_delta_log", None)
+    mixed = overrides.pop("mixed", False)
     spill_dir = None
     if overrides.pop("spill", False):
         spill_dir = tempfile.mkdtemp(prefix="parity-spill-")
@@ -162,14 +207,33 @@ def _run_script(
         top_z=4,
         exec_backend=backend,
         exec_workers=2,
-        pool_sync=sync,
         pool_min_workers=1 if autoscale else 0,
         pool_max_workers=4 if autoscale else 0,
         index_shards=shards,
         kernel=kernel,
         **overrides,
     )
-    service = RecommendationService(dataset, config)
+    fleet = None
+    if backend == "remote" and not mixed:
+        fleet = RemoteBackend(
+            workers=2,
+            spawn_workers=False,
+            port=0,
+            max_delta_log=(
+                DEFAULT_MAX_DELTA_LOG if max_delta_log is None else max_delta_log
+            ),
+            fingerprint=config.fingerprint(),
+            heartbeat_interval=0.2,
+            heartbeat_timeout=5.0,
+        )
+    elif max_delta_log is not None:
+        fleet = RemoteBackend(workers=2, max_delta_log=max_delta_log)
+    service = RecommendationService(dataset, config, backend=fleet)
+    joiners: list = []
+    if backend == "remote":
+        joiners = _join_tcp_workers(
+            service.backend, 1 if mixed else 2, config.fingerprint()
+        )
     trace: list = []
     try:
         for op in script:
@@ -202,8 +266,28 @@ def _run_script(
                 trace.append(("profiled", op[1]))
             else:  # pragma: no cover - script generator bug
                 raise AssertionError(f"unknown op {op[0]!r}")
+        if joiners:
+            # Non-vacuous: the TCP workers booted from BOOT frames, took
+            # the script's mutations as SYNC replays (or, with a
+            # zero-length log, as re-shipped BOOTs) and served to the
+            # end beside the forked workers of a mixed fleet.
+            stats = service.backend.pool_stats()
+            forked = config.exec_workers if mixed else 0
+            assert stats["live_workers"] == forked + len(joiners)
+            assert stats["bootstrap_bytes"] > 0
+            if max_delta_log == 0:
+                assert stats["restarts"] >= 2
+            else:
+                assert stats["delta_syncs"] >= 1
     finally:
         service.close()
+        if fleet is not None:
+            fleet.close()
+        for joiner in joiners:
+            joiner.join(timeout=10.0)
+            if joiner.is_alive():
+                joiner.kill()
+                joiner.join()
         if spill_dir is not None:
             shutil.rmtree(spill_dir, ignore_errors=True)
     return trace
@@ -211,7 +295,7 @@ def _run_script(
 
 @pytest.mark.parametrize("seed", SEEDS)
 def test_random_workload_parity_across_backends_and_sharding(seed):
-    """All four backends (and shard/sync variants) replay one random
+    """Every backend (and shard/re-ship variants) replays one random
     workload bit-identically, mutations between batches included."""
     dataset = generate_dataset(
         num_users=24, num_items=36, ratings_per_user=10, seed=seed
@@ -222,12 +306,12 @@ def test_random_workload_parity_across_backends_and_sharding(seed):
 
     reference = _run_script(payload, script, *CONFIGURATIONS[0])
     assert any(isinstance(step, list) and step for step in reference)
-    for backend, shards, sync, autoscale, kernel, extras in CONFIGURATIONS[1:]:
+    for backend, shards, autoscale, kernel, extras in CONFIGURATIONS[1:]:
         trace = _run_script(
-            payload, script, backend, shards, sync, autoscale, kernel, extras
+            payload, script, backend, shards, autoscale, kernel, extras
         )
         assert trace == reference, (
-            f"backend={backend} shards={shards} sync={sync} "
+            f"backend={backend} shards={shards} "
             f"autoscale={autoscale} kernel={kernel} extras={extras} "
             f"diverged from the serial dict-oracle reference on seed {seed}"
         )
@@ -257,12 +341,12 @@ def test_mutation_between_batches_changes_results_and_keeps_parity():
         "the mutations were supposed to change at least one group's "
         "recommendations — the staleness scenario is vacuous"
     )
-    for backend, shards, sync, autoscale, kernel, extras in CONFIGURATIONS[1:]:
+    for backend, shards, autoscale, kernel, extras in CONFIGURATIONS[1:]:
         trace = _run_script(
-            payload, script, backend, shards, sync, autoscale, kernel, extras
+            payload, script, backend, shards, autoscale, kernel, extras
         )
         assert trace == reference, (
-            f"backend={backend} shards={shards} sync={sync} "
+            f"backend={backend} shards={shards} "
             f"autoscale={autoscale} kernel={kernel} extras={extras} "
             f"served stale results after mutations between batches"
         )

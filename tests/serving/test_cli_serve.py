@@ -150,7 +150,7 @@ class TestServeCommand:
         from repro.cli import build_parser
 
         args = build_parser().parse_args(["serve", "data.json", "reqs.jsonl"])
-        assert args.workers is None  # auto: one per CPU for thread/process
+        assert args.workers is None  # auto: one per CPU for thread/pool
         assert args.backend == "serial"
         assert args.kernel == "packed"
         assert args.shards == 1
@@ -181,7 +181,7 @@ class TestServeBackendsAndSnapshots:
         assert code == 0
         return dataset_path
 
-    @pytest.mark.parametrize("backend", ["thread", "process", "pool"])
+    @pytest.mark.parametrize("backend", ["thread", "pool", "remote"])
     def test_serve_with_backend(self, tmp_path, capsys, backend):
         dataset_path = self._dataset(tmp_path)
         capsys.readouterr()
@@ -301,8 +301,6 @@ class TestServeBackendsAndSnapshots:
             "6",
             "--backend",
             "pool",
-            "--pool-sync",
-            "delta",
             "--workers",
             "2",
             "--shards",

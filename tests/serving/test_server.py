@@ -256,7 +256,7 @@ class _DegradingService:
         self.metrics = MetricsRegistry()
 
     def recommend_user(self, user_id: str, k: int | None = None) -> list:
-        self.metrics.counter("remote_degraded_dispatches").inc()
+        self.metrics.counter("pool_degraded_dispatches").inc()
         return []
 
 

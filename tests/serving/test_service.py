@@ -282,7 +282,7 @@ class TestExecutionBackends:
             for seed in range(count)
         ]
 
-    @pytest.mark.parametrize("backend", ["serial", "thread", "process", "pool"])
+    @pytest.mark.parametrize("backend", ["serial", "thread", "pool", "remote"])
     def test_batch_matches_cold_pipeline(self, mutable_dataset, backend):
         config = CONFIG.with_overrides(exec_backend=backend, exec_workers=2)
         service = RecommendationService(mutable_dataset, config)
@@ -300,7 +300,7 @@ class TestExecutionBackends:
         service = RecommendationService(mutable_dataset, CONFIG)
         groups = self._groups(mutable_dataset)
         baseline = [r.items for r in service.recommend_many(groups)]
-        for backend in ("thread", "process", "pool"):
+        for backend in ("thread", "pool", "remote"):
             fresh = RecommendationService(mutable_dataset, CONFIG)
             got = [
                 r.items
@@ -311,7 +311,7 @@ class TestExecutionBackends:
     def test_process_batch_populates_group_cache(self, mutable_dataset):
         service = RecommendationService(mutable_dataset, CONFIG)
         groups = self._groups(mutable_dataset, count=3)
-        service.recommend_many(groups, backend="process", workers=2)
+        service.recommend_many(groups, backend="pool", workers=2)
         hits_before = service.group_cache.stats.hits
         service.recommend_many(groups)
         assert service.group_cache.stats.hits >= hits_before + 3
@@ -442,9 +442,53 @@ class TestBackendLifecycleAndCustomMeasures:
         fresh = RecommendationService(mutable_dataset, config, similarity=custom)
         got = [
             r.items
-            for r in fresh.recommend_many(groups, backend="process", workers=2)
+            for r in fresh.recommend_many(groups, backend="pool", workers=2)
         ]
         assert got == baseline
+
+    def test_per_call_width_keeps_the_service_backend_config(
+        self, mutable_dataset
+    ):
+        """Regression: a per-call ``workers`` override built its batch
+        backend with default knobs and a private metrics registry, so
+        the batch's worker telemetry never reached the service."""
+        config = CONFIG.with_overrides(
+            exec_backend="pool",
+            exec_workers=2,
+            group_cache_size=0,
+            relevance_cache_size=0,
+            remote_heartbeat_interval=0.5,
+            remote_heartbeat_timeout=3.0,
+            degraded_mode="serial",
+        )
+        groups = self._groups(mutable_dataset, count=4)
+        with RecommendationService(mutable_dataset, config) as service:
+            built = []
+            pick = service._batch_backend
+
+            def recording_pick(workers, backend):
+                resolved, owned = pick(workers, backend)
+                built.append(resolved)
+                return resolved, owned
+
+            service._batch_backend = recording_pick
+            service.recommend_many(groups, workers=3)
+            (fleet,) = built
+            assert fleet is not service.backend and fleet.workers == 3
+            assert fleet.metrics is service.metrics
+            assert fleet.heartbeat_interval == 0.5
+            assert fleet.heartbeat_timeout == 3.0
+            assert fleet.degraded_mode == "serial"
+            assert fleet.fingerprint == config.fingerprint()
+            worker_series = [
+                name
+                for name, labels, _ in service.metrics.metrics()
+                if "worker" in dict(labels)
+            ]
+            assert worker_series
+            # The per-call fleet counted its boot in the service registry.
+            assert service.metrics.value("pool_restarts") == 1
+            assert service.backend.pool_stats()["live_workers"] == 0
 
     def test_service_close_releases_owned_thread_pool(self, mutable_dataset):
         service = RecommendationService(
@@ -470,7 +514,7 @@ class TestWorkerFoldedCacheInvalidation:
     """
 
     def test_folded_results_invalidate_on_ingest(self, mutable_dataset):
-        config = CONFIG.with_overrides(exec_backend="process", exec_workers=2)
+        config = CONFIG.with_overrides(exec_backend="pool", exec_workers=2)
         groups = [
             random_group(mutable_dataset.users.ids(), 4, seed=s)
             for s in range(4)

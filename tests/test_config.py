@@ -128,7 +128,7 @@ class TestExecutionConfig:
 
     def test_round_trip_includes_new_fields(self):
         config = RecommenderConfig(
-            exec_backend="process",
+            exec_backend="pool",
             exec_workers=4,
             index_shards=3,
             pool_min_workers=2,
@@ -172,7 +172,7 @@ class TestFingerprint:
     def test_ignores_operational_knobs(self):
         base = RecommenderConfig()
         tuned = base.with_overrides(
-            exec_backend="process",
+            exec_backend="pool",
             exec_workers=8,
             index_shards=4,
             similarity_cache_size=1,
@@ -228,18 +228,17 @@ class TestResolvePositive:
 
 
 class TestRemoteConfig:
-    """The remote-backend knobs added with repro.exec.remote."""
+    """The worker-fleet heartbeat and degraded-mode knobs."""
 
     def test_defaults(self):
         config = RecommenderConfig()
-        assert config.remote_workers == 0  # 0 = exec_workers width
         assert config.remote_heartbeat_interval == 2.0
         assert config.remote_heartbeat_timeout == 10.0
 
     @pytest.mark.parametrize(
         "overrides",
         [
-            {"remote_workers": -1},
+            {"degraded_mode": "retry"},
             {"remote_heartbeat_interval": 0.0},
             {"remote_heartbeat_interval": -2.0},
             {"remote_heartbeat_timeout": 0.0},
@@ -259,9 +258,9 @@ class TestRemoteConfig:
     def test_round_trip_includes_remote_fields(self):
         config = RecommenderConfig(
             exec_backend="remote",
-            remote_workers=4,
             remote_heartbeat_interval=0.5,
             remote_heartbeat_timeout=3.0,
+            degraded_mode="serial",
         )
         rebuilt = RecommenderConfig.from_dict(config.to_dict())
         assert rebuilt == config
@@ -269,20 +268,34 @@ class TestRemoteConfig:
     def test_from_dict_tolerates_old_payloads(self):
         payload = RecommenderConfig().to_dict()
         for key in (
-            "remote_workers",
+            "degraded_mode",
             "remote_heartbeat_interval",
             "remote_heartbeat_timeout",
         ):
             payload.pop(key)
         config = RecommenderConfig.from_dict(payload)
-        assert config.remote_workers == 0
+        assert config.degraded_mode == "off"
         assert config.remote_heartbeat_timeout == 10.0
+
+    def test_from_dict_rejects_unknown_keys(self):
+        """A payload carrying a knob this version lacks (a saved
+        ``pool_sync``, say) is a typed error naming the key."""
+        payload = RecommenderConfig().to_dict()
+        payload["pool_sync"] = "delta"
+        with pytest.raises(ConfigurationError, match="pool_sync"):
+            RecommenderConfig.from_dict(payload)
+
+    def test_to_dict_covers_every_field(self):
+        from dataclasses import fields
+
+        payload = RecommenderConfig().to_dict()
+        assert list(payload) == [item.name for item in fields(RecommenderConfig)]
+        assert payload["rating_scale"] == [1.0, 5.0]  # tuples become lists
 
     def test_fingerprint_ignores_remote_knobs(self):
         base = RecommenderConfig()
         tuned = base.with_overrides(
             exec_backend="remote",
-            remote_workers=8,
             remote_heartbeat_interval=0.5,
             remote_heartbeat_timeout=4.0,
         )

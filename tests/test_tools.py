@@ -235,77 +235,3 @@ class TestCheckScaleRegression:
         broken.write_text("{not json")
         result = _run("check_scale_regression.py", str(baseline), str(broken))
         assert result.returncode != 0
-
-
-class TestCheckRemoteRegression:
-    def _result(
-        self,
-        ratio=1.5,
-        identical=True,
-        requeues=0,
-        dead_workers=0,
-        torn_frames=0,
-    ) -> dict:
-        return {
-            "benchmark": "remote_backend",
-            "identical_results": identical,
-            "remote_vs_pool_ratio": ratio,
-            "ratio_ceiling": 4.0,
-            "remote_wire": {
-                "sync_bytes": 244,
-                "frames_sent": 48,
-                "frames_received": 42,
-            },
-            "remote_faults": {
-                "requeues": requeues,
-                "dead_workers": dead_workers,
-                "torn_frames": torn_frames,
-            },
-        }
-
-    def _write(self, path: Path, payload: dict) -> Path:
-        import json
-
-        path.write_text(json.dumps(payload))
-        return path
-
-    def test_committed_payload_parses(self):
-        result = _run(
-            "check_remote_regression.py", str(ROOT / "BENCH_remote.json")
-        )
-        assert result.returncode == 0, result.stdout + result.stderr
-
-    def test_within_ceiling_passes_quietly(self, tmp_path):
-        fresh = self._write(tmp_path / "fresh.json", self._result(ratio=2.0))
-        result = _run("check_remote_regression.py", str(fresh))
-        assert result.returncode == 0
-        assert "::warning::" not in result.stdout
-        assert "remote transport OK" in result.stdout
-
-    def test_slow_transport_warns_but_does_not_fail(self, tmp_path):
-        fresh = self._write(tmp_path / "fresh.json", self._result(ratio=9.0))
-        result = _run("check_remote_regression.py", str(fresh))
-        assert result.returncode == 0  # advisory: warn, never fail
-        assert "::warning::" in result.stdout
-
-    def test_parity_failure_is_fatal(self, tmp_path):
-        fresh = self._write(
-            tmp_path / "fresh.json", self._result(identical=False)
-        )
-        result = _run("check_remote_regression.py", str(fresh))
-        assert result.returncode == 1
-        assert "bit-identical" in result.stderr
-
-    def test_clean_run_with_dead_workers_is_fatal(self, tmp_path):
-        fresh = self._write(
-            tmp_path / "fresh.json", self._result(dead_workers=2, requeues=5)
-        )
-        result = _run("check_remote_regression.py", str(fresh))
-        assert result.returncode == 1
-        assert "fault-path" in result.stderr
-
-    def test_corrupt_payload_is_fatal(self, tmp_path):
-        broken = tmp_path / "fresh.json"
-        broken.write_text("{not json")
-        result = _run("check_remote_regression.py", str(broken))
-        assert result.returncode != 0

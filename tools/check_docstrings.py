@@ -1,8 +1,10 @@
 #!/usr/bin/env python3
 """Docstring-coverage gate for the public surfaces of this library.
 
-Walks the given source trees (default: ``repro.exec``, ``repro.serving``
-and ``repro.kernels``) and fails — exit code 1, one line per violation —
+Walks the given source trees (default: :data:`DEFAULT_TARGETS` —
+``repro.exec``, ``repro.serving``, ``repro.kernels``, ``repro.obs``,
+``repro.mapreduce``, ``repro.resilience``, ``repro.validation`` and
+``repro.data.scale``) and fails — exit code 1, one line per violation —
 when any of these lacks a docstring:
 
 * a module;
