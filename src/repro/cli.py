@@ -33,7 +33,7 @@ import sys
 from pathlib import Path
 from typing import Sequence
 
-from .config import KNOWN_EXEC_BACKENDS, KNOWN_KERNELS, RecommenderConfig
+from .config import KNOWN_EXEC_BACKENDS, RecommenderConfig
 from .exec import DEFAULT_HEARTBEAT_INTERVAL, DEFAULT_IDLE_TTL
 from .core.pipeline import CaregiverPipeline
 from .data.datasets import generate_dataset
@@ -81,16 +81,6 @@ def _add_workload_arguments(sub: argparse.ArgumentParser) -> None:
         "--aggregation", choices=["average", "minimum"], default="average"
     )
     sub.add_argument("--peer-threshold", type=float, default=0.2)
-    sub.add_argument(
-        "--kernel",
-        choices=list(KNOWN_KERNELS),
-        default="packed",
-        help=(
-            "similarity/prediction kernel: 'packed' runs the interned "
-            "CSR kernels, 'dict' the dict-of-dicts oracle; scores are "
-            "bit-identical across kernels"
-        ),
-    )
     sub.add_argument(
         "--backend",
         choices=list(KNOWN_EXEC_BACKENDS),
@@ -236,10 +226,11 @@ def build_parser() -> argparse.ArgumentParser:
         default=None,
         metavar="PATH",
         help=(
-            "neighbor-index snapshot: load it if PATH exists (rejecting a "
+            "neighbor-index snapshot directory (a manifest plus one file "
+            "per shard): load it if PATH holds a manifest (rejecting a "
             "stale fingerprint), otherwise warm the index and save it "
-            "there; a .json PATH is one file, a directory (or suffix-less) "
-            "PATH gets the per-shard manifest layout with incremental saves"
+            "there; later saves are incremental, and a PATH that is a "
+            "regular file is rejected"
         ),
     )
     serve.add_argument(
@@ -247,8 +238,7 @@ def build_parser() -> argparse.ArgumentParser:
         default=None,
         metavar="DIR",
         help=(
-            "with --kernel packed: spill the packed CSR arrays to DIR and "
-            "mmap them back, so pool workers bootstrap from the shared "
+            "spill the packed CSR arrays to DIR and mmap them back, so pool workers bootstrap from the shared "
             "page cache instead of a full state ship (the directory also "
             "holds the dataset snapshot and mutation journal workers "
             "replay on boot)"
@@ -619,11 +609,9 @@ def _workload_config(args: argparse.Namespace, **overrides) -> RecommenderConfig
         similarity=args.similarity,
         aggregation=args.aggregation,
         peer_threshold=args.peer_threshold,
-        serve_workers=args.workers or 1,
         exec_backend=args.backend,
         # 0 = auto-detect CPUs; an explicit --workers pins the width.
         exec_workers=args.workers or 0,
-        kernel=args.kernel,
         **overrides,
     )
 
@@ -842,13 +830,13 @@ def _command_serve(args: argparse.Namespace) -> int:
     service = RecommendationService(dataset, config, metrics=registry)
     requests = _load_workload(args, dataset)
 
-    from .serving.snapshot import MANIFEST_NAME, is_sharded_snapshot_path
+    from .serving.snapshot import MANIFEST_NAME
 
     snapshot_path = Path(args.snapshot) if args.snapshot else None
+    # A regular file at PATH goes to load_snapshot too, which rejects it
+    # with a typed SnapshotError instead of a crash on save.
     snapshot_present = snapshot_path is not None and (
-        (snapshot_path / MANIFEST_NAME).exists()
-        if is_sharded_snapshot_path(snapshot_path)
-        else snapshot_path.exists()
+        snapshot_path.is_file() or (snapshot_path / MANIFEST_NAME).exists()
     )
     if snapshot_present:
         from .exceptions import SnapshotError

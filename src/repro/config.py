@@ -43,11 +43,6 @@ KNOWN_SIMILARITIES: tuple[str, ...] = (
 #: config must stay import-light).
 KNOWN_EXEC_BACKENDS: tuple[str, ...] = ("serial", "thread", "pool", "remote")
 
-#: Similarity/prediction kernel names accepted by
-#: :class:`RecommenderConfig` (mirrors :data:`repro.kernels.KERNEL_NAMES`
-#: without importing it — config must stay import-light).
-KNOWN_KERNELS: tuple[str, ...] = ("packed", "dict")
-
 #: Response-validation modes accepted by :class:`RecommenderConfig`
 #: (mirrors :data:`repro.validation.VALIDATION_MODES` without importing
 #: it — config must stay import-light).
@@ -120,10 +115,6 @@ class RecommenderConfig:
     group_cache_size:
         Capacity (in finished group recommendations) of the serving
         layer's result cache.  ``0`` disables the cache.
-    serve_workers:
-        Default thread-pool size used by
-        :meth:`repro.serving.RecommendationService.recommend_many`;
-        ``1`` serves batches sequentially.
     exec_backend:
         Default execution backend (``"serial"``, ``"thread"``,
         ``"pool"`` or ``"remote"``) used by the compute layers
@@ -180,23 +171,6 @@ class RecommenderConfig:
         partitioned into.  ``1`` keeps the single flat index; more
         shards let builds and refreshes proceed independently (and in
         parallel under a non-serial backend).
-    kernel:
-        Which similarity/prediction kernel the compute layers run on:
-        ``"packed"`` (default) uses the integer-interned CSR kernels of
-        :mod:`repro.kernels`, ``"dict"`` the dict-of-dicts oracle path.
-        Scores are bit-identical between the two — this is purely a
-        performance knob (and therefore excluded from
-        :meth:`fingerprint`).
-    packed_scan:
-        With ``kernel="packed"``: run the group candidate scan
-        (``items_unrated_by_all``) over the packed inverted rows instead
-        of the dict matrix.  Bit-identical either way; purely a
-        performance knob (excluded from :meth:`fingerprint`).
-    packed_topk:
-        With ``kernel="packed"``: rank uncached single-user rows through
-        the bounded-heap top-k kernel instead of materialising the full
-        score dict.  Bit-identical either way; purely a performance knob
-        (excluded from :meth:`fingerprint`).
     packed_spill:
         Optional directory the packed CSR arrays are spilled to
         (:meth:`repro.kernels.PackedRatings.save`).  When set, the
@@ -228,7 +202,6 @@ class RecommenderConfig:
     similarity_cache_size: int = 500_000
     relevance_cache_size: int = 10_000
     group_cache_size: int = 2048
-    serve_workers: int = 1
     exec_backend: str = "serial"
     exec_workers: int = 0
     pool_min_workers: int = 0
@@ -239,9 +212,6 @@ class RecommenderConfig:
     remote_heartbeat_timeout: float = 10.0
     degraded_mode: str = "off"
     index_shards: int = 1
-    kernel: str = "packed"
-    packed_scan: bool = True
-    packed_topk: bool = True
     packed_spill: str = ""
     validation: str = "off"
 
@@ -285,8 +255,6 @@ class RecommenderConfig:
             raise ConfigurationError("relevance_cache_size must be >= 0")
         if self.group_cache_size < 0:
             raise ConfigurationError("group_cache_size must be >= 0")
-        if self.serve_workers <= 0:
-            raise ConfigurationError("serve_workers must be positive")
         if self.exec_backend not in KNOWN_EXEC_BACKENDS:
             raise ConfigurationError(
                 f"unknown exec_backend {self.exec_backend!r}; "
@@ -335,11 +303,6 @@ class RecommenderConfig:
             )
         if self.index_shards <= 0:
             raise ConfigurationError("index_shards must be positive")
-        if self.kernel not in KNOWN_KERNELS:
-            raise ConfigurationError(
-                f"unknown kernel {self.kernel!r}; "
-                f"expected one of {KNOWN_KERNELS}"
-            )
         if not isinstance(self.packed_spill, str):
             raise ConfigurationError(
                 "packed_spill must be a directory path string ('' = off)"

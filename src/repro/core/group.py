@@ -21,7 +21,7 @@ from typing import Sequence
 from ..data.groups import Group
 from ..data.ratings import RatingMatrix
 from ..exceptions import EmptyGroupError
-from ..kernels import DEFAULT_KERNEL, get_packed, items_unrated_by_all_packed
+from ..kernels import get_packed, items_unrated_by_all_packed
 from ..similarity.base import UserSimilarity
 from .aggregation import AggregationStrategy, AverageAggregation, get_aggregation
 from .candidates import GroupCandidates
@@ -55,10 +55,6 @@ class GroupRecommender:
         ``None`` drops such candidates from that member's table (they
         then disappear from the group candidates as well, since every
         member must score every candidate).
-    kernel:
-        ``"packed"`` (default) runs the group candidate scan over the
-        packed CSR view; ``"dict"`` keeps the dict-of-dicts oracle.
-        Results are bit-identical either way.
     """
 
     def __init__(
@@ -71,13 +67,11 @@ class GroupRecommender:
         top_k: int = 10,
         exclude_group_from_peers: bool = True,
         default_score: float | None = None,
-        kernel: str = DEFAULT_KERNEL,
     ) -> None:
         if isinstance(aggregation, str):
             aggregation = get_aggregation(aggregation)
         self.matrix = matrix
         self.similarity = similarity
-        self.kernel = kernel
         self.aggregation: AggregationStrategy = aggregation or AverageAggregation()
         self.top_k = top_k
         self.exclude_group_from_peers = exclude_group_from_peers
@@ -94,14 +88,12 @@ class GroupRecommender:
     def candidate_items(self, group: Group) -> list[str]:
         """Items of the matrix that no group member has rated.
 
-        Both kernels return the same ids in the same (item-insertion)
-        order; the packed path runs the scan in intern space.
+        Scanned in intern space over the packed CSR view; the ids come
+        back in matrix (item-insertion) order.
         """
-        if self.kernel == "packed":
-            return items_unrated_by_all_packed(
-                get_packed(self.matrix), group.member_ids
-            )
-        return self.matrix.items_unrated_by_all(group.member_ids)
+        return items_unrated_by_all_packed(
+            get_packed(self.matrix), group.member_ids
+        )
 
     def member_relevance_table(
         self,

@@ -45,7 +45,7 @@ def build_similarity(
     ``"hybrid"`` → the weighted combination of all three.
     """
     if config.similarity == "ratings":
-        return PearsonRatingSimilarity(dataset.ratings, kernel=config.kernel)
+        return PearsonRatingSimilarity(dataset.ratings)
     if config.similarity == "profile":
         return ProfileSimilarity(dataset.users)
     if config.similarity == "semantic":
@@ -53,7 +53,7 @@ def build_similarity(
     if config.similarity == "hybrid":
         return HybridSimilarity(
             [
-                PearsonRatingSimilarity(dataset.ratings, kernel=config.kernel),
+                PearsonRatingSimilarity(dataset.ratings),
                 ProfileSimilarity(dataset.users),
                 SemanticSimilarity(dataset.users, dataset.ontology),
             ],
@@ -143,7 +143,6 @@ class CaregiverPipeline:
             peer_threshold=config.peer_threshold,
             max_peers=config.max_peers,
             top_k=config.top_k,
-            kernel=config.kernel,
         )
 
     def build_candidates(self, group: Group) -> GroupCandidates:

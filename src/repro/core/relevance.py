@@ -77,11 +77,11 @@ def predict_table(
 ) -> dict[str, float]:
     """Equation 1 over many candidate items for a fixed peer set.
 
-    This is the shared inner loop of :meth:`SingleUserRecommender.predict_items`
-    and of the serving layer's cached relevance rows — both go through
-    this function so warm and cold results are bit-identical.  Items the
-    user already rated keep their actual rating; items with undefined
-    predictions are omitted unless ``default_score`` is given.
+    This is the inner loop of :meth:`SingleUserRecommender.predict_items`;
+    the serving layer's packed row kernel sums each item's peer terms in
+    the same (peer) order, so warm and cold results are bit-identical.
+    Items the user already rated keep their actual rating; items with
+    undefined predictions are omitted unless ``default_score`` is given.
     """
     predictions: dict[str, float] = {}
     for item_id in candidate_items:

@@ -9,13 +9,36 @@ natural interchange format with external recommender datasets).
 from __future__ import annotations
 
 import csv
+import hashlib
 import json
+import os
 from pathlib import Path
 from typing import Any
 
 from ..exceptions import SerializationError
 from .datasets import HealthDataset
 from .ratings import RatingMatrix
+
+
+def atomic_write(path: str | Path, data: bytes | str) -> None:
+    """Write ``data`` to ``path`` through a per-process temp file + rename.
+
+    Readers see either the previous complete file or the new one, never
+    a torn write; the pid in the temp name keeps concurrent writers of
+    the same path off each other's temp file.
+    """
+    path = Path(path)
+    tmp = path.with_name(f"{path.name}.tmp-{os.getpid()}")
+    if isinstance(data, str):
+        data = data.encode("utf-8")
+    tmp.write_bytes(data)
+    os.replace(tmp, path)
+
+
+def canonical_digest(payload: Any) -> str:
+    """16-hex-digit sha256 of ``payload`` as canonical (sorted, compact) JSON."""
+    canonical = json.dumps(payload, sort_keys=True, separators=(",", ":"))
+    return hashlib.sha256(canonical.encode("utf-8")).hexdigest()[:16]
 
 
 def save_json(payload: Any, path: str | Path, indent: int = 2) -> Path:

@@ -21,11 +21,10 @@ paper's hot equations over that layout —
   (:mod:`repro.kernels.spill`), letting pool workers bootstrap by
   opening files instead of receiving a full state ship.
 
-Everything is pure stdlib and **bit-identical** to the dict-of-dicts
-oracle paths (same summation order within every pair); the
-``kernel="packed"|"dict"`` knob on
-:class:`~repro.config.RecommenderConfig` selects between them, with
-``packed`` the default and ``dict`` retained as the oracle.
+These kernels are the only compute path of the library.  Everything is
+pure stdlib and **bit-identical** to the dict-of-dicts Pearson kept in
+:mod:`repro.kernels.oracle` (same summation order within every pair),
+which only tests and benchmarks import.
 """
 
 from __future__ import annotations
@@ -36,15 +35,7 @@ from .relevance import predict_row_packed, predict_table_packed, predict_topk_pa
 from .scan import candidate_ints_unrated_by_all, items_unrated_by_all_packed
 from .spill import SPILL_MANIFEST_NAME, SpillError
 
-#: Kernel implementations selectable via ``RecommenderConfig.kernel``.
-KERNEL_NAMES: tuple[str, ...] = ("packed", "dict")
-
-#: The kernel used when nothing is configured.
-DEFAULT_KERNEL: str = "packed"
-
 __all__ = [
-    "DEFAULT_KERNEL",
-    "KERNEL_NAMES",
     "PackedRatings",
     "SPILL_MANIFEST_NAME",
     "SpillError",

@@ -24,10 +24,11 @@ Layout of a spill directory::
     inv_users.bin     rater ints, all item columns concatenated
     inv_values.bin    raw ratings, parallel to inv_users
 
-Writes mirror the PR-3 snapshot discipline: every file is written to a
-temporary name and atomically renamed, and the manifest is written
-**last**, so a crash mid-save leaves either the previous generation or
-a detectable mismatch — never a silently torn spill.  Opening validates
+Writes share the neighbour-index snapshot discipline: every file goes
+through :func:`~repro.data.serialization.atomic_write` (temp file +
+atomic rename), and the manifest is written **last**, so a crash
+mid-save leaves either the previous generation or a detectable
+mismatch — never a silently torn spill.  Opening validates
 the manifest, the file sizes, the interning tables against the live
 matrix (full id-list compare) and a deterministic sample of rows
 against the matrix values; any disagreement raises :class:`SpillError`
@@ -44,11 +45,11 @@ from __future__ import annotations
 import hashlib
 import json
 import mmap
-import os
 from array import array
 from pathlib import Path
 from typing import Any, Iterator
 
+from ..data.serialization import atomic_write, canonical_digest
 from ..exceptions import SerializationError
 
 #: Identifies the spill layout; bump on incompatible changes.
@@ -119,22 +120,7 @@ def spill_fingerprint_of(
         "items_digest": _ids_digest(item_ids),
         "values_digest": values_digest,
     }
-    canonical = json.dumps(payload, sort_keys=True, separators=(",", ":"))
-    return hashlib.sha256(canonical.encode("utf-8")).hexdigest()[:16]
-
-
-def _atomic_write_bytes(path: Path, blob: bytes) -> None:
-    """Write ``blob`` to ``path`` via a temp file and atomic rename."""
-    tmp = path.with_name(f"{path.name}.tmp-{os.getpid()}")
-    tmp.write_bytes(blob)
-    os.replace(tmp, path)
-
-
-def _atomic_write_json(path: Path, payload: Any) -> None:
-    """Atomically write ``payload`` as JSON."""
-    _atomic_write_bytes(
-        path, json.dumps(payload, separators=(",", ":")).encode("utf-8")
-    )
+    return canonical_digest(payload)
 
 
 def peek_fingerprint(directory: str | Path) -> str | None:
@@ -149,8 +135,10 @@ def peek_fingerprint(directory: str | Path) -> str | None:
     except (OSError, ValueError):
         return None
     if (
-        manifest.get("format") != SPILL_FORMAT
+        not isinstance(manifest, dict)
+        or manifest.get("format") != SPILL_FORMAT
         or manifest.get("version") != SPILL_VERSION
+        or not isinstance(manifest.get("files"), dict)
     ):
         return None
     fingerprint = manifest.get("fingerprint")
@@ -205,9 +193,9 @@ def write_spill(packed: Any, directory: str | Path) -> str:
         "inv_values.bin": flat_inv_values.tobytes(),
     }
     for name, blob in blobs.items():
-        _atomic_write_bytes(target / name, blob)
-    _atomic_write_json(target / "users.json", packed.user_ids)
-    _atomic_write_json(target / "items.json", packed.item_ids)
+        atomic_write(target / name, blob)
+    atomic_write(target / "users.json", json.dumps(packed.user_ids))
+    atomic_write(target / "items.json", json.dumps(packed.item_ids))
     manifest = {
         "format": SPILL_FORMAT,
         "version": SPILL_VERSION,
@@ -218,7 +206,7 @@ def write_spill(packed: Any, directory: str | Path) -> str:
         "long_size": array("l").itemsize,
         "files": {name: len(blob) for name, blob in blobs.items()},
     }
-    _atomic_write_json(target / SPILL_MANIFEST_NAME, manifest)
+    atomic_write(target / SPILL_MANIFEST_NAME, json.dumps(manifest))
     return fingerprint
 
 
@@ -313,6 +301,11 @@ def open_spill(directory: str | Path, matrix: Any) -> dict[str, Any]:
         raise SpillError(f"no spill manifest at {manifest_path}: {exc}") from exc
     except ValueError as exc:
         raise SpillError(f"malformed spill manifest {manifest_path}: {exc}") from exc
+    if not isinstance(manifest, dict):
+        raise SpillError(
+            f"malformed spill manifest {manifest_path}: expected a JSON "
+            f"object, got {type(manifest).__name__}"
+        )
     if manifest.get("format") != SPILL_FORMAT:
         raise SpillError(
             f"{manifest_path} is not a packed spill manifest "
@@ -349,7 +342,12 @@ def open_spill(directory: str | Path, matrix: Any) -> dict[str, Any]:
             f"matrix {len(user_ids)}u/{len(item_ids)}i/"
             f"{matrix.num_ratings}r)"
         )
-    sizes = manifest.get("files") or {}
+    sizes = manifest.get("files")
+    if not isinstance(sizes, dict):
+        raise SpillError(
+            f"malformed spill manifest {manifest_path}: 'files' is not an "
+            f"object of file sizes"
+        )
     views: dict[str, Any] = {}
     for name, typecode in _ARRAY_FILES:
         declared = sizes.get(name)

@@ -3,10 +3,12 @@
 Glues the three jobs of :mod:`repro.mapreduce.jobs` into the full
 pipeline of Section IV:
 
-1. rating triples → Job 1 → candidate items + partial similarity scores;
-2. partial scores → Job 2 → the ``simU`` table (threshold ``δ`` applied) —
-   or, on the default ``"packed"`` kernel, one packed one-vs-many sweep
-   per member replaces the partial-component shuffle outright;
+1. rating triples → Job 1 → candidate items;
+2. group members → Job 2 → the ``simU`` table (threshold ``δ`` applied),
+   one packed one-vs-many sweep per member
+   (:func:`~repro.mapreduce.jobs.make_packed_similarity_job`) in place of
+   the paper's partial-component shuffle, which
+   :func:`~repro.mapreduce.jobs.make_job2` still implements;
 3. candidate items + similarity table → Job 3 → per-member and group
    relevance for every candidate;
 4. (optional) the distributed top-k job of [5] ranks the group scores;
@@ -30,11 +32,9 @@ from ..core.relevance import ScoredItem
 from ..data.groups import Group
 from ..data.ratings import RatingMatrix
 from ..exec import ExecutionBackend
-from ..kernels import DEFAULT_KERNEL, KERNEL_NAMES
 from .engine import JobCounters, MapReduceEngine
 from .jobs import (
     make_job1,
-    make_job2,
     make_job3,
     make_packed_similarity_job,
     packed_similarity_input,
@@ -80,14 +80,6 @@ class MapReduceGroupRecommender:
         engine phases run on.  Note the jobs' mapper/reducer closures
         capture group state, so the pool backend cannot pickle them —
         use serial or thread here.
-    kernel:
-        ``"packed"`` (default) replaces the pair-partial similarity
-        route with :func:`~repro.mapreduce.jobs.make_packed_similarity_job`:
-        Job 1 emits candidates only and Job 2 computes each member's
-        row in one packed kernel sweep.  ``"dict"`` keeps the
-        paper-literal partial-component shuffle.  Scores agree to
-        float-summation order (last ulp); candidates and counters keys
-        are identical.
     """
 
     def __init__(
@@ -99,21 +91,15 @@ class MapReduceGroupRecommender:
         min_common_items: int = 2,
         num_partitions: int = 4,
         backend: "ExecutionBackend | str | None" = None,
-        kernel: str = DEFAULT_KERNEL,
     ) -> None:
         if isinstance(aggregation, str):
             aggregation = get_aggregation(aggregation)
-        if kernel not in KERNEL_NAMES:
-            raise ValueError(
-                f"unknown kernel {kernel!r}; expected one of {KERNEL_NAMES}"
-            )
         self.matrix = matrix
         self.peer_threshold = peer_threshold
         self.aggregation = aggregation
         self.top_k = top_k
         self.min_common_items = min_common_items
         self.num_partitions = num_partitions
-        self.kernel = kernel
         self.engine = MapReduceEngine(backend=backend)
 
     def close(self) -> None:
@@ -131,48 +117,31 @@ class MapReduceGroupRecommender:
     def run(self, group: Group, use_mapreduce_topk: bool = False) -> MapReduceRunResult:
         """Run Jobs 1–3 (and optionally the top-k job) for ``group``."""
         counters: dict[str, JobCounters] = {}
-        packed_route = self.kernel == "packed"
-        # The packed route never reads per-user means (the kernel
-        # precomputes them inside the CSR view); skip the O(ratings)
-        # side-input pass entirely.
-        user_means = (
-            {}
-            if packed_route
-            else {
-                user_id: self.matrix.mean_rating(user_id)
-                for user_id in self.matrix.user_ids()
-            }
-        )
         input_pairs = ratings_to_item_pairs(self.matrix.triples())
 
+        # Job 1 emits candidates only: the packed similarity job reads
+        # per-user means from the CSR view, so no mean side input and no
+        # partial components are needed.
         job1 = make_job1(
             group.member_ids,
-            user_means,
+            {},
             num_partitions=self.num_partitions,
-            emit_partials=not packed_route,
+            emit_partials=False,
         )
         job1_result = self.engine.run(job1, input_pairs)
         counters["job1"] = job1_result.counters
-        candidate_pairs, partial_pairs = split_job1_output(job1_result.output)
+        candidate_pairs, _ = split_job1_output(job1_result.output)
 
-        if packed_route:
-            job2 = make_packed_similarity_job(
-                self.matrix,
-                group.member_ids,
-                self.peer_threshold,
-                min_common_items=self.min_common_items,
-                num_partitions=self.num_partitions,
-            )
-            job2_result = self.engine.run(
-                job2, packed_similarity_input(group.member_ids)
-            )
-        else:
-            job2 = make_job2(
-                self.peer_threshold,
-                min_common_items=self.min_common_items,
-                num_partitions=self.num_partitions,
-            )
-            job2_result = self.engine.run(job2, partial_pairs)
+        job2 = make_packed_similarity_job(
+            self.matrix,
+            group.member_ids,
+            self.peer_threshold,
+            min_common_items=self.min_common_items,
+            num_partitions=self.num_partitions,
+        )
+        job2_result = self.engine.run(
+            job2, packed_similarity_input(group.member_ids)
+        )
         counters["job2"] = job2_result.counters
         similarities = similarity_table(job2_result.output)
 

@@ -36,10 +36,7 @@ from .server import OverloadedError, RequestServer
 from .service import RecommendationService
 from .sharding import ShardedNeighborIndex, shard_of
 from .snapshot import (
-    is_sharded_snapshot_path,
-    load_index_snapshot,
     load_sharded_snapshot,
-    save_index_snapshot,
     save_sharded_snapshot,
     snapshot_fingerprint,
 )
@@ -53,13 +50,10 @@ __all__ = [
     "RequestServer",
     "ServeRequest",
     "ShardedNeighborIndex",
-    "is_sharded_snapshot_path",
     "iter_requests",
-    "load_index_snapshot",
     "load_requests",
     "load_sharded_snapshot",
     "parse_request",
-    "save_index_snapshot",
     "save_requests",
     "save_sharded_snapshot",
     "shard_of",

@@ -331,10 +331,7 @@ class CachedSimilarity(UserSimilarity):
         maker = getattr(self.inner, "with_private_packed", None)
         if not callable(maker):
             return self
-        inner_clone = maker()
-        if inner_clone is self.inner:
-            return self
-        return CachedSimilarity(inner_clone, self.cache)
+        return CachedSimilarity(maker(), self.cache)
 
     def invalidate_user(self, user_id: str) -> None:
         """Drop every cached pair involving ``user_id`` and inner state."""

@@ -22,15 +22,16 @@ façade:
   on a thread pool.
 
 Warm results are bit-identical to the cold
-:class:`~repro.core.pipeline.CaregiverPipeline`: both go through the
-same peer ordering and the same Equation 1 inner loop
-(:func:`~repro.core.relevance.predict_table`).
+:class:`~repro.core.pipeline.CaregiverPipeline`: both use the same peer
+ordering, and the warm rows' Equation 1 kernel
+(:func:`~repro.kernels.predict_row_packed`) sums each item's peer terms
+in the same order as the cold path's
+:func:`~repro.core.relevance.predict_table`.
 """
 
 from __future__ import annotations
 
 import json
-import os
 import threading
 import time
 import weakref
@@ -46,9 +47,10 @@ from ..core.pipeline import (
     build_similarity,
 )
 from ..core.aggregation import get_aggregation
-from ..core.relevance import ScoredItem, predict_table, rank_items
+from ..core.relevance import ScoredItem, rank_items
 from ..data.datasets import HealthDataset
 from ..data.groups import Group
+from ..data.serialization import atomic_write
 from ..data.users import User
 from ..exceptions import ExecutionError, ValidationError
 from ..exec import (
@@ -74,10 +76,7 @@ from .cache import CachedSimilarity, ScoreCache
 from .index import NeighborIndex
 from .sharding import ShardedNeighborIndex
 from .snapshot import (
-    is_sharded_snapshot_path,
-    load_index_snapshot,
     load_sharded_snapshot,
-    save_index_snapshot,
     save_sharded_snapshot,
     snapshot_fingerprint,
 )
@@ -311,9 +310,8 @@ class RecommendationService:
     config:
         Recommendation parameters; also supplies the cache sizes
         (``similarity_cache_size``, ``relevance_cache_size``), the
-        default batch width (``serve_workers``), the execution backend
-        (``exec_backend``/``exec_workers``) and the index sharding
-        (``index_shards``).
+        execution backend (``exec_backend``/``exec_workers``) and the
+        index sharding (``index_shards``).
     selector:
         Fairness-aware selection algorithm name (as in the pipeline).
     similarity:
@@ -375,9 +373,7 @@ class RecommendationService:
         # the published arrays, otherwise they repack from their own
         # replayed deltas.
         self._spill_writer = spill_writer
-        if config.kernel != "packed":
-            self._packed = None
-        elif config.packed_spill:
+        if config.packed_spill:
             # Reuse the on-disk spill when it matches this matrix
             # (service restart, worker bootstrap); any mismatch falls
             # back to an in-memory pack, which the publish below then
@@ -615,9 +611,9 @@ class RecommendationService:
         no-op when the on-disk fingerprint already matches), the
         dataset JSON augmented with the matrix's interning orders, and
         an empty mutation journal (the published state *is* the
-        journal's base).  Files are written atomically (tmp +
-        ``os.replace``), so a worker opening mid-publish sees the old
-        complete file, never a torn one.
+        journal's base).  Files are written atomically
+        (:func:`~repro.data.serialization.atomic_write`), so a worker
+        opening mid-publish sees the old complete file, never a torn one.
         """
         directory = Path(self.config.packed_spill)
         directory.mkdir(parents=True, exist_ok=True)
@@ -625,12 +621,8 @@ class RecommendationService:
         payload = self.dataset.to_dict()
         payload["ratings"]["user_order"] = self.matrix.user_ids()
         payload["ratings"]["item_order"] = self.matrix.item_ids()
-        tmp = directory / f"{SPILL_DATASET_NAME}.tmp-{os.getpid()}"
-        tmp.write_text(json.dumps(payload), encoding="utf-8")
-        os.replace(tmp, directory / SPILL_DATASET_NAME)
-        tmp = directory / f"{SPILL_JOURNAL_NAME}.tmp-{os.getpid()}"
-        tmp.write_text("", encoding="utf-8")
-        os.replace(tmp, directory / SPILL_JOURNAL_NAME)
+        atomic_write(directory / SPILL_DATASET_NAME, json.dumps(payload))
+        atomic_write(directory / SPILL_JOURNAL_NAME, "")
 
     def _journal_delta(self, delta: tuple) -> None:
         """Append one mutation delta to the spill journal (writer only).
@@ -657,28 +649,16 @@ class RecommendationService:
         shards = getattr(self.index, "shards", None)
         return list(shards) if shards else [self.index]
 
-    def save_snapshot(
-        self, path: str | Path, per_shard: bool | None = None
-    ) -> Path:
-        """Persist the warm neighbour-index rows to ``path``.
+    def save_snapshot(self, path: str | Path) -> Path:
+        """Persist the warm neighbour-index rows to the directory ``path``.
 
-        ``per_shard=None`` picks the layout from the path: a directory
-        (or a suffix-less path) gets the per-shard manifest layout,
-        anything else the legacy single JSON file.  Per-shard saves are
-        incremental — repeating a save after an update only rewrites
-        the shards whose rows actually changed.
+        The layout is a manifest plus one file per index shard (a flat
+        index is one shard; see :mod:`repro.serving.snapshot`).  Saves
+        are incremental — repeating a save after an update only
+        rewrites the shards whose rows actually changed.
         """
         path = Path(path)
-        if per_shard is None:
-            per_shard = is_sharded_snapshot_path(path)
         with self._data_lock.read():
-            if not per_shard:
-                return save_index_snapshot(
-                    self.index.snapshot_rows(),
-                    path,
-                    self.snapshot_fingerprint(),
-                    num_shards=getattr(self.index, "num_shards", 1),
-                )
             shards = self._index_shards()
             versions = [shard.version for shard in shards]
             key = str(path.resolve())
@@ -703,30 +683,26 @@ class RecommendationService:
     def load_snapshot(self, path: str | Path) -> int:
         """Restore the neighbour index from a snapshot; returns rows loaded.
 
-        Accepts both layouts (a per-shard directory is detected by the
-        path being a directory).  Raises
-        :class:`~repro.exceptions.SnapshotError` when the snapshot's
-        fingerprint does not match this service's config semantics and
-        dataset shape — serving from a stale index would silently
-        change recommendations — or when any shard file is missing,
-        corrupt, or out of step with its manifest.
+        The snapshot directory loads into flat and sharded indexes
+        alike.  Raises :class:`~repro.exceptions.SnapshotError` when the
+        snapshot's fingerprint does not match this service's config
+        semantics and dataset shape — serving from a stale index would
+        silently change recommendations — when any shard file is
+        missing, corrupt, or out of step with its manifest, or when
+        ``path`` is a regular file rather than a snapshot directory.
         """
         path = Path(path)
-        if path.is_dir():
-            rows = load_sharded_snapshot(
-                path, self.snapshot_fingerprint(), self.config.fingerprint()
-            )
-            with self._data_lock.write():
-                loaded = self.index.load_rows(rows)
-                # The directory now mirrors the in-memory rows: a save
-                # back to it before any update can skip every shard.
-                self._snapshot_versions[str(path.resolve())] = [
-                    shard.version for shard in self._index_shards()
-                ]
-                return loaded
-        rows = load_index_snapshot(path, self.snapshot_fingerprint())
+        rows = load_sharded_snapshot(
+            path, self.snapshot_fingerprint(), self.config.fingerprint()
+        )
         with self._data_lock.write():
-            return self.index.load_rows(rows)
+            loaded = self.index.load_rows(rows)
+            # The directory now mirrors the in-memory rows: a save back
+            # to it before any update can skip every shard.
+            self._snapshot_versions[str(path.resolve())] = [
+                shard.version for shard in self._index_shards()
+            ]
+            return loaded
 
     # -- relevance rows ------------------------------------------------------
 
@@ -770,17 +746,11 @@ class RecommendationService:
         peers = self.index.peers_excluding(
             user_id, exclude, max_peers=self.config.max_peers
         )
-        peer_similarities = peers_as_mapping(peers)
-        if self._packed is not None:
-            # One pass over the packed row in intern space: the unrated
-            # set is derived from the CSR row itself (no string-keyed
-            # unrated_items scan, no candidate-list decode/re-encode).
-            return predict_row_packed(self._packed, user_id, peer_similarities)
-        candidate_items = self.matrix.unrated_items(
-            user_id, self.matrix.item_ids()
-        )
-        return predict_table(
-            self.matrix, user_id, peer_similarities, candidate_items
+        # One pass over the packed row in intern space: the unrated set
+        # is derived from the CSR row itself (no string-keyed
+        # unrated_items scan, no candidate-list decode/re-encode).
+        return predict_row_packed(
+            self._packed, user_id, peers_as_mapping(peers)
         )
 
     # -- single-user requests ------------------------------------------------
@@ -804,11 +774,7 @@ class RecommendationService:
         if deadline is not None:
             deadline.check(f"recommend_user({user_id!r})")
         started = time.perf_counter()
-        if (
-            self._packed is not None
-            and self.config.packed_topk
-            and self.config.relevance_cache_size == 0
-        ):
+        if self.config.relevance_cache_size == 0:
             # Streaming top-k: with no relevance cache to warm there is
             # no reason to materialise the full row — the packed kernel
             # feeds a bounded heap directly.  Output is bit-identical
@@ -888,18 +854,12 @@ class RecommendationService:
             self._record("group", started, "group_requests")
             return cached
         with self._data_lock.read():
-            if self._packed is not None and self.config.packed_scan:
-                # Packed candidate scan: one bytearray mask over the
-                # member rows, decoded to strings once at the end —
-                # same items, same (matrix insertion) order as the
-                # dict-path scan below.
-                candidate_items = items_unrated_by_all_packed(
-                    self._packed, group.member_ids
-                )
-            else:
-                candidate_items = self.matrix.items_unrated_by_all(
-                    group.member_ids
-                )
+            # Packed candidate scan: one bytearray mask over the member
+            # rows, decoded to strings once at the end, in matrix
+            # (item insertion) order.
+            candidate_items = items_unrated_by_all_packed(
+                self._packed, group.member_ids
+            )
             table: dict[str, dict[str, float]] = {}
             for member_id in group:
                 others = [uid for uid in group.member_ids if uid != member_id]
@@ -942,8 +902,8 @@ class RecommendationService:
         Identical groups in the batch are computed once; overlapping
         groups share peer rows and relevance rows through the caches.
         The distinct groups fan out on an execution backend — explicit
-        ``backend`` argument first, then the service backend, then (for
-        backward compatibility) a thread pool when ``workers > 1``:
+        ``backend`` argument first, then the service backend, then a
+        thread pool when a serial service is asked for ``workers > 1``:
 
         * **thread** — requests run as parallel readers against the
           shared caches and index; a concurrent :meth:`ingest_rating` /
@@ -1044,8 +1004,7 @@ class RecommendationService:
                 # default — spin up a same-kind backend for this batch.
                 return self._make_backend(self.backend.name, workers), True
             return self.backend, False
-        workers = workers or self.config.serve_workers
-        if workers > 1:
+        if workers is not None and workers > 1:
             return ThreadBackend(workers), True
         return SerialBackend(), False
 
@@ -1062,8 +1021,8 @@ class RecommendationService:
         (unwrapped from its cache) — a custom similarity must survive
         the process hop or bit-identity silently breaks.
 
-        With a packed spill published (``config.packed_spill`` on the
-        packed kernel) the dataset and measure are replaced by ``None``
+        With a packed spill published (``config.packed_spill``) the
+        dataset and measure are replaced by ``None``
         sentinels: workers bootstrap from the spill directory (mmap'd
         CSR arrays + dataset JSON + journal) and rebuild the
         config-selected measure locally, so the initargs stop carrying
@@ -1072,11 +1031,7 @@ class RecommendationService:
         config-constructible measures.
         """
         if self._serve_initargs is None:
-            spill_boot = (
-                bool(self.config.packed_spill)
-                and self.config.kernel == "packed"
-                and self._spill_writer
-            )
+            spill_boot = bool(self.config.packed_spill) and self._spill_writer
             self._serve_initargs = (
                 None if spill_boot else self.dataset,
                 # Workers skip response validation: the parent validates
@@ -1086,7 +1041,6 @@ class RecommendationService:
                 self.config.with_overrides(
                     exec_backend="serial",
                     exec_workers=0,
-                    serve_workers=1,
                     validation="off",
                 ),
                 self.selector_name,
@@ -1178,8 +1132,7 @@ class RecommendationService:
             # touched inverted-index entries) on its next kernel call —
             # marked here so the repack happens even when the active
             # measure is not ratings-backed.
-            if self._packed is not None:
-                self._packed.mark_dirty(user_id)
+            self._packed.mark_dirty(user_id)
             # Ratings-only invalidation: profile/semantic components
             # keep their state, a TF-IDF corpus refit is not triggered.
             self.similarity.invalidate_user_ratings(user_id)

@@ -12,23 +12,21 @@ module snapshots those rows and restores them, with two guards:
   similarity measure or dataset is *stale* and is rejected with
   :class:`~repro.exceptions.SnapshotError` rather than silently served.
 
-Two layouts exist:
-
-* a **single JSON file** (:func:`save_index_snapshot` /
-  :func:`load_index_snapshot`) — simple, rewritten wholesale on every
-  save;
-* a **per-shard directory** (:func:`save_sharded_snapshot` /
-  :func:`load_sharded_snapshot`) — a ``manifest.json`` plus one
-  ``shard-NNNN.json`` per shard.  Saves are *incremental*: a shard
-  whose rows did not change since the last save is not re-serialised
-  or rewritten.  Every shard file carries the fingerprint and the
-  manifest records each shard's content checksum, so a torn save
-  (crash between shard writes and the manifest write), a truncated
-  file, or a missing shard is detected at load time instead of being
-  silently served.  Shard files are written to a temporary name and
-  atomically renamed; the manifest is written **last**, so a crash
-  mid-save leaves the previous manifest either fully consistent or
-  detectably out of step with the shard files.
+A snapshot is a **directory** (:func:`save_sharded_snapshot` /
+:func:`load_sharded_snapshot`): a ``manifest.json`` plus one
+``shard-NNNN.json`` per index shard — a flat index is one shard, and
+either index kind loads any shard count.  Saves are *incremental*: a
+shard whose rows did not change since the last save is not
+re-serialised or rewritten.  Every shard file carries the fingerprint
+and the manifest records each shard's content checksum, so a torn save
+(crash between shard writes and the manifest write), a truncated file,
+or a missing shard is detected at load time instead of being silently
+served.  Shard files are written atomically
+(:func:`~repro.data.serialization.atomic_write`); the manifest is
+written **last**, so a crash mid-save leaves the previous manifest
+either fully consistent or detectably out of step with the shard files.
+A snapshot path that is a regular file (such as a snapshot from the
+retired single-file layout) is rejected with :class:`SnapshotError`.
 
 Scores round-trip bit-identically: ``json`` serialises floats with
 ``repr``, Python's shortest round-trippable representation.
@@ -36,23 +34,20 @@ Scores round-trip bit-identically: ``json`` serialises floats with
 
 from __future__ import annotations
 
-import hashlib
 import json
-import os
 from pathlib import Path
 from typing import Any, Callable, Mapping, Sequence
 
 from ..config import RecommenderConfig
 from ..data.datasets import HealthDataset
-from ..data.serialization import load_json, save_json
+from ..data.serialization import atomic_write, canonical_digest, load_json
 from ..exceptions import SerializationError, SnapshotError
 from ..similarity.peers import Peer
 
-#: Identifies the payload layout; bump on incompatible changes.
-SNAPSHOT_FORMAT = "repro.neighbor-index"
+#: Layout version of the snapshot files; bump on incompatible changes.
 SNAPSHOT_VERSION = 1
 
-#: Layout markers of the per-shard directory snapshot.
+#: Layout markers of the snapshot directory.
 MANIFEST_FORMAT = "repro.neighbor-index-manifest"
 SHARD_FORMAT = "repro.neighbor-index-shard"
 MANIFEST_NAME = "manifest.json"
@@ -76,12 +71,11 @@ def snapshot_fingerprint(
         "items": dataset.num_items,
         "ratings": dataset.num_ratings,
     }
-    canonical = json.dumps(payload, sort_keys=True, separators=(",", ":"))
-    return hashlib.sha256(canonical.encode("utf-8")).hexdigest()[:16]
+    return canonical_digest(payload)
 
 
 def _encode_rows(rows: Mapping[str, Any]) -> dict[str, list[list[Any]]]:
-    """Peer rows → the plain-list JSON layout shared by both formats."""
+    """Peer rows → the plain-list JSON layout of a shard file."""
     return {
         user_id: [[peer.user_id, peer.similarity] for peer in row]
         for user_id, row in rows.items()
@@ -111,10 +105,7 @@ def rows_checksum(encoded_rows: Mapping[str, Any]) -> str:
     checksum disagrees was torn, truncated after the manifest was
     written, or belongs to a different save generation.
     """
-    canonical = json.dumps(
-        encoded_rows, sort_keys=True, separators=(",", ":")
-    )
-    return hashlib.sha256(canonical.encode("utf-8")).hexdigest()[:16]
+    return canonical_digest(encoded_rows)
 
 
 def shard_file_name(index: int) -> str:
@@ -122,83 +113,17 @@ def shard_file_name(index: int) -> str:
     return f"shard-{index:04d}.json"
 
 
-def is_sharded_snapshot_path(path: str | Path) -> bool:
-    """Whether ``path`` names a per-shard snapshot directory.
-
-    A path that exists as a directory, or a non-existing path without a
-    file suffix, selects the per-shard layout; anything else (the
-    conventional ``*.json``) selects the single-file layout.
-    """
-    path = Path(path)
-    if path.is_dir():
-        return True
-    return not path.exists() and path.suffix == ""
-
-
-def _atomic_save_json(payload: Any, path: Path) -> None:
-    """Write JSON via a temp file + rename so readers never see a tear."""
-    tmp = path.with_name(path.name + ".tmp")
-    save_json(payload, tmp)
-    os.replace(tmp, path)
-
-
-def save_index_snapshot(
-    rows: Mapping[str, list[Peer]],
-    path: str | Path,
-    fingerprint: str,
-    num_shards: int = 1,
-) -> Path:
-    """Write the peer rows to ``path`` as a versioned JSON snapshot."""
-    payload: dict[str, Any] = {
-        "format": SNAPSHOT_FORMAT,
-        "version": SNAPSHOT_VERSION,
-        "fingerprint": fingerprint,
-        "num_shards": num_shards,
-        "rows": _encode_rows(rows),
-    }
-    return save_json(payload, path)
-
-
-def load_index_snapshot(
-    path: str | Path, fingerprint: str
-) -> dict[str, list[Peer]]:
-    """Load and validate a snapshot written by :func:`save_index_snapshot`.
-
-    Raises :class:`SnapshotError` when the file is not an index
-    snapshot, uses an unsupported version, or was built under a
-    different fingerprint (config semantics or dataset shape changed).
-    """
-    try:
-        payload = load_json(path)
-    except SerializationError as exc:
-        raise SnapshotError(f"cannot read snapshot {path}: {exc}") from exc
-    if not isinstance(payload, dict) or payload.get("format") != SNAPSHOT_FORMAT:
+def _snapshot_dir(path: str | Path) -> Path:
+    """``path`` as a snapshot directory; a regular file there is an error."""
+    directory = Path(path)
+    if directory.exists() and not directory.is_dir():
         raise SnapshotError(
-            f"{path} is not a neighbor-index snapshot "
-            f"(format={payload.get('format')!r} "
-            f"expected {SNAPSHOT_FORMAT!r})"
-            if isinstance(payload, dict)
-            else f"{path} is not a neighbor-index snapshot"
+            f"snapshot path {directory} is a regular file, not a snapshot "
+            f"directory (the single-file snapshot layout is no longer "
+            f"read) — remove it or choose another path, then re-save the "
+            f"snapshot from a warm service"
         )
-    if payload.get("version") != SNAPSHOT_VERSION:
-        raise SnapshotError(
-            f"snapshot {path} has version {payload.get('version')!r}; "
-            f"this build reads version {SNAPSHOT_VERSION}"
-        )
-    found = payload.get("fingerprint")
-    if found != fingerprint:
-        raise SnapshotError(
-            f"snapshot {path} is stale: fingerprint {found!r} does not "
-            f"match the current config/dataset {fingerprint!r} — rebuild "
-            f"the index and re-save"
-        )
-    rows = payload.get("rows")
-    if not isinstance(rows, Mapping):
-        raise SnapshotError(f"malformed snapshot {path}: no row mapping")
-    return _decode_rows(rows, path)
-
-
-# -- per-shard directory snapshots -------------------------------------------
+    return directory
 
 
 def save_sharded_snapshot(
@@ -232,7 +157,7 @@ def save_sharded_snapshot(
     rewrites the shard regardless.  The manifest is written last, via
     an atomic rename, so a crash mid-save is detectable at load time.
     """
-    directory = Path(directory)
+    directory = _snapshot_dir(directory)
     directory.mkdir(parents=True, exist_ok=True)
     num_shards = len(rows_by_shard)
     previous = _reusable_manifest(directory, config_fingerprint, num_shards)
@@ -252,28 +177,32 @@ def save_sharded_snapshot(
             continue
         encoded = _encode_rows(rows() if callable(rows) else rows)
         checksum = rows_checksum(encoded)
-        _atomic_save_json(
-            {
-                "format": SHARD_FORMAT,
-                "version": SNAPSHOT_VERSION,
-                "fingerprint": config_fingerprint,
-                "shard": index,
-                "num_shards": num_shards,
-                "rows": encoded,
-            },
+        atomic_write(
             shard_path,
+            json.dumps(
+                {
+                    "format": SHARD_FORMAT,
+                    "version": SNAPSHOT_VERSION,
+                    "fingerprint": config_fingerprint,
+                    "shard": index,
+                    "num_shards": num_shards,
+                    "rows": encoded,
+                }
+            ),
         )
         entries.append({"file": name, "rows": len(encoded), "checksum": checksum})
-    _atomic_save_json(
-        {
-            "format": MANIFEST_FORMAT,
-            "version": SNAPSHOT_VERSION,
-            "fingerprint": fingerprint,
-            "config_fingerprint": config_fingerprint,
-            "num_shards": num_shards,
-            "shards": entries,
-        },
+    atomic_write(
         directory / MANIFEST_NAME,
+        json.dumps(
+            {
+                "format": MANIFEST_FORMAT,
+                "version": SNAPSHOT_VERSION,
+                "fingerprint": fingerprint,
+                "config_fingerprint": config_fingerprint,
+                "num_shards": num_shards,
+                "shards": entries,
+            }
+        ),
     )
     return directory
 
@@ -305,21 +234,28 @@ def _reusable_manifest(
     entries = payload.get("shards")
     if not isinstance(entries, list) or len(entries) != num_shards:
         return None
+    if not all(
+        isinstance(entry, dict) and entry.get("file") == shard_file_name(index)
+        for index, entry in enumerate(entries)
+    ):
+        return None
     return entries
 
 
 def load_sharded_snapshot(
     directory: str | Path, fingerprint: str, config_fingerprint: str
 ) -> dict[str, list[Peer]]:
-    """Load and validate a per-shard snapshot directory.
+    """Load and validate a snapshot directory.
 
-    Every shard is checked independently: the file must exist, parse,
-    carry the shard format and the expected fingerprint, and hash to
-    the checksum the manifest recorded for it.  Any violation raises
+    The manifest must be an object whose every shard entry is an
+    object naming its conventional :func:`shard_file_name`.  Every
+    shard is checked independently: the file must exist, parse, carry
+    the shard format, layout version and expected fingerprint, and hash
+    to the checksum the manifest recorded for it.  Any violation raises
     :class:`SnapshotError` naming the offending file and the repair
     (re-save from a warm service) — partial state is never returned.
     """
-    directory = Path(directory)
+    directory = _snapshot_dir(directory)
     manifest_path = directory / MANIFEST_NAME
     try:
         manifest = load_json(manifest_path)
@@ -355,7 +291,14 @@ def load_sharded_snapshot(
         )
     rows: dict[str, list[Peer]] = {}
     for index, entry in enumerate(entries):
-        shard_path = directory / entry.get("file", shard_file_name(index))
+        name = shard_file_name(index)
+        if not isinstance(entry, dict) or entry.get("file") != name:
+            raise SnapshotError(
+                f"snapshot manifest {manifest_path} is malformed: shard "
+                f"entry {index} is {entry!r}, expected an object naming "
+                f"{name!r} — re-save the snapshot"
+            )
+        shard_path = directory / name
         if not shard_path.exists():
             raise SnapshotError(
                 f"snapshot shard file {shard_path} is missing — the "
@@ -374,6 +317,12 @@ def load_sharded_snapshot(
             raise SnapshotError(
                 f"{shard_path} is not a neighbor-index shard file "
                 f"(expected format {SHARD_FORMAT!r})"
+            )
+        if shard.get("version") != SNAPSHOT_VERSION:
+            raise SnapshotError(
+                f"snapshot shard {shard_path} has version "
+                f"{shard.get('version')!r}; this build reads version "
+                f"{SNAPSHOT_VERSION}"
             )
         if shard.get("fingerprint") != config_fingerprint:
             raise SnapshotError(

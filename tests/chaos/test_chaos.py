@@ -210,7 +210,6 @@ class TestSpillFileCorruption:
         config = _config(
             exec_backend="pool",
             exec_workers=2,
-            serve_workers=2,
             group_cache_size=0,
             relevance_cache_size=0,
             packed_spill=str(tmp_path),
@@ -264,7 +263,6 @@ class TestWorkerKillMatrix:
         config = _config(
             exec_backend="pool",
             exec_workers=2,
-            serve_workers=2,
             group_cache_size=0,
             relevance_cache_size=0,
             index_shards=shards,
@@ -319,8 +317,11 @@ class TestWorkerKillMatrix:
 class TestMutationInterleaveParity:
     """Mutations between in-flight batches, across the backend matrix."""
 
+    #: ``("serial", 1)`` is the reference; ``("thread", 1)`` runs each
+    #: batch's groups as concurrent readers on a 2-thread pool.
     MATRIX = (
         ("serial", 1),
+        ("thread", 1),
         ("pool", 1),
         ("pool", 3),
     )
@@ -329,7 +330,6 @@ class TestMutationInterleaveParity:
         config = _config(
             exec_backend=backend,
             exec_workers=2,
-            serve_workers=2,
             index_shards=shards,
             validation="strict" if backend != "serial" or shards != 1 else "off",
         )

@@ -168,7 +168,6 @@ class TestDegradedService:
         service = RecommendationService(
             HealthDataset.from_dict(payload),
             _config(
-                serve_workers=2,
                 group_cache_size=0,
                 relevance_cache_size=0,
             ),

@@ -203,7 +203,6 @@ class TestWorkerKillRequeue:
         config = _config(
             exec_backend="remote",
             exec_workers=2,
-            serve_workers=2,
             group_cache_size=0,
             relevance_cache_size=0,
             validation="strict",

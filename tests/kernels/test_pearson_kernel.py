@@ -2,7 +2,9 @@
 
 from __future__ import annotations
 
+import ast
 import random
+from pathlib import Path
 
 import pytest
 
@@ -13,6 +15,7 @@ from repro.kernels import (
     pearson_one_vs_many,
     pearson_pair,
 )
+from repro.kernels.oracle import DictPearsonSimilarity
 from repro.similarity.ratings_sim import PearsonRatingSimilarity
 
 
@@ -30,11 +33,11 @@ def random_matrix(seed: int, users: int = 15, items: int = 20) -> RatingMatrix:
 @pytest.mark.parametrize("common_mean", [False, True])
 def test_pair_scores_bit_identical_to_oracle(seed, min_common, common_mean):
     matrix = random_matrix(seed)
-    oracle = PearsonRatingSimilarity(
-        matrix, min_common, mean_over_common_only=common_mean, kernel="dict"
+    oracle = DictPearsonSimilarity(
+        matrix, min_common, mean_over_common_only=common_mean
     )
     packed_measure = PearsonRatingSimilarity(
-        matrix, min_common, mean_over_common_only=common_mean, kernel="packed"
+        matrix, min_common, mean_over_common_only=common_mean
     )
     users = matrix.user_ids()
     for user_a in users:
@@ -46,8 +49,8 @@ def test_pair_scores_bit_identical_to_oracle(seed, min_common, common_mean):
 @pytest.mark.parametrize("seed", [2, 9])
 def test_batched_rows_bit_identical_to_oracle(seed):
     matrix = random_matrix(seed)
-    oracle = PearsonRatingSimilarity(matrix, kernel="dict")
-    packed_measure = PearsonRatingSimilarity(matrix, kernel="packed")
+    oracle = DictPearsonSimilarity(matrix)
+    packed_measure = PearsonRatingSimilarity(matrix)
     users = matrix.user_ids()
     for user_id in users:
         assert packed_measure.similarities(user_id, users) == oracle.similarities(
@@ -57,8 +60,8 @@ def test_batched_rows_bit_identical_to_oracle(seed):
 
 def test_parity_through_interleaved_mutations():
     matrix = random_matrix(4)
-    oracle = PearsonRatingSimilarity(matrix, kernel="dict")
-    packed_measure = PearsonRatingSimilarity(matrix, kernel="packed")
+    oracle = DictPearsonSimilarity(matrix)
+    packed_measure = PearsonRatingSimilarity(matrix)
     rng = random.Random(77)
     for step in range(15):
         user = f"u{rng.randrange(17)}"
@@ -75,8 +78,8 @@ def test_parity_through_interleaved_mutations():
 
 def test_parity_after_removal():
     matrix = random_matrix(6)
-    oracle = PearsonRatingSimilarity(matrix, kernel="dict")
-    packed_measure = PearsonRatingSimilarity(matrix, kernel="packed")
+    oracle = DictPearsonSimilarity(matrix)
+    packed_measure = PearsonRatingSimilarity(matrix)
     users = matrix.user_ids()
     packed_measure.similarities(users[0], users)  # force the initial pack
     victim = users[1]
@@ -93,7 +96,7 @@ def test_parity_after_removal():
 
 def test_unknown_and_self_candidates():
     matrix = random_matrix(3)
-    measure = PearsonRatingSimilarity(matrix, kernel="packed")
+    measure = PearsonRatingSimilarity(matrix)
     users = matrix.user_ids()
     scores = measure.similarities(users[0], [users[0], users[1], "ghost"])
     assert users[0] not in scores
@@ -104,7 +107,7 @@ def test_unknown_and_self_candidates():
 
 def test_empty_candidate_list():
     matrix = random_matrix(3)
-    measure = PearsonRatingSimilarity(matrix, kernel="packed")
+    measure = PearsonRatingSimilarity(matrix)
     assert measure.similarities(matrix.user_ids()[0], []) == {}
 
 
@@ -131,13 +134,43 @@ def test_kernel_functions_on_raw_packed_view():
         ]
     )
     packed = PackedRatings(matrix)
-    oracle = PearsonRatingSimilarity(matrix, kernel="dict")
+    oracle = DictPearsonSimilarity(matrix)
     assert pearson_pair(packed, "a", "b") == oracle.similarity("a", "b")
     assert pearson_pair(packed, "a", "c") == 0.0  # below min_common_items
     batch = pearson_one_vs_many(packed, "a", ["b", "c"])
     assert batch == oracle.similarities("a", ["b", "c"])
 
 
-def test_invalid_kernel_name_rejected():
-    with pytest.raises(ValueError):
-        PearsonRatingSimilarity(RatingMatrix(), kernel="simd")
+
+def _imported_modules(path: Path, package: str) -> set[str]:
+    """Absolute names of every module ``path`` imports (relative resolved)."""
+    names: set[str] = set()
+    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+        if isinstance(node, ast.Import):
+            names.update(alias.name for alias in node.names)
+        elif isinstance(node, ast.ImportFrom):
+            if node.level:
+                parts = package.split(".")
+                parts = parts[: len(parts) - node.level + 1]
+                module = ".".join(parts + ([node.module] if node.module else []))
+            else:
+                module = node.module or ""
+            names.add(module)
+            names.update(f"{module}.{alias.name}" for alias in node.names)
+    return names
+
+
+def test_only_tests_and_benchmarks_import_the_oracle():
+    """The dict Pearson is a test oracle, never a library code path."""
+    import repro
+
+    src = Path(repro.__file__).parent.parent
+    importers = []
+    for path in sorted((src / "repro").rglob("*.py")):
+        module = ".".join(path.relative_to(src).with_suffix("").parts)
+        package = module.rpartition(".")[0]
+        if module != "repro.kernels.oracle" and (
+            "repro.kernels.oracle" in _imported_modules(path, package)
+        ):
+            importers.append(module)
+    assert importers == []

@@ -13,6 +13,7 @@ results again.
 
 from __future__ import annotations
 
+import json
 import random
 
 import pytest
@@ -30,6 +31,7 @@ from repro.kernels import (
     get_packed,
     pearson_one_vs_many,
 )
+from repro.obs import reset_registry
 from repro.serving import RecommendationService
 
 
@@ -138,6 +140,41 @@ class TestSpillLifecycle:
         with pytest.raises(SpillError):
             PackedRatings.open_mmap(tmp_path / "nowhere", RatingMatrix())
 
+    @pytest.mark.parametrize("defect", ["not an object", "files not an object"])
+    def test_malformed_manifest_is_a_typed_error_and_a_fallback(
+        self, tmp_path, defect
+    ):
+        """Valid JSON of the wrong shape must fail like any other bad
+        spill: ``open_mmap`` raises :class:`SpillError`, and a service
+        pointed at the directory packs in memory (counted as a
+        ``fallback`` open) and republishes a good spill over it."""
+        dataset = generate_dataset(
+            num_users=12, num_items=18, ratings_per_user=6, seed=5
+        )
+        PackedRatings(dataset.ratings).save(tmp_path)
+        manifest_path = tmp_path / SPILL_MANIFEST_NAME
+        if defect == "not an object":
+            manifest_path.write_text(json.dumps("not an object"))
+        else:
+            manifest = json.loads(manifest_path.read_text())
+            manifest["files"] = sorted(manifest["files"])
+            manifest_path.write_text(json.dumps(manifest))
+        with pytest.raises(SpillError, match="manifest"):
+            PackedRatings.open_mmap(tmp_path, dataset.ratings)
+
+        registry = reset_registry()
+        service = RecommendationService(
+            dataset,
+            RecommenderConfig(peer_threshold=0.1, packed_spill=str(tmp_path)),
+        )
+        try:
+            fallbacks = registry.counter("packed_spill_opens", outcome="fallback")
+            assert fallbacks.value == 1
+            assert not service._packed.spill_backed
+            assert PackedRatings.open_mmap(tmp_path, dataset.ratings).spill_backed
+        finally:
+            service.close()
+
     def test_attach_spill_registers_shared_view(self, tmp_path):
         matrix = random_matrix(seed=109)
         PackedRatings(matrix).save(tmp_path)
@@ -159,7 +196,6 @@ class TestSpillBootChaos:
             top_z=4,
             exec_backend="pool",
             exec_workers=2,
-            serve_workers=2,
             group_cache_size=0,
             relevance_cache_size=0,
             packed_spill=str(spill_dir),

@@ -22,7 +22,12 @@ random tail begins.
 Each run replays the identical script against a fresh service per
 configuration and compares full recommendation
 payloads — item ids, the plain top-z, and the float relevance tables —
-against the serial/flat reference with ``==`` (no tolerance).
+with ``==`` (no tolerance) against the **oracle replay**: the paper's
+pipeline (:class:`~repro.core.group.GroupRecommender` and its
+single-user recommender) over the dict Pearson oracle
+(:class:`~repro.kernels.oracle.DictPearsonSimilarity`), with group
+candidates from :meth:`~repro.data.ratings.RatingMatrix.items_unrated_by_all`
+— no service, no caches, no packed kernel.
 """
 
 from __future__ import annotations
@@ -36,63 +41,63 @@ import time
 import pytest
 
 from repro.config import RecommenderConfig
+from repro.core.group import GroupRecommender
+from repro.core.pipeline import build_selector
 from repro.data.datasets import HealthDataset, generate_dataset
 from repro.data.groups import Group
 from repro.exec import DEFAULT_MAX_DELTA_LOG, RemoteBackend, run_worker
+from repro.kernels.oracle import DictPearsonSimilarity
 from repro.serving import RecommendationService
 
 #: The fixed seed matrix (acceptance: >= 3 seeds).
 SEEDS = (3, 11, 29)
 
-#: Every backend, plus the sharded-index, re-ship, autoscaling and
-#: kernel variants, as (backend, shards, autoscale, kernel, extras) —
-#: ``autoscale`` opens the fleet bounds (min 1, max 4) so broadcast sync
-#: runs against a fleet whose width shifts between batches; ``kernel``
-#: crosses the packed CSR kernels against the dict oracle.  ``extras``
-#: overrides further config knobs: the packed kernel with candidate
-#: scan + top-k *disabled* (the packed predictors over dict-produced
-#: candidates), ``spill=True`` variants where workers bootstrap from
-#: the mmap'd packed spill directory instead of pickled initargs, and
-#: ``max_delta_log=0`` variants, run on an explicitly built fleet whose
-#: zero-length delta log re-ships the state after every mutation
-#: instead of broadcasting it.  ``"remote"`` rows run a fleet with no
-#: local workers, joined by two ``run_worker`` processes over loopback
-#: TCP (see :func:`_join_tcp_workers`); ``mixed=True`` instead joins one
-#: TCP worker to the config-built ``"remote"`` fleet beside its two
-#: forked workers.  The first entry — serial, flat, dict oracle — is
-#: the reference everything else must equal bit-for-bit.
+#: Every backend, plus the sharded-index, re-ship and autoscaling
+#: variants, as (backend, shards, autoscale, extras) — ``autoscale``
+#: opens the fleet bounds (min 1, max 4) so broadcast sync runs against
+#: a fleet whose width shifts between batches.  ``extras`` overrides
+#: further config knobs: ``spill=True`` variants where workers
+#: bootstrap from the mmap'd packed spill directory instead of pickled
+#: initargs, and ``max_delta_log=0`` variants, run on an explicitly
+#: built fleet whose zero-length delta log re-ships the state after
+#: every mutation instead of broadcasting it.  ``"remote"`` rows run a
+#: fleet with no local workers, joined by two ``run_worker`` processes
+#: over loopback TCP (see :func:`_join_tcp_workers`); ``mixed=True``
+#: instead joins one TCP worker to the config-built ``"remote"`` fleet
+#: beside its two forked workers.  Every row must equal the oracle
+#: replay (:func:`_oracle_trace`) bit-for-bit.
 CONFIGURATIONS = (
-    ("serial", 1, False, "dict", {}),
-    ("serial", 1, False, "packed", {}),
-    ("serial", 1, False, "packed", {"packed_scan": False, "packed_topk": False}),
-    ("serial", 3, False, "packed", {}),
-    ("thread", 1, False, "packed", {}),
-    ("pool", 1, False, "packed", {}),
-    ("pool", 3, False, "packed", {}),
-    ("pool", 1, False, "packed", {"max_delta_log": 0}),
-    ("pool", 1, True, "packed", {}),
-    ("pool", 1, False, "packed", {"spill": True}),
-    ("pool", 3, False, "packed", {"spill": True, "max_delta_log": 0}),
-    ("pool", 3, False, "dict", {}),
+    ("serial", 1, False, {}),
+    ("serial", 3, False, {}),
+    ("thread", 1, False, {}),
+    ("pool", 1, False, {}),
+    ("pool", 3, False, {}),
+    ("pool", 1, False, {"max_delta_log": 0}),
+    ("pool", 1, True, {}),
+    ("pool", 1, False, {"spill": True}),
+    ("pool", 3, False, {"spill": True, "max_delta_log": 0}),
     # Strict response validation must be a pure observer: on clean
     # traffic it re-checks every served answer against the paper
     # invariants and changes nothing — serial/pool × flat/sharded.
-    ("serial", 1, False, "packed", {"validation": "strict"}),
-    ("serial", 3, False, "packed", {"validation": "strict"}),
-    ("pool", 1, False, "packed", {"validation": "strict"}),
-    ("pool", 3, False, "packed", {"validation": "strict"}),
+    ("serial", 1, False, {"validation": "strict"}),
+    ("serial", 3, False, {"validation": "strict"}),
+    ("pool", 1, False, {"validation": "strict"}),
+    ("pool", 3, False, {"validation": "strict"}),
     # TCP-joined workers: HELLO/WELCOME, then state from pickled BOOT
     # frames (the mmap'd spill for the spill row) and SYNC replay over
     # loopback sockets, flat/sharded × broadcast/re-ship × spill ×
     # strict validation, including the pinned batch → ingest → batch
     # staleness scenario.
-    ("remote", 1, False, "packed", {}),
-    ("remote", 3, False, "packed", {}),
-    ("remote", 1, False, "packed", {"max_delta_log": 0}),
-    ("remote", 3, False, "packed", {"spill": True, "max_delta_log": 0}),
-    ("remote", 1, False, "packed", {"validation": "strict"}),
-    ("remote", 3, False, "packed", {"mixed": True}),
+    ("remote", 1, False, {}),
+    ("remote", 3, False, {}),
+    ("remote", 1, False, {"max_delta_log": 0}),
+    ("remote", 3, False, {"spill": True, "max_delta_log": 0}),
+    ("remote", 1, False, {"validation": "strict"}),
+    ("remote", 3, False, {"mixed": True}),
 )
+
+#: The recommendation semantics every row and the oracle share.
+SEMANTICS = RecommenderConfig(peer_threshold=0.1, top_k=5, top_z=4)
 
 #: Seconds the TCP joiners of a ``"remote"`` row get to connect.
 _JOIN_SECONDS = 30.0
@@ -173,13 +178,65 @@ def _age_bump(user) -> None:
     user.age = (user.age or 30) + 1
 
 
+def _oracle_trace(payload: dict, script: list[tuple]) -> list:
+    """Replay ``script`` through the paper's pipeline on the dict oracle.
+
+    Each step builds a fresh :class:`GroupRecommender` over
+    :class:`DictPearsonSimilarity` on the current matrix (so no cached
+    peer or mean survives a mutation) and scans group candidates with
+    ``RatingMatrix.items_unrated_by_all`` — nothing packed, nothing
+    cached, no service.  The trace has the shape of :func:`_run_script`.
+    """
+    dataset = HealthDataset.from_dict(payload)
+    matrix = dataset.ratings
+    selector = build_selector("greedy")
+    trace: list = []
+    for op in script:
+        recommender = GroupRecommender(
+            matrix,
+            DictPearsonSimilarity(matrix),
+            aggregation=SEMANTICS.aggregation,
+            peer_threshold=SEMANTICS.peer_threshold,
+            max_peers=SEMANTICS.max_peers,
+            top_k=SEMANTICS.top_k,
+        )
+        if op[0] == "batch":
+            step = []
+            for members in op[1]:
+                group = Group(member_ids=list(members), caregiver_id="cg")
+                candidates = recommender.build_candidates(
+                    group,
+                    matrix.items_unrated_by_all(group.member_ids),
+                    candidate_limit=SEMANTICS.candidate_pool_size,
+                )
+                step.append(
+                    (
+                        selector.select(candidates, op[2]).items,
+                        tuple(candidates.top_group_items(op[2])),
+                        candidates.group_relevance,
+                    )
+                )
+            trace.append(step)
+        elif op[0] == "user":
+            scored = recommender.single_user.recommend(op[1], k=op[2])
+            trace.append([(item.item_id, item.score) for item in scored])
+        elif op[0] == "ingest":
+            matrix.add(op[1], op[2], op[3])
+            trace.append(("ingested", op[1], op[2]))
+        elif op[0] == "profile":
+            _age_bump(dataset.users.get(op[1]))
+            trace.append(("profiled", op[1]))
+        else:  # pragma: no cover - script generator bug
+            raise AssertionError(f"unknown op {op[0]!r}")
+    return trace
+
+
 def _run_script(
     payload: dict,
     script: list[tuple],
     backend: str,
     shards: int,
     autoscale: bool = False,
-    kernel: str = "packed",
     extras: dict | None = None,
 ) -> list:
     """Replay one script against a fresh service; returns its trace.
@@ -201,16 +258,12 @@ def _run_script(
     if overrides.pop("spill", False):
         spill_dir = tempfile.mkdtemp(prefix="parity-spill-")
         overrides["packed_spill"] = spill_dir
-    config = RecommenderConfig(
-        peer_threshold=0.1,
-        top_k=5,
-        top_z=4,
+    config = SEMANTICS.with_overrides(
         exec_backend=backend,
         exec_workers=2,
         pool_min_workers=1 if autoscale else 0,
         pool_max_workers=4 if autoscale else 0,
         index_shards=shards,
-        kernel=kernel,
         **overrides,
     )
     fleet = None
@@ -304,16 +357,14 @@ def test_random_workload_parity_across_backends_and_sharding(seed):
     script = _build_script(seed, dataset.users.ids(), dataset.ratings.item_ids())
     assert script[0][0] == "batch" and script[1][0] == "ingest"
 
-    reference = _run_script(payload, script, *CONFIGURATIONS[0])
+    reference = _oracle_trace(payload, script)
     assert any(isinstance(step, list) and step for step in reference)
-    for backend, shards, autoscale, kernel, extras in CONFIGURATIONS[1:]:
-        trace = _run_script(
-            payload, script, backend, shards, autoscale, kernel, extras
-        )
+    for backend, shards, autoscale, extras in CONFIGURATIONS:
+        trace = _run_script(payload, script, backend, shards, autoscale, extras)
         assert trace == reference, (
             f"backend={backend} shards={shards} "
-            f"autoscale={autoscale} kernel={kernel} extras={extras} "
-            f"diverged from the serial dict-oracle reference on seed {seed}"
+            f"autoscale={autoscale} extras={extras} "
+            f"diverged from the oracle replay on seed {seed}"
         )
 
 
@@ -336,17 +387,15 @@ def test_mutation_between_batches_changes_results_and_keeps_parity():
         script.append(("ingest", member, item_id, 1.0))
     script.append(("batch", groups, 4))
 
-    reference = _run_script(payload, script, *CONFIGURATIONS[0])
+    reference = _oracle_trace(payload, script)
     assert reference[0] != reference[-1], (
         "the mutations were supposed to change at least one group's "
         "recommendations — the staleness scenario is vacuous"
     )
-    for backend, shards, autoscale, kernel, extras in CONFIGURATIONS[1:]:
-        trace = _run_script(
-            payload, script, backend, shards, autoscale, kernel, extras
-        )
+    for backend, shards, autoscale, extras in CONFIGURATIONS:
+        trace = _run_script(payload, script, backend, shards, autoscale, extras)
         assert trace == reference, (
             f"backend={backend} shards={shards} "
-            f"autoscale={autoscale} kernel={kernel} extras={extras} "
+            f"autoscale={autoscale} extras={extras} "
             f"served stale results after mutations between batches"
         )

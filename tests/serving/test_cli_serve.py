@@ -152,7 +152,7 @@ class TestServeCommand:
         args = build_parser().parse_args(["serve", "data.json", "reqs.jsonl"])
         assert args.workers is None  # auto: one per CPU for thread/pool
         assert args.backend == "serial"
-        assert args.kernel == "packed"
+        assert not hasattr(args, "kernel")
         assert args.shards == 1
         assert args.snapshot is None
         assert args.similarity_cache == 500_000
@@ -205,28 +205,14 @@ class TestServeBackendsAndSnapshots:
         assert code == 0
         assert "throughput:" in out
 
-    @pytest.mark.parametrize("kernel", ["packed", "dict"])
-    def test_serve_with_kernel(self, tmp_path, capsys, kernel):
-        """--kernel reaches the service end-to-end on both kernels."""
-        dataset_path = self._dataset(tmp_path)
-        capsys.readouterr()
-        code = main(
-            [
-                "serve",
-                str(dataset_path),
-                "-",
-                "--synthetic-requests",
-                "6",
-                "--kernel",
-                kernel,
-                "--peer-threshold",
-                "0.0",
-                "--quiet",
-            ]
-        )
-        out = capsys.readouterr().out
-        assert code == 0
-        assert "throughput:" in out
+    def test_serve_has_no_kernel_flag(self, capsys):
+        """The packed kernels are the only compute path: no --kernel."""
+        with pytest.raises(SystemExit):
+            main(["serve", "--help"])
+        assert "--kernel" not in capsys.readouterr().out
+        with pytest.raises(SystemExit) as exc_info:
+            main(["serve", "data.json", "-", "--kernel", "dict"])
+        assert exc_info.value.code == 2
 
     def test_serve_autoscaling_pool(self, tmp_path, capsys):
         """The autoscaling knobs reach the pool backend end-to-end."""
@@ -260,7 +246,7 @@ class TestServeBackendsAndSnapshots:
 
     def test_serve_snapshot_save_then_load(self, tmp_path, capsys):
         dataset_path = self._dataset(tmp_path)
-        snapshot_path = tmp_path / "index_snapshot.json"
+        snapshot_path = tmp_path / "index_snapshot"
         args = [
             "serve",
             str(dataset_path),
@@ -277,7 +263,7 @@ class TestServeBackendsAndSnapshots:
         assert main(args) == 0
         first = capsys.readouterr().out
         assert "saved neighbor-index snapshot" in first
-        assert snapshot_path.exists()
+        assert (snapshot_path / "manifest.json").exists()
 
         assert main(args) == 0
         second = capsys.readouterr().out
@@ -325,7 +311,7 @@ class TestServeBackendsAndSnapshots:
 
     def test_serve_rejects_stale_snapshot(self, tmp_path, capsys):
         dataset_path = self._dataset(tmp_path)
-        snapshot_path = tmp_path / "index_snapshot.json"
+        snapshot_path = tmp_path / "index_snapshot"
         base = [
             "serve",
             str(dataset_path),
@@ -342,6 +328,33 @@ class TestServeBackendsAndSnapshots:
         captured = capsys.readouterr()
         assert code == 2
         assert "stale" in captured.err
+
+    def test_serve_rejects_a_regular_file_snapshot(self, tmp_path, capsys):
+        """A --snapshot PATH that is a regular file (e.g. a snapshot of
+        the retired single-file layout) exits 2 with a typed message
+        instead of a traceback, and the file is left untouched."""
+        dataset_path = self._dataset(tmp_path)
+        snapshot_path = tmp_path / "index_snapshot"
+        snapshot_path.write_text("{}")
+        capsys.readouterr()
+        code = main(
+            [
+                "serve",
+                str(dataset_path),
+                "-",
+                "--synthetic-requests",
+                "2",
+                "--snapshot",
+                str(snapshot_path),
+                "--quiet",
+            ]
+        )
+        captured = capsys.readouterr()
+        assert code == 2
+        assert "error:" in captured.err
+        assert "regular file" in captured.err
+        assert "Traceback" not in captured.err
+        assert snapshot_path.read_text() == "{}"
 
     def test_serve_with_shards(self, tmp_path, capsys):
         dataset_path = self._dataset(tmp_path)
@@ -366,7 +379,7 @@ class TestServeBackendsAndSnapshots:
 
     def test_no_warm_does_not_save_an_empty_snapshot(self, tmp_path, capsys):
         dataset_path = self._dataset(tmp_path)
-        snapshot_path = tmp_path / "index_snapshot.json"
+        snapshot_path = tmp_path / "index_snapshot"
         capsys.readouterr()
         code = main(
             [

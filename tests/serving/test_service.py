@@ -14,6 +14,7 @@ from repro.config import RecommenderConfig
 from repro.core.pipeline import CaregiverPipeline
 from repro.data.groups import Group, random_group
 from repro.data.phr import HealthProblem
+from repro.kernels.oracle import DictPearsonSimilarity
 from repro.serving import RecommendationService
 
 CONFIG = RecommenderConfig(peer_threshold=0.1, top_z=5, top_k=5, max_peers=10)
@@ -623,8 +624,9 @@ class TestKernelStateInvalidation:
     """
 
     def _dict_service(self, dataset) -> RecommendationService:
+        """A service over the dict Pearson oracle (it keeps a mean cache)."""
         return RecommendationService(
-            dataset, CONFIG.with_overrides(kernel="dict")
+            dataset, CONFIG, similarity=DictPearsonSimilarity(dataset.ratings)
         )
 
     def test_ingest_rating_invalidates_pearson_mean_cache(
@@ -688,7 +690,7 @@ class TestKernelStateInvalidation:
         """With a profile measure the Pearson invalidation hooks never
         run; the service itself must keep the packed view current for
         the prediction-table kernel."""
-        config = CONFIG.with_overrides(kernel="packed", similarity="profile")
+        config = CONFIG.with_overrides(similarity="profile")
         service = RecommendationService(mutable_dataset, config)
         user_id = mutable_dataset.users.ids()[0]
         before_row = service.relevance_row(user_id)
@@ -706,17 +708,14 @@ class TestKernelStateInvalidation:
         self, mutable_dataset
     ):
         """mutate → incremental repack → serve, repeatedly, against a
-        dict-kernel twin on identical data: the packed service's answers
-        must stay bit-identical through the whole lifecycle."""
+        twin whose peers come from the dict Pearson oracle on identical
+        data: the packed service's answers must stay bit-identical
+        through the whole lifecycle."""
         from repro.data.datasets import HealthDataset
 
         twin = HealthDataset.from_dict(mutable_dataset.to_dict())
-        packed_service = RecommendationService(
-            mutable_dataset, CONFIG.with_overrides(kernel="packed")
-        )
-        dict_service = RecommendationService(
-            twin, CONFIG.with_overrides(kernel="dict")
-        )
+        packed_service = RecommendationService(mutable_dataset, CONFIG)
+        dict_service = self._dict_service(twin)
         users = mutable_dataset.users.ids()
         items = mutable_dataset.ratings.item_ids()
         group = random_group(users, 4, seed=3)

@@ -1,12 +1,17 @@
 """Snapshot persistence: save → load → serve must be byte-identical.
 
-The satellite contract: a snapshot saved from a warm service restores a
-service whose first response equals the warm one *without* recomputing
-peer rows, and a snapshot with a mismatched config fingerprint is
-rejected.
+The contract: a snapshot directory saved from a warm (flat) service
+restores a service whose first response equals the warm one *without*
+recomputing peer rows, a snapshot from another dataset or config is
+rejected as stale, a future layout version is rejected, and a snapshot
+path that is a regular file — such as one written by the retired
+single-file layout — is rejected with a typed error.
+The per-shard failure paths live in ``test_snapshot_shards.py``.
 """
 
 from __future__ import annotations
+
+import json
 
 import pytest
 
@@ -14,7 +19,7 @@ from repro.config import RecommenderConfig
 from repro.data.groups import random_group
 from repro.exceptions import SnapshotError
 from repro.serving import RecommendationService
-from repro.serving.snapshot import load_index_snapshot, save_index_snapshot
+from repro.serving.snapshot import MANIFEST_NAME, shard_file_name
 from repro.similarity.base import UserSimilarity
 
 CONFIG = RecommenderConfig(peer_threshold=0.1, top_z=5, top_k=5)
@@ -42,7 +47,7 @@ def _warm_service(dataset, config=CONFIG):
 
 class TestRoundTrip:
     def test_save_load_serve_is_byte_identical(self, small_dataset, tmp_path):
-        path = tmp_path / "index.json"
+        path = tmp_path / "index"
         warm = _warm_service(small_dataset)
         groups = [
             random_group(small_dataset.users.ids(), 4, seed=s) for s in range(3)
@@ -65,7 +70,7 @@ class TestRoundTrip:
     def test_restored_service_does_not_recompute_similarities(
         self, small_dataset, tmp_path
     ):
-        path = tmp_path / "index.json"
+        path = tmp_path / "index"
         _warm_service(small_dataset).save_snapshot(path)
 
         from repro.core.pipeline import build_similarity
@@ -82,7 +87,7 @@ class TestRoundTrip:
     def test_sharded_and_flat_snapshots_interchange(
         self, small_dataset, tmp_path
     ):
-        path = tmp_path / "index.json"
+        path = tmp_path / "index"
         sharded = RecommendationService(
             small_dataset, CONFIG.with_overrides(index_shards=3)
         )
@@ -101,7 +106,7 @@ class TestStaleRejection:
     def test_mismatched_config_fingerprint_rejected(
         self, small_dataset, tmp_path
     ):
-        path = tmp_path / "index.json"
+        path = tmp_path / "index"
         _warm_service(small_dataset).save_snapshot(path)
         stale = RecommendationService(
             small_dataset, CONFIG.with_overrides(peer_threshold=0.4)
@@ -110,7 +115,7 @@ class TestStaleRejection:
             stale.load_snapshot(path)
 
     def test_operational_knobs_do_not_invalidate(self, small_dataset, tmp_path):
-        path = tmp_path / "index.json"
+        path = tmp_path / "index"
         _warm_service(small_dataset).save_snapshot(path)
         tuned = RecommendationService(
             small_dataset,
@@ -126,7 +131,7 @@ class TestStaleRejection:
     def test_mismatched_dataset_rejected(self, small_dataset, tmp_path):
         from repro.data.datasets import generate_dataset
 
-        path = tmp_path / "index.json"
+        path = tmp_path / "index"
         _warm_service(small_dataset).save_snapshot(path)
         other = generate_dataset(
             num_users=small_dataset.num_users + 5,
@@ -137,29 +142,41 @@ class TestStaleRejection:
             RecommendationService(other, CONFIG).load_snapshot(path)
 
     def test_wrong_format_rejected(self, tmp_path, small_dataset):
-        path = tmp_path / "not_a_snapshot.json"
-        path.write_text('{"format": "something-else", "version": 1}')
-        service = RecommendationService(small_dataset, CONFIG)
-        with pytest.raises(SnapshotError, match="not a neighbor-index"):
-            service.load_snapshot(path)
-
-    def test_wrong_version_rejected(self, tmp_path, small_dataset):
+        """A regular file — here an old single-file snapshot — is not a
+        snapshot directory: load and save both raise a typed error
+        instead of misreading it or crashing in ``mkdir``."""
         service = _warm_service(small_dataset)
         path = tmp_path / "index.json"
-        save_index_snapshot(
-            service.index.snapshot_rows(),
-            path,
-            service.snapshot_fingerprint(),
+        path.write_text(
+            json.dumps(
+                {
+                    "format": "repro.neighbor-index",
+                    "version": 1,
+                    "fingerprint": service.snapshot_fingerprint(),
+                    "rows": {},
+                }
+            )
         )
-        import json
+        with pytest.raises(SnapshotError, match="regular file"):
+            service.load_snapshot(path)
+        with pytest.raises(SnapshotError, match="regular file"):
+            service.save_snapshot(path)
 
-        payload = json.loads(path.read_text())
-        payload["version"] = 99
-        path.write_text(json.dumps(payload))
-        with pytest.raises(SnapshotError, match="version"):
-            load_index_snapshot(path, service.snapshot_fingerprint())
+    def test_wrong_version_rejected(self, tmp_path, small_dataset):
+        """A future layout version in the manifest or in a shard file
+        fails loudly instead of being read as the current layout."""
+        service = _warm_service(small_dataset)
+        for name in (MANIFEST_NAME, shard_file_name(0)):
+            path = tmp_path / f"index-{name}"
+            service.save_snapshot(path)
+            payload = json.loads((path / name).read_text())
+            payload["version"] = 99
+            (path / name).write_text(json.dumps(payload))
+            fresh = RecommendationService(small_dataset, CONFIG)
+            with pytest.raises(SnapshotError, match="version 99"):
+                fresh.load_snapshot(path)
 
     def test_missing_file_raises_snapshot_error(self, tmp_path, small_dataset):
         service = RecommendationService(small_dataset, CONFIG)
         with pytest.raises(SnapshotError, match="cannot read"):
-            service.load_snapshot(tmp_path / "absent.json")
+            service.load_snapshot(tmp_path / "absent")

@@ -93,25 +93,30 @@ class TestRoundTrip:
             == flat.recommend_group(group).items
         )
 
-    def test_explicit_per_shard_flag_overrides_json_suffix(
+    def test_json_suffix_path_is_still_a_directory(
         self, small_dataset, tmp_path
     ):
+        """The suffix no longer picks a layout: every snapshot is a
+        directory, whatever its name."""
         service = _warm_service(small_dataset)
         path = tmp_path / "snapshot.json"
-        service.save_snapshot(path, per_shard=True)
+        service.save_snapshot(path)
         assert (path / MANIFEST_NAME).exists()
+        assert RecommendationService(small_dataset, CONFIG).load_snapshot(
+            path
+        ) == small_dataset.num_users
 
 
 class TestIncrementalSave:
     def _count_writes(self, monkeypatch):
         written: list[str] = []
-        original = snapshot_module._atomic_save_json
+        original = snapshot_module.atomic_write
 
-        def counting(payload, path):
+        def counting(path, data):
             written.append(path.name)
-            return original(payload, path)
+            return original(path, data)
 
-        monkeypatch.setattr(snapshot_module, "_atomic_save_json", counting)
+        monkeypatch.setattr(snapshot_module, "atomic_write", counting)
         return written
 
     def test_clean_resave_rewrites_only_the_manifest(
@@ -246,6 +251,35 @@ class TestFailurePaths:
         service = RecommendationService(small_dataset, CONFIG)
         with pytest.raises(SnapshotError, match="not a neighbor-index"):
             service.load_snapshot(path)
+
+    @pytest.mark.parametrize(
+        "entry",
+        ["shard-0000.json", {"file": 5}, {"file": shard_file_name(1)}],
+        ids=["string", "non-string-file", "foreign-file"],
+    )
+    def test_malformed_shard_entry_rejected(
+        self, snapshot_dir, small_dataset, entry
+    ):
+        """Each manifest shard entry must be an object naming its own
+        conventional file; anything else is a typed, named error."""
+        _, path = snapshot_dir
+        manifest = json.loads((path / MANIFEST_NAME).read_text())
+        manifest["shards"][0] = entry
+        (path / MANIFEST_NAME).write_text(json.dumps(manifest))
+        service = RecommendationService(small_dataset, CONFIG)
+        with pytest.raises(SnapshotError, match="shard entry 0"):
+            service.load_snapshot(path)
+
+    def test_malformed_entry_is_not_carried_into_a_resave(self, snapshot_dir):
+        """An incremental save rewrites shards instead of copying a
+        malformed manifest entry into the new manifest."""
+        service, path = snapshot_dir
+        manifest = json.loads((path / MANIFEST_NAME).read_text())
+        manifest["shards"][1] = "shard-0001.json"
+        (path / MANIFEST_NAME).write_text(json.dumps(manifest))
+        service.save_snapshot(path)  # every shard is clean
+        restored = RecommendationService(service.dataset, CONFIG)
+        assert restored.load_snapshot(path) == service.dataset.num_users
 
     def test_wrong_manifest_version_rejected(self, snapshot_dir, small_dataset):
         _, path = snapshot_dir

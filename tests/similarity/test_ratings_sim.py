@@ -7,6 +7,7 @@ import math
 import pytest
 
 from repro.data.ratings import RatingMatrix
+from repro.kernels.oracle import DictPearsonSimilarity
 from repro.similarity.ratings_sim import (
     CosineRatingSimilarity,
     JaccardRatingSimilarity,
@@ -190,9 +191,9 @@ class TestBatchedPearson:
         assert scores == {"alice": 0.0, "bob": 0.0}
 
     def test_invalidate_user_drops_only_their_mean(self, tiny_matrix):
-        # The mean cache backs the dict path; the packed kernel keeps
+        # The mean cache backs the dict oracle; the packed kernel keeps
         # its means in the packed rows instead.
-        similarity = PearsonRatingSimilarity(tiny_matrix, kernel="dict")
+        similarity = DictPearsonSimilarity(tiny_matrix)
         similarity.similarity("alice", "bob")
         assert "alice" in similarity._mean_cache
         similarity.invalidate_user("alice")
@@ -274,18 +275,20 @@ class TestCosineNormCache:
 class TestEmptyProfileFastPath:
     """The batched Pearson path short-circuits empty-profile users."""
 
-    @pytest.mark.parametrize("kernel", ["dict", "packed"])
+    @pytest.mark.parametrize(
+        "measure", [DictPearsonSimilarity, PearsonRatingSimilarity]
+    )
     def test_empty_user_gets_zero_row_without_overlap_walk(
-        self, tiny_matrix, kernel
+        self, tiny_matrix, measure
     ):
-        similarity = PearsonRatingSimilarity(tiny_matrix, kernel=kernel)
+        similarity = measure(tiny_matrix)
         scores = similarity.similarities("ghost", ["alice", "bob", "ghost"])
         assert scores == {"alice": 0.0, "bob": 0.0}
 
     def test_dict_path_skips_row_fetch_for_empty_candidates(
         self, tiny_matrix, monkeypatch
     ):
-        similarity = PearsonRatingSimilarity(tiny_matrix, kernel="dict")
+        similarity = DictPearsonSimilarity(tiny_matrix)
         walks = []
         monkeypatch.setattr(
             tiny_matrix,
@@ -298,15 +301,16 @@ class TestEmptyProfileFastPath:
 
 
 class TestKernelEquivalenceOnFixture:
-    """packed and dict kernels agree bit-for-bit on the shared fixture."""
+    """The packed kernel and the dict oracle agree bit-for-bit on the
+    shared fixture."""
 
     @pytest.mark.parametrize("common_mean", [False, True])
     def test_all_pairs_agree(self, tiny_matrix, common_mean):
-        dict_measure = PearsonRatingSimilarity(
-            tiny_matrix, mean_over_common_only=common_mean, kernel="dict"
+        dict_measure = DictPearsonSimilarity(
+            tiny_matrix, mean_over_common_only=common_mean
         )
         packed_measure = PearsonRatingSimilarity(
-            tiny_matrix, mean_over_common_only=common_mean, kernel="packed"
+            tiny_matrix, mean_over_common_only=common_mean
         )
         users = tiny_matrix.user_ids()
         for user_a in users:

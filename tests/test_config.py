@@ -30,7 +30,6 @@ class TestValidation:
             {"similarity_cache_size": -1},
             {"relevance_cache_size": -5},
             {"group_cache_size": -1},
-            {"serve_workers": 0},
         ],
     )
     def test_invalid_values_rejected(self, overrides):
@@ -68,7 +67,6 @@ class TestConvenience:
             similarity_cache_size=1000,
             relevance_cache_size=50,
             group_cache_size=10,
-            serve_workers=4,
         )
         rebuilt = RecommenderConfig.from_dict(config.to_dict())
         assert rebuilt == config
@@ -78,7 +76,6 @@ class TestConvenience:
         assert config.similarity_cache_size > 0
         assert config.relevance_cache_size > 0
         assert config.group_cache_size > 0
-        assert config.serve_workers == 1
         disabled = config.with_overrides(
             similarity_cache_size=0, relevance_cache_size=0, group_cache_size=0
         )
@@ -176,36 +173,38 @@ class TestFingerprint:
             exec_workers=8,
             index_shards=4,
             similarity_cache_size=1,
-            serve_workers=16,
             pool_min_workers=1,
             pool_max_workers=8,
             pool_idle_ttl=5.0,
-            kernel="dict",
         )
         assert base.fingerprint() == tuned.fingerprint()
 
+    def test_default_fingerprint_is_pinned(self):
+        """Snapshots and spills saved by earlier builds stay valid."""
+        assert RecommenderConfig().fingerprint() == "1ab80b7709ebe588"
 
-class TestKernelConfig:
-    """The similarity/prediction kernel knob (PR 5)."""
 
-    def test_default_is_packed(self):
-        assert RecommenderConfig().kernel == "packed"
+class TestDeletedKnobs:
+    """``kernel``, ``packed_scan``, ``packed_topk`` and ``serve_workers``
+    are gone: the packed kernels are the only compute path."""
 
-    def test_dict_oracle_accepted(self):
-        assert RecommenderConfig(kernel="dict").kernel == "dict"
+    def test_config_has_25_fields(self):
+        assert len(RecommenderConfig().to_dict()) == 25
 
-    def test_unknown_kernel_rejected(self):
-        with pytest.raises(ConfigurationError):
-            RecommenderConfig(kernel="simd")
-
-    def test_round_trips_through_dict(self):
-        config = RecommenderConfig(kernel="dict")
-        assert RecommenderConfig.from_dict(config.to_dict()) == config
-
-    def test_old_payloads_default_to_packed(self):
+    @pytest.mark.parametrize(
+        "key, value",
+        [
+            ("kernel", "dict"),
+            ("packed_scan", False),
+            ("packed_topk", False),
+            ("serve_workers", 2),
+        ],
+    )
+    def test_from_dict_rejects_a_deleted_knob_by_name(self, key, value):
         payload = RecommenderConfig().to_dict()
-        payload.pop("kernel")
-        assert RecommenderConfig.from_dict(payload).kernel == "packed"
+        payload[key] = value
+        with pytest.raises(ConfigurationError, match=key):
+            RecommenderConfig.from_dict(payload)
 
 
 class TestResolvePositive:

@@ -8,8 +8,8 @@ measured speedup — the cold index build or the warm similarity batches
 shared CI runners is noisy, so this gate is advisory by design: it
 prints GitHub ``::warning::`` annotations and always exits 0, except
 for *structural* problems (missing/corrupt files, a fresh run that is
-no longer bit-identical), which exit 1 because they mean the benchmark
-itself is broken, not slow.
+no longer bit-identical packed-vs-oracle), which exit 1 because they
+mean the benchmark itself is broken, not slow.
 
 Usage::
 
@@ -71,8 +71,8 @@ def main(argv: list[str] | None = None) -> int:
     fresh = load_result(args.fresh)
     if fresh.get("identical_results") is not True:
         print(
-            "error: fresh benchmark run is not bit-identical across "
-            "kernels — that is a correctness failure, not a perf one",
+            "error: fresh benchmark run is not bit-identical "
+            "packed-vs-oracle — that is a correctness failure, not a perf one",
             file=sys.stderr,
         )
         return 1

@@ -11,7 +11,7 @@ regressions print GitHub ``::warning::`` annotations and exit 0.
 Only *structural* breakage exits 1:
 
 * missing/corrupt result files,
-* a fresh run whose packed and dict outputs are no longer
+* a fresh run whose packed-vs-oracle outputs are no longer
   bit-identical (``identical_results``), or
 * a spill bootstrap that stopped being smaller than the full state
   ship (``bootstrap_bytes``) — both mean the packed takeover itself is
@@ -83,7 +83,7 @@ def main(argv: list[str] | None = None) -> int:
     fresh = load_result(args.fresh)
     if fresh.get("identical_results") is not True:
         print(
-            "error: fresh scale run is not bit-identical across kernels "
+            "error: fresh scale run is not bit-identical packed-vs-oracle "
             "— that is a correctness failure, not a perf one",
             file=sys.stderr,
         )
