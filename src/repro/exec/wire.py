@@ -582,8 +582,10 @@ class FrameConnection:
                         needed=1,
                     )
                 return None
-            self._sock.settimeout(timeout)
             try:
+                # Inside the try: on a closed socket settimeout raises
+                # EBADF, which is end of stream like any recv failure.
+                self._sock.settimeout(timeout)
                 data = self._sock.recv(1 << 16)
             except TimeoutError as exc:
                 raise TimeoutError(

@@ -10,9 +10,9 @@ paper's hot equations over that layout —
   sorted-merge intersection over int ids;
 * :func:`overlap_counts` — candidate co-rating counts through the
   packed inverted index;
-* :func:`predict_table_packed` / :func:`predict_row_packed` /
-  :func:`predict_topk_packed` — Equation 1 prediction tables (full,
-  per-row, and bounded-heap top-k) for the recommend paths;
+* :func:`predict_row_packed` / :func:`predict_topk_packed` — Equation 1
+  over a user's unrated row (full, and bounded-heap top-k) for the
+  recommend paths;
 * :func:`items_unrated_by_all_packed` /
   :func:`candidate_ints_unrated_by_all` — the group candidate scan
   (Definition 2) as a set subtract in intern space;
@@ -31,7 +31,7 @@ from __future__ import annotations
 
 from .packed import PackedRatings, attach_spill, get_packed
 from .pearson import overlap_counts, pearson_one_vs_many, pearson_pair
-from .relevance import predict_row_packed, predict_table_packed, predict_topk_packed
+from .relevance import predict_row_packed, predict_topk_packed
 from .scan import candidate_ints_unrated_by_all, items_unrated_by_all_packed
 from .spill import SPILL_MANIFEST_NAME, SpillError
 
@@ -47,6 +47,5 @@ __all__ = [
     "pearson_one_vs_many",
     "pearson_pair",
     "predict_row_packed",
-    "predict_table_packed",
     "predict_topk_packed",
 ]

@@ -1,195 +1,68 @@
-"""Packed prediction kernels (Equation 1 over the inverted index).
+"""Packed prediction kernels (Equation 1 over the CSR rows).
 
-:func:`predict_table_packed` is the layout-first replacement for
-:func:`repro.core.relevance.predict_table` on the serving layer's
-single-user path: instead of copying a ``{user: rating}`` dict per
-candidate item (``matrix.users_of``) and hashing peer-id *strings*
-against it, the kernel stamps the item's raters into a reusable
-per-user scratch array and walks the peer list as interned ints.
+Both kernels compute the full unrated row of one user without ever
+*decoding* a candidate set — candidates are enumerated in intern space,
+and each emitted item id is decoded exactly once:
 
-Two variants avoid ever *decoding* the candidate set:
-
-* :func:`predict_row_packed` — the full unrated row of one user, with
-  candidates enumerated directly in intern space (no string candidate
-  list in, one decode per emitted score out).  This is the serving
-  layer's relevance-row kernel; it removed a latent double decode where
-  candidate ids were rendered to strings only for the prediction call
-  to re-intern them.
+* :func:`predict_row_packed` — the row as a ``{item_id: score}`` dict.
+  This is the serving layer's relevance-row kernel.
 * :func:`predict_topk_packed` — the same row, emitted straight into a
   bounded heap of size ``k`` instead of materialising the full score
   dict; the heap orders by the pinned score-desc/item-asc tie-break, so
   its output equals ``rank_items(predict_row_packed(...), k)``.
 
-Each kernel picks between two inner-loop strategies per call (see
-:func:`_probe_beats_stamp`): stamping the item's raters into a scratch
-array, or probing each peer's own row map.  Stamping amortises when the
-peer set is huge; probing is immune to item popularity, which matters
-once a bounded ``max_peers`` peer set meets a Zipf-headed catalogue at
-10⁵+ users.
+One loop, :func:`_scatter`, sits behind both.  It is peer-major: it
+walks each peer's CSR row (``row_items[p]``, ``row_values[p]``) once
+and adds ``sim·r`` and ``sim`` into per-item numerator and denominator
+accumulators, so a row costs Σ|peer row| instead of items × peers.
 
-Bit-identity with the dict path holds because the accumulation order is
-the *peer* order (the dict path iterates ``peer_similarities`` and
-probes each peer's rating; so do the kernels), and stamping/probing only
-changes how "did this peer rate it?" is answered, not which floats are
-summed.
+Bit-identity with :func:`repro.core.relevance.predict_table` holds
+because every item still receives its float additions in *peer* order:
+the dict path iterates ``peer_similarities`` and probes each peer's
+rating of the item; the scatter iterates the same mapping and adds each
+peer's terms to the items that peer rated.  Per item, the sequence of
+summands — and so every rounding step — is the same.
 """
 
 from __future__ import annotations
 
 import heapq
 import time
-from typing import Mapping, Sequence
+from typing import Mapping
 
-from ..obs import is_enabled, observe_kernel
+from ..obs import observe_kernel
 from .packed import PackedRatings
 
 
-def predict_table_packed(
+def _scatter(
     packed: PackedRatings,
     user_id: str,
     peer_similarities: Mapping[str, float],
-    candidate_items: Sequence[str],
-    default_score: float | None = None,
-) -> dict[str, float]:
-    """Equation 1 over many candidate items for a fixed peer set, packed.
+) -> tuple[list[float], list[float], set[int]]:
+    """Equation 1's sums for every item, plus the user's own items.
 
-    Same contract as :func:`repro.core.relevance.predict_table`: items
-    the user already rated keep their actual rating, items whose
-    prediction is undefined (no peer rated them, or zero similarity
-    mass) are omitted unless ``default_score`` is given.
-
-    Each call is timed into the default metrics registry as
-    ``kernel_ms{kernel="predict_table_packed"}``.
-    """
-    if not is_enabled():
-        return _predict_table(
-            packed, user_id, peer_similarities, candidate_items, default_score
-        )
-    started = time.perf_counter()
-    try:
-        return _predict_table(
-            packed, user_id, peer_similarities, candidate_items, default_score
-        )
-    finally:
-        observe_kernel("predict_table_packed", started)
-
-
-def _predict_table(
-    packed: PackedRatings,
-    user_id: str,
-    peer_similarities: Mapping[str, float],
-    candidate_items: Sequence[str],
-    default_score: float | None,
-) -> dict[str, float]:
-    """The uninstrumented body of :func:`predict_table_packed`."""
-    packed.ensure_current()
-    user_int = packed.user_index.get(user_id)
-    own_ratings: dict[int, float] = (
-        packed.row_maps[user_int] if user_int is not None else {}
-    )
-    # Resolve the peers to ints once, keeping the mapping's iteration
-    # order — that order is the dict path's accumulation order.  Peers
-    # unknown to the matrix never rated anything, so dropping them up
-    # front skips probes the dict path would answer with None anyway.
-    user_index = packed.user_index
-    peer_ints: list[tuple[int, float]] = []
-    for peer_id, similarity in peer_similarities.items():
-        peer_int = user_index.get(peer_id)
-        if peer_int is not None:
-            peer_ints.append((peer_int, similarity))
-    item_index = packed.item_index
-    probe = _probe_beats_stamp(packed, len(peer_ints), len(candidate_items))
-    if probe:
-        row_maps = packed.row_maps
-        peer_rows = [(sim, row_maps[peer_int]) for peer_int, sim in peer_ints]
-    else:
-        inv_users = packed.inv_users
-        inv_values = packed.inv_values
-        # Stamp scratch, allocated per call: the serving layer runs batch
-        # requests as concurrent readers (thread backend), so this state
-        # must not be shared — a second caller's token would invalidate a
-        # first caller's stamps mid-item.  Per *item* the token trick
-        # still avoids O(users) clearing.
-        stamp = [0] * packed.num_users
-        value = [0.0] * packed.num_users
-    token = 0
-    predictions: dict[str, float] = {}
-    for item_id in candidate_items:
-        item_int = item_index.get(item_id)
-        if item_int is not None:
-            existing = own_ratings.get(item_int)
-            if existing is not None:
-                predictions[item_id] = existing
-                continue
-            numerator = 0.0
-            denominator = 0.0
-            if probe:
-                for similarity, peer_row in peer_rows:
-                    rating = peer_row.get(item_int)
-                    if rating is not None:
-                        numerator += similarity * rating
-                        denominator += similarity
-            else:
-                token += 1
-                raters = inv_users[item_int]
-                ratings = inv_values[item_int]
-                for position, rater in enumerate(raters):
-                    stamp[rater] = token
-                    value[rater] = ratings[position]
-                for peer_int, similarity in peer_ints:
-                    if stamp[peer_int] == token:
-                        numerator += similarity * value[peer_int]
-                        denominator += similarity
-            if denominator != 0.0:
-                predictions[item_id] = numerator / denominator
-                continue
-        # Unknown item, or an undefined prediction.
-        if default_score is not None:
-            predictions[item_id] = default_score
-    return predictions
-
-
-def _probe_beats_stamp(
-    packed: PackedRatings, num_peers: int, num_candidates: int
-) -> bool:
-    """Pick the Equation-1 inner-loop strategy for one prediction call.
-
-    Two bit-identical ways to answer "did this peer rate this item?"
-    exist (both accumulate in peer order, so the float sums match):
-
-    * **stamp** — mark every rater of the item in a scratch array,
-      then read the peers' marks: O(Σ|U(i)|) stamping over the
-      candidate items plus O(peers) reads per item.  Wins when the
-      peer set is a large fraction of the user base.
-    * **probe** — look each item up in every peer's own (int-keyed)
-      row map: O(peers) dict probes per item, independent of item
-      popularity.  Wins when a bounded peer set (``max_peers``) meets
-      a Zipf-headed catalogue, where stamping degenerates to touching
-      nearly every rating in the matrix per row.
-
-    The stamping total over a full row is about ``num_ratings``; a
-    probe costs roughly two array reads.  Hence: probe when
-    ``2 · peers · candidates < num_ratings``.
-    """
-    return 2 * num_peers * num_candidates < packed._num_ratings
-
-
-def _resolve_peers(
-    packed: PackedRatings, peer_similarities: Mapping[str, float]
-) -> list[tuple[int, float]]:
-    """Peer ids interned once, preserving the mapping's iteration order.
-
-    That order is the dict path's accumulation order; peers unknown to
-    the matrix never rated anything, so dropping them up front skips
-    probes the dict path would answer with ``None`` anyway.
+    Returns per-item-int ``numerators`` and ``denominators`` and the set
+    of item ints ``user_id`` already rated (empty for an unknown user).
+    Peers are visited in the mapping's iteration order — the dict
+    path's accumulation order; peers unknown to the matrix never rated
+    anything and are skipped.  The accumulators are allocated per call:
+    batch serving runs the kernels from concurrent reader threads.
     """
     user_index = packed.user_index
-    peer_ints: list[tuple[int, float]] = []
+    row_items = packed.row_items
+    row_values = packed.row_values
+    numerators = [0.0] * packed.num_items
+    denominators = [0.0] * packed.num_items
     for peer_id, similarity in peer_similarities.items():
         peer_int = user_index.get(peer_id)
-        if peer_int is not None:
-            peer_ints.append((peer_int, similarity))
-    return peer_ints
+        if peer_int is None:
+            continue
+        for item_int, rating in zip(row_items[peer_int], row_values[peer_int]):
+            numerators[item_int] += similarity * rating
+            denominators[item_int] += similarity
+    user_int = user_index.get(user_id)
+    own_items = set(row_items[user_int]) if user_int is not None else set()
+    return numerators, denominators, own_items
 
 
 def predict_row_packed(
@@ -200,63 +73,25 @@ def predict_row_packed(
 ) -> dict[str, float]:
     """Equation 1 over *every* item the user has not rated, packed.
 
-    Equivalent to ``predict_table_packed(packed, user_id,
-    peer_similarities, matrix.unrated_items(user_id,
-    matrix.item_ids()))`` — the serving layer's relevance-row shape —
-    but the candidate set is enumerated directly in intern space, so no
-    string candidate list is built and each emitted item id is decoded
-    exactly once.  Timed as ``kernel_ms{kernel="predict_row_packed"}``.
+    Equal, key order included, to :func:`repro.core.relevance.predict_table`
+    over ``matrix.unrated_items(user_id, matrix.item_ids())`` — the
+    serving layer's relevance-row shape.  Items whose prediction is
+    undefined (no peer rated them, or zero similarity mass) are omitted
+    unless ``default_score`` is given.  Timed as
+    ``kernel_ms{kernel="predict_row_packed"}``.
     """
     started = time.perf_counter()
     packed.ensure_current()
-    user_int = packed.user_index.get(user_id)
-    own_ratings: dict[int, float] = (
-        packed.row_maps[user_int] if user_int is not None else {}
+    numerators, denominators, own_items = _scatter(
+        packed, user_id, peer_similarities
     )
-    peer_ints = _resolve_peers(packed, peer_similarities)
     item_ids = packed.item_ids
     predictions: dict[str, float] = {}
-    if _probe_beats_stamp(packed, len(peer_ints), packed.num_items):
-        row_maps = packed.row_maps
-        peer_rows = [(sim, row_maps[peer_int]) for peer_int, sim in peer_ints]
-        for item_int in range(packed.num_items):
-            if item_int in own_ratings:
-                continue
-            numerator = 0.0
-            denominator = 0.0
-            for similarity, peer_row in peer_rows:
-                rating = peer_row.get(item_int)
-                if rating is not None:
-                    numerator += similarity * rating
-                    denominator += similarity
-            if denominator != 0.0:
-                predictions[item_ids[item_int]] = numerator / denominator
-            elif default_score is not None:
-                predictions[item_ids[item_int]] = default_score
-        observe_kernel("predict_row_packed", started)
-        return predictions
-    inv_users = packed.inv_users
-    inv_values = packed.inv_values
-    stamp = [0] * packed.num_users
-    value = [0.0] * packed.num_users
-    token = 0
-    for item_int in range(packed.num_items):
-        if item_int in own_ratings:
+    for item_int, denominator in enumerate(denominators):
+        if item_int in own_items:
             continue
-        token += 1
-        raters = inv_users[item_int]
-        ratings = inv_values[item_int]
-        for position, rater in enumerate(raters):
-            stamp[rater] = token
-            value[rater] = ratings[position]
-        numerator = 0.0
-        denominator = 0.0
-        for peer_int, similarity in peer_ints:
-            if stamp[peer_int] == token:
-                numerator += similarity * value[peer_int]
-                denominator += similarity
         if denominator != 0.0:
-            predictions[item_ids[item_int]] = numerator / denominator
+            predictions[item_ids[item_int]] = numerators[item_int] / denominator
         elif default_score is not None:
             predictions[item_ids[item_int]] = default_score
     observe_kernel("predict_row_packed", started)
@@ -307,47 +142,16 @@ def predict_topk_packed(
     if k <= 0:
         observe_kernel("predict_topk_packed", started)
         return []
-    user_int = packed.user_index.get(user_id)
-    own_ratings: dict[int, float] = (
-        packed.row_maps[user_int] if user_int is not None else {}
+    numerators, denominators, own_items = _scatter(
+        packed, user_id, peer_similarities
     )
-    peer_ints = _resolve_peers(packed, peer_similarities)
     item_ids = packed.item_ids
-    probe = _probe_beats_stamp(packed, len(peer_ints), packed.num_items)
-    if probe:
-        row_maps = packed.row_maps
-        peer_rows = [(sim, row_maps[peer_int]) for peer_int, sim in peer_ints]
-    else:
-        inv_users = packed.inv_users
-        inv_values = packed.inv_values
-        stamp = [0] * packed.num_users
-        value = [0.0] * packed.num_users
-    token = 0
     heap: list[_HeapEntry] = []
-    for item_int in range(packed.num_items):
-        if item_int in own_ratings:
+    for item_int, denominator in enumerate(denominators):
+        if item_int in own_items:
             continue
-        numerator = 0.0
-        denominator = 0.0
-        if probe:
-            for similarity, peer_row in peer_rows:
-                rating = peer_row.get(item_int)
-                if rating is not None:
-                    numerator += similarity * rating
-                    denominator += similarity
-        else:
-            token += 1
-            raters = inv_users[item_int]
-            ratings = inv_values[item_int]
-            for position, rater in enumerate(raters):
-                stamp[rater] = token
-                value[rater] = ratings[position]
-            for peer_int, similarity in peer_ints:
-                if stamp[peer_int] == token:
-                    numerator += similarity * value[peer_int]
-                    denominator += similarity
         if denominator != 0.0:
-            score = numerator / denominator
+            score = numerators[item_int] / denominator
         elif default_score is not None:
             score = default_score
         else:

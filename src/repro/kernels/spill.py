@@ -240,9 +240,9 @@ class _SpillRows:
 class _SpillRowMaps:
     """Lazy per-user ``{item_int: value}`` dicts over spill rows.
 
-    Built on first access and memoised: the prediction kernels probe
-    only the requesting user's map, so at most the actively-served
-    users ever materialise a dict.
+    Built on first access and memoised: of the kernels only
+    :func:`pearson_pair` reads row maps, one pair of users at a time,
+    so at most the users it has scored ever materialise a dict.
     """
 
     __slots__ = ("_items", "_values", "_cache")

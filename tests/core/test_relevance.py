@@ -110,8 +110,9 @@ class TestSingleUserRecommender:
             tiny_matrix, similarity, peer_threshold=0.5, default_score=3.0
         )
         assert recommender.relevance("alice", "i6") == 3.0
-        predictions = recommender.predict_items("alice", ["i5", "i6"])
+        predictions = recommender.predict_items("alice", ["i5", "i6", "no-such-item"])
         assert predictions["i6"] == 3.0
+        assert predictions["no-such-item"] == 3.0
 
     def test_peer_threshold_excludes_dissimilar_users(self, tiny_matrix):
         recommender = SingleUserRecommender(
@@ -132,8 +133,9 @@ class TestSingleUserRecommender:
         recommender = SingleUserRecommender(
             tiny_matrix, PearsonRatingSimilarity(tiny_matrix)
         )
-        predictions = recommender.predict_items("alice", ["i1", "i5"])
+        predictions = recommender.predict_items("alice", ["i1", "i5", "no-such-item"])
         assert predictions["i1"] == 5.0
+        assert "no-such-item" not in predictions
 
     def test_recommend_excludes_already_rated_items(self, tiny_matrix):
         recommender = SingleUserRecommender(

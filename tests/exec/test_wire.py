@@ -280,6 +280,17 @@ class TestFrameConnection:
         finally:
             b.close()
 
+    def test_recv_on_a_closed_connection_is_end_of_stream(self):
+        # A worker's reader thread can call recv() after the worker's
+        # cleanup closed the connection; that must read as EOF, not
+        # raise EBADF and kill the thread.
+        a, b = _pair()
+        try:
+            b.close()
+            assert b.recv() is None
+        finally:
+            a.close()
+
     def test_recv_raises_on_torn_eof(self):
         a, b = _pair()
         try:

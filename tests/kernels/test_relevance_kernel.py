@@ -1,14 +1,21 @@
-"""Packed prediction-table kernel vs predict_table: bit-identical."""
+"""Packed Equation 1 kernels vs predict_table: bit-identical.
+
+The reference for one user's row is the dict path over every item the
+user has not rated, in matrix order — the serving layer's relevance-row
+shape.  ``predict_row_packed`` must equal it key order included, and
+``predict_topk_packed`` must equal ``rank_items`` over it.
+"""
 
 from __future__ import annotations
 
 import random
+import threading
 
 import pytest
 
-from repro.core.relevance import predict_table
+from repro.core.relevance import predict_table, rank_items
 from repro.data.ratings import RatingMatrix
-from repro.kernels import PackedRatings, predict_table_packed
+from repro.kernels import PackedRatings, predict_row_packed, predict_topk_packed
 
 
 def random_matrix(seed: int, users: int = 14, items: int = 18) -> RatingMatrix:
@@ -30,48 +37,88 @@ def random_peers(matrix: RatingMatrix, seed: int) -> dict[str, float]:
     return table
 
 
+def expected_row(
+    matrix: RatingMatrix,
+    user_id: str,
+    peers: dict[str, float],
+    default_score: float | None = None,
+) -> dict[str, float]:
+    candidates = matrix.unrated_items(user_id, matrix.item_ids())
+    return predict_table(
+        matrix, user_id, peers, candidates, default_score=default_score
+    )
+
+
+def assert_row_matches(
+    packed: PackedRatings,
+    user_id: str,
+    peers: dict[str, float],
+    default_score: float | None = None,
+) -> dict[str, float]:
+    expected = expected_row(packed.matrix, user_id, peers, default_score)
+    got = predict_row_packed(packed, user_id, peers, default_score=default_score)
+    assert list(got.items()) == list(expected.items())
+    return expected
+
+
+def ranked_pairs(row: dict[str, float], k: int) -> list[tuple[str, float]]:
+    return [scored.as_tuple() for scored in rank_items(row, k)]
+
+
 @pytest.mark.parametrize("seed", [1, 12, 33])
 @pytest.mark.parametrize("default_score", [None, 0.0, 2.5])
 def test_bit_identical_to_dict_path(seed, default_score):
     matrix = random_matrix(seed)
     peers = random_peers(matrix, seed * 3)
     packed = PackedRatings(matrix)
-    user_id = matrix.user_ids()[0]
-    candidates = matrix.item_ids() + ["unknown-item"]
-    expected = predict_table(
-        matrix, user_id, peers, candidates, default_score=default_score
-    )
-    got = predict_table_packed(
-        packed, user_id, peers, candidates, default_score=default_score
-    )
-    assert got == expected
+    for user_id in matrix.user_ids()[:4]:
+        assert_row_matches(packed, user_id, peers, default_score)
 
 
-def test_rated_items_keep_their_actual_rating():
-    matrix = RatingMatrix([("a", "x", 4.0), ("b", "x", 1.0), ("b", "y", 5.0)])
+@pytest.mark.parametrize("seed", [1, 12, 33])
+@pytest.mark.parametrize("default_score", [None, 0.0, 2.5])
+def test_topk_equals_rank_items_over_the_row(seed, default_score):
+    matrix = random_matrix(seed)
+    peers = random_peers(matrix, seed * 3)
     packed = PackedRatings(matrix)
-    table = predict_table_packed(packed, "a", {"b": 1.0}, ["x", "y"])
-    assert table["x"] == 4.0          # a's own rating, not b's
-    assert table["y"] == 5.0          # predicted from b
+    for user_id in matrix.user_ids()[:4]:
+        row = expected_row(matrix, user_id, peers, default_score)
+        for k in (1, 3, len(row), len(row) + 5):
+            got = predict_topk_packed(
+                packed, user_id, peers, k, default_score=default_score
+            )
+            assert got == ranked_pairs(row, k)
+        assert predict_topk_packed(packed, user_id, peers, 0) == []
+
+
+def test_topk_breaks_score_ties_by_item_id():
+    # Interned z, y, x: a tie-break on intern order would rank z first.
+    matrix = RatingMatrix(
+        [("b", "z", 3.0), ("b", "y", 3.0), ("b", "x", 3.0), ("a", "w", 1.0)]
+    )
+    packed = PackedRatings(matrix)
+    peers = {"b": 0.5}
+    row = assert_row_matches(packed, "a", peers)
+    assert set(row.values()) == {3.0}
+    assert predict_topk_packed(packed, "a", peers, 2) == [("x", 3.0), ("y", 3.0)]
 
 
 def test_zero_similarity_mass_is_omitted():
     matrix = RatingMatrix([("a", "x", 4.0), ("b", "y", 2.0), ("c", "y", 3.0)])
     packed = PackedRatings(matrix)
     # +1 and -1 peers cancel exactly: the prediction is undefined.
-    table = predict_table_packed(packed, "a", {"b": 1.0, "c": -1.0}, ["y"])
-    assert table == predict_table(matrix, "a", {"b": 1.0, "c": -1.0}, ["y"])
-    assert "y" not in table
+    peers = {"b": 1.0, "c": -1.0}
+    assert assert_row_matches(packed, "a", peers) == {}
+    assert predict_topk_packed(packed, "a", peers, 5) == []
+    assert predict_row_packed(packed, "a", peers, default_score=2.5) == {"y": 2.5}
 
 
 def test_unknown_requesting_user_matches_dict_path():
     matrix = random_matrix(5)
     packed = PackedRatings(matrix)
     peers = random_peers(matrix, 9)
-    candidates = matrix.item_ids()
-    assert predict_table_packed(
-        packed, "nobody", peers, candidates
-    ) == predict_table(matrix, "nobody", peers, candidates)
+    row = assert_row_matches(packed, "nobody", peers)
+    assert predict_topk_packed(packed, "nobody", peers, 4) == ranked_pairs(row, 4)
 
 
 def test_parity_after_incremental_repack():
@@ -84,30 +131,36 @@ def test_parity_after_incremental_repack():
         mutated = f"u{rng.randrange(14)}"
         matrix.add(mutated, f"i{rng.randrange(20)}", float(rng.randint(1, 5)))
         packed.mark_dirty(mutated)
-        candidates = matrix.item_ids()
-        assert predict_table_packed(
-            packed, user_id, peers, candidates
-        ) == predict_table(matrix, user_id, peers, candidates)
+        row = assert_row_matches(packed, user_id, peers)
+        assert predict_topk_packed(packed, user_id, peers, 3) == ranked_pairs(row, 3)
+
+
+def test_mmap_spill_view_matches_dict_path(tmp_path):
+    """Over a spill-backed view the CSR rows are memoryview slices."""
+    matrix = random_matrix(27)
+    PackedRatings(matrix).save(tmp_path)
+    view = PackedRatings.open_mmap(tmp_path, matrix)
+    assert view.spill_backed
+    peers = random_peers(matrix, 6)
+    for user_id in matrix.user_ids()[:4]:
+        row = assert_row_matches(view, user_id, peers)
+        assert predict_topk_packed(view, user_id, peers, 3) == ranked_pairs(row, 3)
+    assert view.spill_backed
 
 
 def test_concurrent_calls_match_serial_results():
-    """Batch serving runs prediction tables from many reader threads;
-    shared scratch state would let one thread's stamps clobber
-    another's mid-item (regression: the scratch is now per call)."""
-    import threading
-
+    """Batch serving runs relevance rows from many reader threads; the
+    accumulators must be per call, or one thread's sums would leak into
+    another's row."""
     matrix = random_matrix(19, users=40, items=30)
     packed = PackedRatings(matrix)
     users = matrix.user_ids()
-    candidates = matrix.item_ids()
     peer_table = {
         user_id: random_peers(matrix, seed)
         for seed, user_id in enumerate(users)
     }
     expected = {
-        user_id: predict_table_packed(
-            packed, user_id, peer_table[user_id], candidates
-        )
+        user_id: list(expected_row(matrix, user_id, peer_table[user_id]).items())
         for user_id in users
     }
     results: dict[str, list] = {user_id: [] for user_id in users}
@@ -117,16 +170,14 @@ def test_concurrent_calls_match_serial_results():
         barrier.wait()
         for index in range(len(users) * 3):
             user_id = users[(offset + index) % len(users)]
-            results[user_id].append(
-                predict_table_packed(
-                    packed, user_id, peer_table[user_id], candidates
-                )
-            )
+            row = predict_row_packed(packed, user_id, peer_table[user_id])
+            results[user_id].append(list(row.items()))
 
     threads = [threading.Thread(target=worker, args=(i,)) for i in range(8)]
     for thread in threads:
         thread.start()
     for thread in threads:
-        thread.join()
+        thread.join(timeout=60)
+        assert not thread.is_alive()
     for user_id, rows in results.items():
-        assert all(row == expected[user_id] for row in rows)
+        assert rows and all(row == expected[user_id] for row in rows)
