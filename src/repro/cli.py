@@ -299,7 +299,8 @@ def build_parser() -> argparse.ArgumentParser:
         help=(
             "with --listen: cross-connection ceiling on concurrently "
             "executing requests; excess requests are rejected "
-            'immediately with a typed {"error": "overloaded"} response'
+            'immediately with a typed {"error": "overloaded"} response '
+            "(cache hits are answered on the event loop and take no slot)"
         ),
     )
     serve.add_argument(

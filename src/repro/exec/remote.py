@@ -61,7 +61,13 @@ from typing import Any, Callable, Iterable, Sequence, TypeVar
 
 from ..exceptions import ConfigurationError, ExecutionError
 from ..obs import MetricsRegistry, get_registry
-from ..resilience import CircuitBreaker, Deadline, FaultInjector, RetryPolicy
+from ..resilience import (
+    CircuitBreaker,
+    Deadline,
+    FaultInjector,
+    RetryPolicy,
+    mark_degraded,
+)
 from .backends import ExecutionBackend, chunk_evenly, ensure_picklable
 from .wire import (
     DEFAULT_MAX_FRAME_BYTES,
@@ -1668,9 +1674,12 @@ class RemoteBackend(ExecutionBackend):
         the parent only when the bound state or epoch changed since the
         last degraded run; the whole batch is recomputed even if the
         fleet answered part of it before dying, which is safe because
-        task functions are pure.
+        task functions are pure.  The batch also marks the calling
+        context (:func:`~repro.resilience.mark_degraded`), so the
+        request server flags exactly the response this batch served.
         """
         self._counters["degraded_dispatches"].inc()
+        mark_degraded()
         with self._lock:
             epoch = self._epoch
             stale = (

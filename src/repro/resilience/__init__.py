@@ -12,6 +12,10 @@ hard-coding failure behaviour per site:
   :class:`~repro.exceptions.DeadlineExceeded`.
 * :class:`~repro.resilience.policy.CircuitBreaker` — per-worker-host
   fault accounting with half-open probes before re-admission.
+* :func:`~repro.resilience.policy.mark_degraded` /
+  :func:`~repro.resilience.policy.degraded_scope` — the per-request
+  "served without the fleet" mark behind a response's ``"degraded"``
+  flag.
 * :class:`~repro.resilience.faults.FaultPlan` /
   :class:`~repro.resilience.faults.FaultInjector` — scripted,
   deterministic fault injection for the chaos suite (drop/tear the
@@ -31,6 +35,8 @@ from .policy import (
     CircuitBreaker,
     Deadline,
     RetryPolicy,
+    degraded_scope,
+    mark_degraded,
 )
 
 __all__ = [
@@ -43,4 +49,6 @@ __all__ = [
     "FaultInjector",
     "FaultPlan",
     "RetryPolicy",
+    "degraded_scope",
+    "mark_degraded",
 ]

@@ -20,6 +20,10 @@ each site:
   ``cooldown`` later one half-open probe is admitted, and its outcome
   closes or re-opens the circuit.
 
+Beside them, :func:`mark_degraded` / :func:`degraded_scope` carry the
+"served without the fleet" signal from a degraded dispatch to the
+response of the request that caused it, through a context variable.
+
 None of these objects perform I/O or sleep on their own — callers own
 the waiting (``RetryPolicy.call`` takes an injectable ``sleep``), which
 keeps the policies trivially testable with fake clocks.
@@ -27,9 +31,11 @@ keeps the policies trivially testable with fake clocks.
 
 from __future__ import annotations
 
+import contextvars
 import random
 import threading
 import time
+from contextlib import contextmanager
 from dataclasses import dataclass
 from typing import Any, Callable, Iterator
 
@@ -182,6 +188,37 @@ class Deadline:
             f"Deadline(budget={self._budget:.3f}s, "
             f"remaining={self.remaining():.3f}s)"
         )
+
+
+#: Whether a degraded (in-process fallback) dispatch served the current
+#: context since the innermost :func:`degraded_scope` opened.
+_DEGRADED: contextvars.ContextVar[bool] = contextvars.ContextVar(
+    "repro_degraded", default=False
+)
+
+
+def mark_degraded() -> None:
+    """Record that a degraded dispatch served the calling context.
+
+    The worker fleet's serial fallback runs in the thread that
+    dispatched, so the mark lands on the request that asked for the
+    work, never on a concurrent one sharing the same metrics registry.
+    """
+    _DEGRADED.set(True)
+
+
+@contextmanager
+def degraded_scope() -> Iterator[Callable[[], bool]]:
+    """Open a fresh degraded mark; yields a reader of it.
+
+    The request server wraps each executed request in one scope and
+    sets the response's ``"degraded"`` flag from the reader.
+    """
+    token = _DEGRADED.set(False)
+    try:
+        yield _DEGRADED.get
+    finally:
+        _DEGRADED.reset(token)
 
 
 class CircuitBreaker:

@@ -85,19 +85,33 @@ def _optional_positive(payload: Mapping[str, Any], name: str) -> int | None:
 
 
 def parse_request(payload: Mapping[str, Any]) -> ServeRequest:
-    """Build a :class:`ServeRequest` from one decoded JSONL object."""
+    """Build a :class:`ServeRequest` from one decoded JSONL object.
+
+    Raises :class:`ValueError` for anything else: a JSON line that is
+    not an object, an unknown ``type``, or a field of the wrong shape.
+    """
+    if not isinstance(payload, Mapping):
+        raise ValueError(
+            f"a request must be a JSON object, got {type(payload).__name__}"
+        )
     kind = payload.get("type")
     if kind not in REQUEST_KINDS:
         raise ValueError(
             f"unknown request type {kind!r}; expected one of {REQUEST_KINDS}"
         )
     if kind == "group":
-        members = payload.get("members") or ()
-        if not members:
-            raise ValueError("group request needs a non-empty 'members' list")
+        members = payload.get("members")
+        if (
+            not isinstance(members, list)
+            or not members
+            or not all(isinstance(member, str) for member in members)
+        ):
+            raise ValueError(
+                "group request needs a non-empty 'members' list of strings"
+            )
         return ServeRequest(
             kind="group",
-            members=tuple(str(member) for member in members),
+            members=tuple(members),
             z=_optional_positive(payload, "z"),
         )
     if kind == "user":

@@ -6,20 +6,34 @@ server (running on a background thread, so synchronous callers just
 ``start()``/``stop()`` it) that accepts any number of concurrent
 connections, each streaming newline-delimited JSON requests in the
 :mod:`repro.serving.requests` schema and receiving one JSON response
-line per request, in order.
+line per request, in order.  Within one connection requests are
+processed strictly in order, so a client's ``rate`` mutation is always
+visible to its own next read.
 
-Admission control is a hard bound on cross-connection in-flight work:
-at most ``max_inflight`` requests execute on the service at once, and a
-request arriving past the bound is rejected *immediately* with a typed
-``{"error": "overloaded"}`` response (and an ``server_overloads``
-counter increment) instead of queueing without bound — under overload
-the server sheds load loudly rather than silently growing a queue.
-Within one connection requests are processed strictly in order, so a
-client's ``rate`` mutation is always visible to its own next read.
+A request takes one of two paths:
 
-The actual recommendation work runs on a thread pool via the service's
-thread-safe request paths — the asyncio loop only parses, admits and
-frames, so slow recommendations never stall accept/reject handling.
+* **Cache hits are answered on the event loop.**  A ``group`` or
+  ``user`` request whose answer is already in the service's group or
+  relevance cache is served inline by
+  :meth:`~repro.serving.service.RecommendationService.cached_group` /
+  :meth:`~repro.serving.service.RecommendationService.cached_user`,
+  which never compute and never wait for the data lock: when a writer
+  holds it, the request simply takes the second path.  A hit takes no in-flight
+  slot, so it is answered even when the executor is saturated.
+* **Everything else runs on a thread pool.**  Misses and ``rate``
+  writes run on an executor via the service's thread-safe request
+  paths, so slow recommendations never stall the loop.  Admission
+  control bounds this work across connections: at most
+  ``max_inflight`` requests execute at once, and a request arriving
+  past the bound is rejected *immediately* with a typed
+  ``{"error": "overloaded"}`` response (and a ``server_overloads``
+  counter increment) instead of queueing without bound -- under
+  overload the server sheds load loudly rather than silently growing a
+  queue.
+
+A line that is not a valid request is answered with a typed
+``bad-request``; a line longer than :data:`MAX_LINE_BYTES` is answered
+the same way, after which that connection is closed.
 """
 
 from __future__ import annotations
@@ -31,11 +45,19 @@ import time
 from concurrent.futures import ThreadPoolExecutor
 from typing import Any
 
+from ..core.pipeline import CaregiverRecommendation
+from ..core.relevance import ScoredItem
 from ..exceptions import DeadlineExceeded, ReproError
 from ..obs import MetricsRegistry
-from ..resilience import Deadline
+from ..resilience import Deadline, degraded_scope
 from .requests import ServeRequest, parse_request
 from .service import RecommendationService
+
+#: Longest request line accepted, in bytes (asyncio's stream default).
+#: A longer line is answered with a ``bad-request`` naming this limit,
+#: and its connection is closed: the rest of the line is still in flight
+#: and would otherwise be read as further requests.
+MAX_LINE_BYTES = 2**16
 
 #: Fallback ``retry_after_ms`` hint when no request has completed yet
 #: (an empty latency window gives the client nothing to extrapolate).
@@ -43,6 +65,10 @@ _DEFAULT_RETRY_AFTER_MS = 50
 
 #: Sliding window (seconds) behind the overload hint's p50.
 _LATENCY_WINDOW_S = 30.0
+
+#: Upper bound on the loop turns shutdown waits for half-set-up
+#: connections to reach their handler (a few turns suffice).
+_SETTLE_TURNS = 100
 
 
 class OverloadedError(ReproError):
@@ -69,10 +95,11 @@ class RequestServer:
         resolved address back from :meth:`start`'s return value or
         :attr:`address`.
     max_inflight:
-        Cross-connection ceiling on concurrently executing requests.
+        Cross-connection ceiling on requests executing on the thread
+        pool; cache hits answered on the event loop never take a slot.
         Request number ``max_inflight + 1`` is rejected immediately
         with a typed ``overloaded`` response carrying a
-        ``retry_after_ms`` hint (the windowed p50 of recent request
+        ``retry_after_ms`` hint (the windowed p50 of recent executor
         latency — roughly when one in-flight slot should free up).
     request_timeout:
         Optional per-request time budget, in seconds.  A
@@ -82,11 +109,13 @@ class RequestServer:
         (``server_deadline_timeouts`` counts them).  ``None`` (default)
         serves without a budget.
     metrics:
-        Registry for the server's counters (``server_requests``,
+        Registry for the server's counters (``server_requests``, which
+        counts every answered request, hits included;
         ``server_overloads``, ``server_connections``,
         ``server_errors``, ``server_deadline_timeouts``,
         ``server_degraded_responses``) and the ``server_request_ms``
-        latency histogram; defaults to the service's registry.
+        histogram, which times executor work only; defaults to the
+        service's registry.
     """
 
     def __init__(
@@ -132,6 +161,9 @@ class RequestServer:
         self._thread: threading.Thread | None = None
         self._started = threading.Event()
         self._address: tuple[str, int] | None = None
+        # Connection handler tasks that have started running (loop
+        # thread only); see _shutdown.
+        self._handlers: set[asyncio.Task] = set()
 
     # -- lifecycle -----------------------------------------------------------
 
@@ -167,7 +199,10 @@ class RequestServer:
             try:
                 server = loop.run_until_complete(
                     asyncio.start_server(
-                        self._handle_connection, self.host, self.port
+                        self._handle_connection,
+                        self.host,
+                        self.port,
+                        limit=MAX_LINE_BYTES,
                     )
                 )
             except OSError:
@@ -186,13 +221,24 @@ class RequestServer:
         loop: asyncio.AbstractEventLoop,
         server: asyncio.AbstractServer,
     ) -> None:
-        """Close the listener and unwind open connection handlers."""
+        """Close the listener and unwind open connection handlers.
+
+        A connection accepted just before the close is still being set
+        up (transport first, then its handler task), so the loop turns
+        until every other task is a handler that has started, for at
+        most :data:`_SETTLE_TURNS` turns.  Only then are the handlers
+        cancelled: on python 3.11, cancelling a handler task before its
+        first step makes asyncio's own done-callback log the
+        cancellation as an unhandled error.
+        """
         server.close()
         await server.wait_closed()
         current = asyncio.current_task(loop)
-        tasks = [
-            task for task in asyncio.all_tasks(loop) if task is not current
-        ]
+        for _ in range(_SETTLE_TURNS):
+            if asyncio.all_tasks(loop) - {current} <= self._handlers:
+                break
+            await asyncio.sleep(0)
+        tasks = asyncio.all_tasks(loop) - {current}
         for task in tasks:
             task.cancel()
         if tasks:
@@ -228,57 +274,81 @@ class RequestServer:
     ) -> None:
         """Serve one JSONL stream: a response line per request line."""
         self._connections.inc()
+        task = asyncio.current_task()
+        self._handlers.add(task)
         number = 0
         try:
             while True:
-                line = await reader.readline()
+                try:
+                    line = await reader.readline()
+                except ValueError:
+                    # Past the stream limit; see MAX_LINE_BYTES.
+                    self._errors.inc()
+                    await self._write(
+                        writer,
+                        {
+                            "id": number + 1,
+                            "error": "bad-request",
+                            "detail": (
+                                f"request line exceeds {MAX_LINE_BYTES} "
+                                f"bytes; closing the connection"
+                            ),
+                        },
+                    )
+                    return
                 if not line:
                     return
                 text = line.decode("utf-8", errors="replace").strip()
                 if not text:
                     continue
                 number += 1
-                response = await self._respond(number, text)
-                writer.write(
-                    (json.dumps(response, sort_keys=True) + "\n").encode()
-                )
-                await writer.drain()
+                await self._write(writer, await self._respond(number, text))
         except (ConnectionError, asyncio.IncompleteReadError):
             return  # client went away mid-stream; nothing to answer
         except asyncio.CancelledError:
             return  # server stopping; close the stream and end cleanly
         finally:
+            self._handlers.discard(task)
             writer.close()
             try:
                 await writer.wait_closed()
             except (asyncio.CancelledError, ConnectionError, OSError):
                 pass
 
+    @staticmethod
+    async def _write(
+        writer: asyncio.StreamWriter, response: dict[str, Any]
+    ) -> None:
+        """Send one response line."""
+        writer.write((json.dumps(response, sort_keys=True) + "\n").encode())
+        await writer.drain()
+
     async def _respond(self, number: int, text: str) -> dict[str, Any]:
-        """Parse, admit and execute one request line; never raises."""
+        """Parse and answer one request line; never raises.
+
+        A cache hit is answered here, on the loop thread, before
+        admission; anything else is admitted and run on the executor.
+        """
         try:
             request = parse_request(json.loads(text))
-        except (ValueError, TypeError) as exc:
+        except (ValueError, TypeError, RecursionError) as exc:
+            # RecursionError: JSON nested too deep for the decoder.
             self._errors.inc()
             return {"id": number, "error": "bad-request", "detail": str(exc)}
-        with self._inflight_lock:
-            if self._inflight >= self.max_inflight:
-                self._overloads.inc()
-                rejection = OverloadedError(self._inflight, self.max_inflight)
-                return {
-                    "id": number,
-                    "error": "overloaded",
-                    "detail": str(rejection),
-                    "inflight": rejection.inflight,
-                    "max_inflight": rejection.max_inflight,
-                    "retry_after_ms": self._retry_after_ms(),
-                }
-            self._inflight += 1
-        loop = asyncio.get_running_loop()
         try:
-            result = await loop.run_in_executor(
-                self._executor, self._execute, request
-            )
+            result = self._cached_result(request)
+            if result is None:
+                result = await self._run_admitted(request)
+        except OverloadedError as rejection:
+            self._overloads.inc()
+            return {
+                "id": number,
+                "error": "overloaded",
+                "detail": str(rejection),
+                "inflight": rejection.inflight,
+                "max_inflight": rejection.max_inflight,
+                "retry_after_ms": self._retry_after_ms(),
+            }
         except DeadlineExceeded as exc:
             self._errors.inc()
             self._deadline_timeouts.inc()
@@ -293,19 +363,53 @@ class RequestServer:
         except Exception as exc:  # pragma: no cover - defensive
             self._errors.inc()
             return {"id": number, "error": "internal", "detail": repr(exc)}
-        finally:
-            with self._inflight_lock:
-                self._inflight -= 1
         self._requests.inc()
         result["id"] = number
         return result
 
-    def _retry_after_ms(self) -> int:
-        """Overload hint: windowed p50 request latency, in whole ms.
+    def _cached_result(self, request: ServeRequest) -> dict[str, Any] | None:
+        """The response to a cache hit, or ``None`` (loop thread).
 
-        Roughly when one of the in-flight slots should free up; before
-        any request has completed the window is empty and a small fixed
-        hint is returned instead.
+        Never computes and never waits for the service's data lock.
+        """
+        if request.kind == "group":
+            recommendation = self.service.cached_group(
+                request.members, request.z, wait=False
+            )
+            if recommendation is not None:
+                return _group_result(request, recommendation)
+        elif request.kind == "user":
+            items = self.service.cached_user(
+                request.user_id, request.k, wait=False
+            )
+            if items is not None:
+                return _user_result(request, items)
+        return None
+
+    async def _run_admitted(self, request: ServeRequest) -> dict[str, Any]:
+        """Run ``request`` on the executor in one in-flight slot.
+
+        Raises :class:`OverloadedError` when every slot is taken.
+        """
+        with self._inflight_lock:
+            if self._inflight >= self.max_inflight:
+                raise OverloadedError(self._inflight, self.max_inflight)
+            self._inflight += 1
+        try:
+            return await asyncio.get_running_loop().run_in_executor(
+                self._executor, self._execute, request
+            )
+        finally:
+            with self._inflight_lock:
+                self._inflight -= 1
+
+    def _retry_after_ms(self) -> int:
+        """Overload hint: windowed p50 executor latency, in whole ms.
+
+        Roughly when one of the in-flight slots should free up; cache
+        hits hold no slot, so only executor work is in the window.
+        Before any request has completed the window is empty and a
+        small fixed hint is returned instead.
         """
         p50 = self._latency.windowed_quantile(0.5)
         if p50 is None or p50 <= 0:
@@ -318,10 +422,11 @@ class RequestServer:
         With a ``request_timeout`` configured, a fresh
         :class:`~repro.resilience.Deadline` rides the request into the
         service (and from there into backend dispatch).  If the worker
-        fleet served this request degraded (its
-        ``pool_degraded_dispatches`` counter moved while the request
-        ran), the response is marked ``"degraded": true`` — clients see
-        that the answer is correct but was computed without the fleet.
+        fleet served this request degraded (its serial fallback marked
+        this request's context, see
+        :func:`~repro.resilience.mark_degraded`), the response is marked
+        ``"degraded": true`` -- clients see that the answer is correct
+        but was computed without the fleet.
         """
         deadline = (
             Deadline.after(self.request_timeout)
@@ -331,50 +436,61 @@ class RequestServer:
         deadline_kwargs: dict[str, Any] = (
             {"deadline": deadline} if deadline is not None else {}
         )
-        service_metrics = getattr(self.service, "metrics", None)
-        degraded_before = (
-            service_metrics.value("pool_degraded_dispatches")
-            if service_metrics is not None
-            else 0.0
-        )
         started = time.perf_counter()
-        try:
-            if request.kind == "group":
-                recommendation = self.service.recommend_group(
-                    request.group(), z=request.z, **deadline_kwargs
+        with degraded_scope() as degraded:
+            try:
+                if request.kind == "group":
+                    result = _group_result(
+                        request,
+                        self.service.recommend_group(
+                            request.group(), z=request.z, **deadline_kwargs
+                        ),
+                    )
+                elif request.kind == "user":
+                    result = _user_result(
+                        request,
+                        self.service.recommend_user(
+                            request.user_id, k=request.k, **deadline_kwargs
+                        ),
+                    )
+                else:
+                    self.service.ingest_rating(
+                        request.user_id, request.item_id, request.value
+                    )
+                    result = {
+                        "kind": "rate",
+                        "user": request.user_id,
+                        "item": request.item_id,
+                        "ok": True,
+                    }
+            finally:
+                self._latency.observe(
+                    (time.perf_counter() - started) * 1000.0
                 )
-                result = {
-                    "kind": "group",
-                    "members": list(request.members),
-                    "items": list(recommendation.items),
-                    "fairness": recommendation.report.fairness,
-                }
-            elif request.kind == "user":
-                items = self.service.recommend_user(
-                    request.user_id, k=request.k, **deadline_kwargs
-                )
-                result = {
-                    "kind": "user",
-                    "user": request.user_id,
-                    "items": [item.item_id for item in items],
-                }
-            else:
-                self.service.ingest_rating(
-                    request.user_id, request.item_id, request.value
-                )
-                result = {
-                    "kind": "rate",
-                    "user": request.user_id,
-                    "item": request.item_id,
-                    "ok": True,
-                }
-        finally:
-            self._latency.observe((time.perf_counter() - started) * 1000.0)
-        if service_metrics is not None:
-            degraded_after = service_metrics.value(
-                "pool_degraded_dispatches"
-            )
-            if degraded_after > degraded_before:
+            if degraded():
                 self._degraded_responses.inc()
                 result["degraded"] = True
         return result
+
+
+def _group_result(
+    request: ServeRequest, recommendation: CaregiverRecommendation
+) -> dict[str, Any]:
+    """The response body of a served ``group`` request."""
+    return {
+        "kind": "group",
+        "members": list(request.members),
+        "items": list(recommendation.items),
+        "fairness": recommendation.report.fairness,
+    }
+
+
+def _user_result(
+    request: ServeRequest, items: list[ScoredItem]
+) -> dict[str, Any]:
+    """The response body of a served ``user`` request."""
+    return {
+        "kind": "user",
+        "user": request.user_id,
+        "items": [item.item_id for item in items],
+    }

@@ -19,7 +19,11 @@ façade:
   lose cached state;
 * :meth:`recommend_many` answers a batch of group requests, sharing
   peer and relevance computation across overlapping groups, optionally
-  on a thread pool.
+  on a thread pool;
+* :meth:`cached_group` / :meth:`cached_user` are the one cache-hit
+  path of group and user requests; with ``wait=False`` they never
+  compute and never wait for the data lock, which is how the request
+  server answers hits on its event loop.
 
 Warm results are bit-identical to the cold
 :class:`~repro.core.pipeline.CaregiverPipeline`: both use the same peer
@@ -97,13 +101,31 @@ class _ReadWriteLock:
         self._writing = False
 
     @contextmanager
-    def read(self) -> Iterator[None]:
-        with self._condition:
-            while self._writing:
-                self._condition.wait()
-            self._readers += 1
+    def read(self, wait: bool = True) -> Iterator[bool]:
+        """Hold the lock as a reader; yields whether the hold was taken.
+
+        ``wait=False`` never blocks: when a writer holds the lock, or
+        the lock's own mutex is busy at that instant, it yields
+        ``False`` without a hold and the caller must leave the guarded
+        data alone.  The request server's event loop reads this way,
+        so a write in progress sends a request to the executor instead
+        of stalling every connection.
+        """
+        held = self._condition.acquire(blocking=wait)
+        if held:
+            try:
+                while wait and self._writing:
+                    self._condition.wait()
+                held = not self._writing
+                if held:
+                    self._readers += 1
+            finally:
+                self._condition.release()
+        if not held:
+            yield False
+            return
         try:
-            yield
+            yield True
         finally:
             with self._condition:
                 self._readers -= 1
@@ -714,8 +736,11 @@ class RecommendationService:
         Excluding a user that is not in the thresholded peer list is a
         no-op, so the cache key only keeps the members that actually
         matter.  Overlapping groups whose other members are not peers of
-        ``user_id`` all collapse onto the same row.
+        ``user_id`` all collapse onto the same row.  An empty exclusion
+        never touches the index, so a single-user key costs nothing.
         """
+        if not exclude:
+            return frozenset()
         peer_ids = self.index.peer_ids(user_id)
         return frozenset(uid for uid in exclude if uid in peer_ids)
 
@@ -798,8 +823,42 @@ class RecommendationService:
                 self._validate_user(result, user_id, k)
             self._record("user", started, "user_requests")
             return result
+        result = self.cached_user(user_id, k)
+        if result is not None:
+            return result
         with self._data_lock.read():
-            row = self._relevance_row(user_id)
+            epoch = self.relevance_cache.epoch
+            row = self._compute_relevance_row(user_id, frozenset())
+            self.relevance_cache.put((user_id, frozenset()), row, epoch=epoch)
+            result = rank_items(row, k)
+            self._validate_user(result, user_id, k)
+        self._record("user", started, "user_requests")
+        return result
+
+    def cached_user(
+        self, user_id: str, k: int | None = None, *, wait: bool = True
+    ) -> list[ScoredItem] | None:
+        """Top-``k`` from ``user_id``'s cached relevance row, or ``None``.
+
+        The row is the one :meth:`recommend_user` caches, under key
+        ``(user_id, frozenset())``.  A hit is ranked, validated (unless
+        ``validation`` is ``off``) and recorded as one user request.
+        ``wait`` works as in :meth:`cached_group`, except that the
+        data read lock is always taken: the row is ranked under it, as
+        on the compute path.
+        """
+        k = resolve_positive(k, self.config.top_k, "k")
+        cache = self.relevance_cache
+        if not wait and cache.capacity <= 0:
+            return None
+        started = time.perf_counter()
+        lookup = cache.get if wait else cache.get_hit
+        with self._data_lock.read(wait) as held:
+            if not held:
+                return None
+            row = lookup((user_id, frozenset()))
+            if row is None:
+                return None
             result = rank_items(row, k)
             self._validate_user(result, user_id, k)
         self._record("user", started, "user_requests")
@@ -846,12 +905,8 @@ class RecommendationService:
         started = time.perf_counter()
         cache_key = (tuple(group.member_ids), z)
         group_epoch = self.group_cache.epoch
-        cached = self.group_cache.get(cache_key)
+        cached = self.cached_group(group.member_ids, z)
         if cached is not None:
-            # Cache hits are served responses too — strict mode must
-            # catch a corrupted cache entry, not just a fresh compute.
-            self._validate_group(cached, z, group_epoch)
-            self._record("group", started, "group_requests")
             return cached
         with self._data_lock.read():
             # Packed candidate scan: one bytearray mask over the member
@@ -888,6 +943,47 @@ class RecommendationService:
         self.group_cache.put(cache_key, recommendation, epoch=group_epoch)
         self._record("group", started, "group_requests")
         return recommendation
+
+    def cached_group(
+        self, members: Sequence[str], z: int | None = None, *, wait: bool = True
+    ) -> CaregiverRecommendation | None:
+        """The cached answer for ``(members, z)``, or ``None`` on a miss.
+
+        A hit is a served response: it is validated (unless
+        ``validation`` is ``off``; strict mode must catch a corrupted
+        entry, not just a fresh compute) and recorded as one group
+        request.  Each request counts exactly one cache hit or miss:
+
+        * ``wait=True`` -- the request paths (:meth:`recommend_group`,
+          :meth:`recommend_many`): the lookup counts the hit or the
+          miss, and validation may wait for the data read lock;
+        * ``wait=False`` -- the request server's event loop: never
+          computes, never waits for the data lock, and counts only a
+          hit it answers.  A disabled cache, a miss, or a writer
+          holding the lock that validation needs all return ``None``
+          with nothing counted; the caller falls back to a request
+          path, which counts.
+        """
+        z = resolve_positive(z, self.config.top_z, "z")
+        cache = self.group_cache
+        if not wait and cache.capacity <= 0:
+            return None
+        started = time.perf_counter()
+        key = (tuple(members), z)
+        lookup = cache.get if wait else cache.get_hit
+        if self._validation == "off":
+            cached = lookup(key)
+        else:
+            with self._data_lock.read(wait) as held:
+                if not held:
+                    return None
+                epoch = cache.epoch
+                cached = lookup(key)
+                if cached is not None:
+                    self._validate_group(cached, z, epoch, locked=True)
+        if cached is not None:
+            self._record("group", started, "group_requests")
+        return cached
 
     def recommend_many(
         self,
@@ -1063,13 +1159,9 @@ class RecommendationService:
         """
         results: dict[tuple[str, ...], CaregiverRecommendation] = {}
         missing: dict[tuple[str, ...], Group] = {}
-        group_requests = self._request_counters["group_requests"]
-        observed_epoch = self.group_cache.epoch
         for key, group in distinct.items():
-            cached = self.group_cache.get((key, z))
+            cached = self.cached_group(key, z)
             if cached is not None:
-                self._validate_group(cached, z, observed_epoch)
-                group_requests.inc()
                 results[key] = cached
             else:
                 missing[key] = group
@@ -1103,6 +1195,7 @@ class RecommendationService:
                 self._validate_group(recommendation, z, epoch, locked=True)
         elapsed_ms = (time.perf_counter() - started) * 1000.0
         per_group_ms = elapsed_ms / len(missing)
+        group_requests = self._request_counters["group_requests"]
         group_hist = self._request_ms["group"]
         for key, recommendation in zip(missing.keys(), recommendations):
             self.group_cache.put((key, z), recommendation, epoch=epoch)

@@ -39,6 +39,12 @@ class TestRequestModel:
             {"type": "group", "members": []},
             {"type": "user"},
             {"type": "rate", "user_id": "u1", "item_id": "d1"},
+            {"type": "group", "members": "user-00"},
+            {"type": "group", "members": ["u1", 2]},
+            [1],
+            42,
+            "x",
+            None,
         ],
     )
     def test_invalid_requests_rejected(self, payload):

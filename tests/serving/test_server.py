@@ -9,6 +9,7 @@ calls on internals.
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import socket
 import threading
@@ -20,7 +21,9 @@ from repro.config import RecommenderConfig
 from repro.data.groups import Group
 from repro.exceptions import ReproError
 from repro.obs import MetricsRegistry
+from repro.resilience import mark_degraded
 from repro.serving import OverloadedError, RecommendationService, RequestServer
+from repro.serving.server import MAX_LINE_BYTES
 
 CONFIG = RecommenderConfig(peer_threshold=0.1, top_z=4, top_k=5, max_peers=10)
 
@@ -56,6 +59,21 @@ def _readline(sock: socket.socket) -> dict:
 def _ask(sock: socket.socket, payload: object) -> dict:
     _send(sock, payload)
     return _readline(sock)
+
+
+class _UncachedService:
+    """Base of the service doubles: a cache that never hits.
+
+    The server asks the service for a cache hit on the event loop
+    before it admits a request; a double answers ``None`` so every
+    request reaches its ``recommend_*`` method on the executor.
+    """
+
+    def cached_group(self, members, z=None, *, wait=True):
+        return None
+
+    def cached_user(self, user_id, k=None, *, wait=True):
+        return None
 
 
 class TestRequestKinds:
@@ -155,8 +173,51 @@ class TestRejections:
         assert "error" not in good
         assert good["id"] == 2
 
+    @pytest.mark.parametrize(
+        "line",
+        [
+            "[1]",
+            "42",
+            '"x"',
+            "null",
+            '{"type": "group", "members": "user-00"}',
+            pytest.param("[" * 50_000, id="nested-too-deep"),
+        ],
+    )
+    def test_a_line_that_is_not_a_request_object_is_bad_request(
+        self, service, line
+    ):
+        user_id = service.dataset.users.ids()[0]
+        with RequestServer(service) as server:
+            with _connect(server.address) as sock:
+                rejected = _ask(sock, line)
+                good = _ask(sock, {"type": "user", "user_id": user_id})
+        assert rejected["id"] == 1
+        assert rejected["error"] == "bad-request"
+        assert "error" not in good
+        assert good["id"] == 2
+
+    def test_an_oversized_line_is_bad_request_and_closes(self, service):
+        user_id = service.dataset.users.ids()[0]
+        with RequestServer(service) as server:
+            with _connect(server.address) as sock:
+                _send(sock, "x" * 70_000)
+                response = _readline(sock)
+                # The server closed the connection: an orderly end of
+                # stream, or a reset if part of the line was unread.
+                try:
+                    assert sock.recv(1) == b""
+                except ConnectionResetError:
+                    pass
+            with _connect(server.address) as sock:
+                good = _ask(sock, {"type": "user", "user_id": user_id})
+        assert response["id"] == 1
+        assert response["error"] == "bad-request"
+        assert str(MAX_LINE_BYTES) in response["detail"]
+        assert "error" not in good
+
     def test_repro_errors_map_to_their_type_name(self):
-        class _Exploding:
+        class _Exploding(_UncachedService):
             def recommend_user(self, user_id, k=None):
                 raise ReproError(f"no such user {user_id!r}")
 
@@ -170,7 +231,7 @@ class TestRejections:
         assert registry.counter("server_errors").value == 1
 
 
-class _StallingService:
+class _StallingService(_UncachedService):
     """A service double whose requests block until released."""
 
     def __init__(self) -> None:
@@ -237,7 +298,140 @@ class TestAdmissionControl:
             RequestServer(service, max_inflight=0)
 
 
-class _SlowService:
+def _executor_requests(registry: MetricsRegistry) -> int:
+    """How many requests the server ran on its executor."""
+    return registry.histogram("server_request_ms").count
+
+
+class TestCacheHitsOnTheLoop:
+    """Hits are answered on the event loop, misses on the executor."""
+
+    @pytest.mark.parametrize(
+        ("kind", "cache", "counter"),
+        [("group", "group_cache", "group_requests"),
+         ("user", "relevance_cache", "user_requests")],
+    )
+    def test_repeats_count_one_miss_and_the_rest_hits(
+        self, mutable_dataset, kind, cache, counter
+    ):
+        registry = MetricsRegistry()
+        service = RecommendationService(mutable_dataset, CONFIG, metrics=registry)
+        ids = mutable_dataset.users.ids()
+        request = (
+            {"type": "group", "members": ids[:3]}
+            if kind == "group"
+            else {"type": "user", "user_id": ids[0]}
+        )
+        repeats = 5
+        try:
+            with RequestServer(service) as server:
+                with _connect(server.address) as sock:
+                    answers = [_ask(sock, request) for _ in range(repeats)]
+            stats = service.stats()
+        finally:
+            service.close()
+        assert all("error" not in answer for answer in answers)
+        assert len({json.dumps(a["items"]) for a in answers}) == 1
+        assert stats[cache]["misses"] == 1
+        assert stats[cache]["hits"] == repeats - 1
+        assert stats["requests"][counter] == repeats
+        assert registry.counter("server_requests").value == repeats
+        assert _executor_requests(registry) == 1  # only the miss
+
+    def test_a_hit_is_answered_while_every_slot_is_held(
+        self, service, mutable_dataset
+    ):
+        members = mutable_dataset.users.ids()[:3]
+        expected = service.recommend_group(Group(member_ids=list(members)))
+        entered = threading.Event()
+        release = threading.Event()
+
+        def stalled_ingest(user_id, item_id, value):
+            entered.set()
+            assert release.wait(timeout=30.0)
+
+        service.ingest_rating = stalled_ingest
+        registry = MetricsRegistry()
+        server = RequestServer(service, max_inflight=1, metrics=registry)
+        with server:
+            writer = _connect(server.address)
+            reader = _connect(server.address)
+            try:
+                _send(
+                    writer,
+                    {"type": "rate", "user_id": members[0],
+                     "item_id": "d0000", "value": 3},
+                )
+                assert entered.wait(timeout=10.0)
+                hit = _ask(reader, {"type": "group", "members": members})
+                release.set()
+                assert _readline(writer)["ok"] is True
+            finally:
+                release.set()
+                writer.close()
+                reader.close()
+        assert hit["items"] == list(expected.items)
+        assert "degraded" not in hit
+        assert registry.counter("server_overloads").value == 0
+        assert registry.counter("server_requests").value == 2
+
+    def test_a_writer_holding_the_lock_never_blocks_the_loop(
+        self, service, mutable_dataset
+    ):
+        ids = mutable_dataset.users.ids()
+        user_id, members = ids[0], ids[1:4]
+        expected_user = [
+            item.item_id for item in service.recommend_user(user_id)
+        ]
+        expected_group = service.recommend_group(Group(member_ids=members))
+        registry = MetricsRegistry()
+        with RequestServer(service, metrics=registry) as server:
+            user_sock = _connect(server.address)
+            group_sock = _connect(server.address)
+            try:
+                with service._data_lock.write():
+                    _send(user_sock, {"type": "user", "user_id": user_id})
+                    group = _ask(group_sock, {"type": "group", "members": members})
+                    # The cached user request needs the read lock the
+                    # writer holds: it waits on the executor, not the loop.
+                    user_sock.settimeout(0.3)
+                    with pytest.raises(socket.timeout):
+                        user_sock.recv(1)
+                user_sock.settimeout(10.0)
+                user = _readline(user_sock)
+            finally:
+                user_sock.close()
+                group_sock.close()
+        assert group["items"] == list(expected_group.items)
+        assert user["items"] == expected_user
+        assert _executor_requests(registry) == 1  # the user request
+        assert service.stats()["relevance_cache"]["hits"] >= 1
+
+    def test_strict_validation_fails_a_poisoned_hit_on_the_loop(
+        self, mutable_dataset
+    ):
+        config = dataclasses.replace(CONFIG, validation="strict")
+        registry = MetricsRegistry()
+        service = RecommendationService(mutable_dataset, config, metrics=registry)
+        members = mutable_dataset.users.ids()[:3]
+        try:
+            clean = service.recommend_group(Group(member_ids=members))
+            poisoned = dataclasses.replace(
+                clean, plain_top_z=tuple(reversed(clean.plain_top_z))
+            )
+            service.group_cache.put((tuple(members), config.top_z), poisoned)
+            with RequestServer(service) as server:
+                with _connect(server.address) as sock:
+                    response = _ask(sock, {"type": "group", "members": members})
+        finally:
+            service.close()
+        assert response["error"] == "ValidationError"
+        assert "score_order" in response["detail"]
+        assert _executor_requests(registry) == 0  # answered on the loop
+        assert registry.counter("server_errors").value == 1
+
+
+class _SlowService(_UncachedService):
     """A service double that overruns any small request budget."""
 
     def recommend_user(
@@ -249,8 +443,24 @@ class _SlowService:
         return []
 
 
-class _DegradingService:
+class _DegradingService(_UncachedService):
     """A service double whose backend 'degrades' on every request."""
+
+    def __init__(self) -> None:
+        self.metrics = MetricsRegistry()
+
+    def recommend_user(self, user_id: str, k: int | None = None) -> list:
+        self.metrics.counter("pool_degraded_dispatches").inc()
+        mark_degraded()
+        return []
+
+
+class _BystanderService(_UncachedService):
+    """A double whose registry sees another request's degraded batch.
+
+    The shared ``pool_degraded_dispatches`` counter moves while this
+    request runs, but nothing degraded served it.
+    """
 
     def __init__(self) -> None:
         self.metrics = MetricsRegistry()
@@ -324,6 +534,16 @@ class TestResilienceSurface:
         assert response["degraded"] is True
         assert registry.counter("server_degraded_responses").value == 1
 
+    def test_a_concurrent_fallback_does_not_mark_the_response(self):
+        bystander = _BystanderService()
+        registry = MetricsRegistry()
+        server = RequestServer(bystander, metrics=registry)
+        with server:
+            with _connect(server.address) as sock:
+                response = _ask(sock, {"type": "user", "user_id": "a"})
+        assert "degraded" not in response
+        assert registry.counter("server_degraded_responses").value == 0
+
     def test_request_timeout_must_be_positive(self, service):
         with pytest.raises(ValueError, match="request_timeout"):
             RequestServer(service, request_timeout=0.0)
@@ -349,6 +569,21 @@ class TestLifecycle:
         finally:
             sock.close()
         assert server.address is None
+
+    def test_stop_right_after_a_connect_logs_no_loop_error(
+        self, service, monkeypatch
+    ):
+        # asyncio's debug mode slows the loop down enough that the new
+        # connection is still being set up when stop() unwinds it; the
+        # autouse fixture fails the test on any loop error logged.
+        monkeypatch.setenv("PYTHONASYNCIODEBUG", "1")
+        for _ in range(3):
+            server = RequestServer(service)
+            sock = _connect(server.start())
+            try:
+                server.stop()
+            finally:
+                sock.close()
 
     def test_stop_is_idempotent(self, service):
         server = RequestServer(service)

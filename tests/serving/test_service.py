@@ -16,6 +16,7 @@ from repro.data.groups import Group, random_group
 from repro.data.phr import HealthProblem
 from repro.kernels.oracle import DictPearsonSimilarity
 from repro.serving import RecommendationService
+from repro.serving.service import _ReadWriteLock
 
 CONFIG = RecommenderConfig(peer_threshold=0.1, top_z=5, top_k=5, max_peers=10)
 
@@ -59,6 +60,31 @@ class TestWarmColdParity:
         before = service.group_cache.stats.hits
         service.recommend_group(group)
         assert service.group_cache.stats.hits == before + 1
+
+    def test_a_user_hit_never_touches_the_index(self, service, mutable_dataset):
+        user_id = mutable_dataset.users.ids()[0]
+        first = service.recommend_user(user_id)
+
+        def untouchable(*args, **kwargs):
+            raise AssertionError("a cached user request read the index")
+
+        service.index.peer_ids = untouchable
+        service.index.peers_excluding = untouchable
+        assert service.recommend_user(user_id) == first
+        assert service.cached_user(user_id, wait=False) == first
+
+
+class TestReadWriteLock:
+    def test_a_nowait_read_gives_way_to_a_writer(self):
+        lock = _ReadWriteLock()
+        with lock.read(wait=False) as held:
+            assert held
+            assert lock._readers == 1
+        with lock.write():
+            with lock.read(wait=False) as held:
+                assert not held
+            assert lock._readers == 0
+        assert lock._readers == 0
 
 
 class TestIngestInvalidation:
