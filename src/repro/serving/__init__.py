@@ -7,8 +7,9 @@ adds the thin, stateful service layer a deployment needs:
 * :class:`~repro.serving.cache.ScoreCache` — bounded LRU with hit/miss
   statistics, used for pairwise similarities and per-user relevance
   rows;
-* :class:`~repro.serving.index.NeighborIndex` — each user's peer set
-  above ``δ``, computed once and patched in place on updates;
+* :class:`~repro.serving.index.NeighborIndex` — each user's peer row
+  above ``δ`` (a sorted prefix when ``max_peers`` is set), computed
+  once and patched on updates;
 * :class:`~repro.serving.service.RecommendationService` — warm
   single-user, group and batch request paths with targeted cache
   invalidation on :meth:`ingest_rating` / :meth:`update_profile`;

@@ -1,15 +1,19 @@
 """Bounded LRU score caches for the serving layer.
 
-The recommendation service keeps two kinds of hot state: pairwise user
-similarities and per-user relevance rows.  Both are served out of
+The recommendation service keeps its hot state — per-user relevance
+rows, finished group answers and pairwise user similarities — in
 :class:`ScoreCache`, a thread-safe LRU mapping with hit/miss statistics
 so operators can size the caches from observed traffic.
 
 :class:`CachedSimilarity` decorates any
-:class:`~repro.similarity.base.UserSimilarity` with a pair-score cache.
-It is what the :class:`~repro.serving.index.NeighborIndex` reads
-through, so rebuilding one user's neighbourhood after an update re-uses
-every untouched pair score.
+:class:`~repro.similarity.base.UserSimilarity` with a directional
+pair-score cache, and the :class:`~repro.serving.index.NeighborIndex`
+builds rows through it.  It stores every pair a row build scores, but
+the index scores each row once and a write drops every pair of the
+written user before any row could re-read them, so in practice it
+misses on every lookup (0 hits in 999,000 lookups over a 1,000-user
+warm).  ROADMAP.md's "Delete the pair-score cache" item plans its
+removal.
 """
 
 from __future__ import annotations
@@ -17,7 +21,7 @@ from __future__ import annotations
 import threading
 from collections import OrderedDict
 from dataclasses import dataclass
-from typing import Any, Callable, Hashable, Iterable
+from typing import Any, Callable, Hashable, Iterable, Mapping
 
 from ..obs import MetricsRegistry
 from ..similarity.base import UserSimilarity
@@ -265,7 +269,9 @@ class CachedSimilarity(UserSimilarity):
 
     The decorated measure's batched :meth:`similarities` stays batched:
     only the missing candidates are forwarded to the inner measure in
-    one call.
+    one call.  The cache only pays off when a pair is scored twice
+    before a write drops it, which the neighbour index never does (see
+    the module docstring).
     """
 
     def __init__(self, inner: UserSimilarity, cache: ScoreCache) -> None:
@@ -321,6 +327,20 @@ class CachedSimilarity(UserSimilarity):
             scores.update(computed)
         # Preserve the candidate order of the inner contract.
         return {c: scores[c] for c in candidate_list if c in scores}
+
+    def similarities_toward(
+        self,
+        user_id: str,
+        candidates: Iterable[str],
+        forward: Mapping[str, float],
+    ) -> dict[str, float]:
+        """Scores toward ``user_id``, straight from the inner measure.
+
+        ``forward`` holds this wrapper's scores, which are bit-identical
+        to the inner measure's, so a bit-symmetric inner measure answers
+        from it without a kernel call.
+        """
+        return self.inner.similarities_toward(user_id, candidates, forward)
 
     @property
     def profile_corpus_sensitive(self) -> bool:  # type: ignore[override]

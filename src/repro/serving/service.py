@@ -9,8 +9,9 @@ heavy traffic.  :class:`RecommendationService` wraps one
 façade:
 
 * a :class:`~repro.serving.index.NeighborIndex` holds each user's
-  thresholded peer list, built once (or lazily) and patched in place on
-  updates;
+  thresholded peer row (with ``max_peers`` set, a sorted prefix long
+  enough for the cap plus group exclusions), built once (or lazily)
+  and patched on updates;
 * a :class:`~repro.serving.cache.ScoreCache` holds pairwise similarity
   scores, another one holds per-user relevance rows;
 * :meth:`ingest_rating` / :meth:`update_profile` apply *targeted*
@@ -416,11 +417,15 @@ class RecommendationService:
                     self.similarity,
                     threshold=config.peer_threshold,
                     num_shards=config.index_shards,
+                    max_peers=config.max_peers,
                 )
             )
         else:
             self.index = NeighborIndex(
-                self.matrix, self.similarity, threshold=config.peer_threshold
+                self.matrix,
+                self.similarity,
+                threshold=config.peer_threshold,
+                max_peers=config.max_peers,
             )
         self.relevance_cache = ScoreCache(
             config.relevance_cache_size, name="relevance", metrics=self.metrics
@@ -719,6 +724,10 @@ class RecommendationService:
         )
         with self._data_lock.write():
             loaded = self.index.load_rows(rows)
+            # Cached answers may use peers the loaded (possibly cut)
+            # rows no longer store, where a write could not find them.
+            self.relevance_cache.clear()
+            self.group_cache.clear()
             # The directory now mirrors the in-memory rows: a save back
             # to it before any update can skip every shard.
             self._snapshot_versions[str(path.resolve())] = [
@@ -731,18 +740,20 @@ class RecommendationService:
     def _effective_exclude(
         self, user_id: str, exclude: Iterable[str]
     ) -> frozenset[str]:
-        """Canonicalise an exclusion set against the user's peer row.
+        """Canonicalise an exclusion set against the user's stored row.
 
-        Excluding a user that is not in the thresholded peer list is a
-        no-op, so the cache key only keeps the members that actually
-        matter.  Overlapping groups whose other members are not peers of
-        ``user_id`` all collapse onto the same row.  An empty exclusion
-        never touches the index, so a single-user key costs nothing.
+        The index first grows a truncated row until it answers this
+        exclusion, so the stored row fixes the answer and excluding a
+        user outside it is a no-op: the cache key only keeps the
+        members that actually matter.  Overlapping groups whose other
+        members are not in ``user_id``'s row all collapse onto the same
+        key.  An empty exclusion never touches the index, so a
+        single-user key costs nothing.
         """
+        exclude = frozenset(exclude)
         if not exclude:
-            return frozenset()
-        peer_ids = self.index.peer_ids(user_id)
-        return frozenset(uid for uid in exclude if uid in peer_ids)
+            return exclude
+        return exclude & self.index.peer_ids(user_id, exclude)
 
     def relevance_row(
         self, user_id: str, exclude: Iterable[str] = ()
@@ -1193,6 +1204,15 @@ class RecommendationService:
             # exactly the state the workers computed from.
             for recommendation in recommendations:
                 self._validate_group(recommendation, z, epoch, locked=True)
+            # A worker grows a member's capped row for a large group's
+            # exclusions in its own index; store rows here that hold
+            # the same peers, so a write to any of them drops the
+            # cached answer (see _drop_affected).
+            for key in missing:
+                for member in key:
+                    self.index.cover(
+                        member, {uid for uid in key if uid != member}
+                    )
         elapsed_ms = (time.perf_counter() - started) * 1000.0
         per_group_ms = elapsed_ms / len(missing)
         group_requests = self._request_counters["group_requests"]
@@ -1211,12 +1231,13 @@ class RecommendationService:
 
         Returns the set of users whose cached relevance rows were
         invalidated.  The similarity pair cache loses only the pairs
-        involving ``user_id``; the neighbour index rebuilds only
-        ``user_id``'s row and patches the single affected entry in the
-        other rows; relevance rows are dropped for the touched user,
-        for every user whose peer list changed, and for every user that
-        counts the touched user as a peer (their Equation 1 inputs
-        changed even if their peer list did not).
+        involving ``user_id``; the neighbour index rebuilds
+        ``user_id``'s row with one score sweep and patches ``user_id``'s
+        entry only in the rows that hold it or that its new score
+        enters; relevance rows are dropped for the touched user, for
+        every user whose stored row changed, and for every user whose
+        row holds the touched user (their Equation 1 inputs changed
+        even if their row did not).
         """
         started = time.perf_counter()
         with self._data_lock.write():
@@ -1258,7 +1279,8 @@ class RecommendationService:
         (TF-IDF: one edit shifts every IDF weight), targeted
         invalidation would leave pairs not involving ``user_id``
         stale, so everything is dropped instead.  For the other
-        measures only users whose peer list changed lose cached state.
+        measures only users whose stored peer row changed lose cached
+        state.
         """
         with self._data_lock.write():
             if mutate is not None:
@@ -1298,7 +1320,10 @@ class RecommendationService:
         the targeted-invalidation machinery cannot know whether the
         member depends on the touched user — conservatively treating
         such members as affected is what keeps worker-computed cache
-        entries from being served stale after an update.
+        entries from being served stale after an update.  A built
+        member row holds every peer such an entry used, whenever it
+        was built: :meth:`NeighborIndex.cover` grows it at fold-back
+        for groups whose exclusions pass the row slack.
         """
         self.relevance_cache.invalidate_where(lambda key: key[0] in affected)
         self.group_cache.invalidate_where(
@@ -1345,6 +1370,9 @@ class RecommendationService:
                 "users": self.matrix.num_users,
                 "threshold": self.index.threshold,
                 "shards": getattr(self.index, "num_shards", 1),
+                "stored_peers": self.index.stored_peers,
+                "truncated_rows": self.index.truncated_rows,
+                "row_growths": self.index.row_growths,
             },
             "backend": self._backend_stats(),
         }

@@ -9,7 +9,8 @@ deterministic hash the MapReduce partitioner uses), so that
 * each shard can be built or refreshed independently — and in parallel
   under a non-serial :class:`~repro.exec.ExecutionBackend`;
 * an update only takes its home shard's lock for the row rebuild, while
-  the single-entry patches fan out shard by shard.
+  the single-entry patches fan out shard by shard, all fed from the
+  home shard's one score sweep.
 
 Every query answers exactly what the flat index would: a user's row
 lives wholly in one shard, so ``row``/``peers_excluding`` delegate, and
@@ -19,7 +20,7 @@ the cross-user queries (``users_with_neighbor``) union over shards.
 from __future__ import annotations
 
 import zlib
-from typing import Iterable, Mapping
+from typing import Collection, Iterable, Mapping
 
 from ..data.ratings import RatingMatrix
 from ..exec import ExecutionBackend, resolve_backend
@@ -41,8 +42,9 @@ class ShardedNeighborIndex:
 
     Parameters
     ----------
-    matrix, similarity, threshold:
-        As for :class:`NeighborIndex`.  When the measure supports
+    matrix, similarity, threshold, max_peers:
+        As for :class:`NeighborIndex`; every shard stores rows under
+        the same cap.  When the measure supports
         ``with_private_packed`` (the packed Pearson kernel) and there
         is more than one shard, each shard gets a private sub-view of
         the packed state so shard builds and refreshes never serialise
@@ -57,6 +59,7 @@ class ShardedNeighborIndex:
         similarity: UserSimilarity,
         threshold: float = 0.0,
         num_shards: int = 2,
+        max_peers: int | None = None,
     ) -> None:
         if num_shards < 1:
             raise ValueError("num_shards must be >= 1")
@@ -64,6 +67,7 @@ class ShardedNeighborIndex:
         self.similarity = similarity
         self.threshold = threshold
         self.num_shards = num_shards
+        self.max_peers = max_peers
         # Measures that can privatise their packed view (the Pearson
         # kernel, possibly under a CachedSimilarity wrapper) give each
         # shard its own sub-view, so parallel shard builds never
@@ -75,7 +79,7 @@ class ShardedNeighborIndex:
         else:
             measures = [similarity] * num_shards
         self.shards = [
-            NeighborIndex(matrix, measures[index], threshold)
+            NeighborIndex(matrix, measures[index], threshold, max_peers)
             for index in range(num_shards)
         ]
 
@@ -131,13 +135,18 @@ class ShardedNeighborIndex:
 
     # -- queries ---------------------------------------------------------------
 
-    def row(self, user_id: str) -> list[Peer]:
-        """The full thresholded peer list of ``user_id`` (built lazily)."""
-        return self.shard(user_id).row(user_id)
+    def row(self, user_id: str, exclude: Collection[str] = ()) -> list[Peer]:
+        """The stored peer row of ``user_id`` (see NeighborIndex.row)."""
+        return self.shard(user_id).row(user_id, exclude)
 
-    def peer_ids(self, user_id: str) -> set[str]:
-        """The ids in ``user_id``'s thresholded peer list."""
-        return self.shard(user_id).peer_ids(user_id)
+    def peer_ids(self, user_id: str, exclude: Collection[str] = ()) -> set[str]:
+        """The ids in ``user_id``'s stored row, grown for ``exclude``."""
+        return self.shard(user_id).peer_ids(user_id, exclude)
+
+    def cover(self, user_id: str, exclude: Collection[str]) -> None:
+        """Store a row covering an answer computed elsewhere (see
+        NeighborIndex.cover)."""
+        self.shard(user_id).cover(user_id, exclude)
 
     def peers_excluding(
         self,
@@ -151,7 +160,7 @@ class ShardedNeighborIndex:
         )
 
     def users_with_neighbor(self, user_id: str) -> set[str]:
-        """The indexed users (any shard) whose peer list has ``user_id``."""
+        """The indexed users (any shard) whose stored row has ``user_id``."""
         found: set[str] = set()
         for shard in self.shards:
             found |= shard.users_with_neighbor(user_id)
@@ -161,6 +170,21 @@ class ShardedNeighborIndex:
     def built_rows(self) -> int:
         """Number of users currently indexed across every shard."""
         return sum(shard.built_rows for shard in self.shards)
+
+    @property
+    def stored_peers(self) -> int:
+        """Sum of the stored row lengths across every shard."""
+        return sum(shard.stored_peers for shard in self.shards)
+
+    @property
+    def truncated_rows(self) -> int:
+        """Stored prefix rows across every shard."""
+        return sum(shard.truncated_rows for shard in self.shards)
+
+    @property
+    def row_growths(self) -> int:
+        """Prefix growths across every shard (see NeighborIndex.row)."""
+        return sum(shard.row_growths for shard in self.shards)
 
     @property
     def version(self) -> int:
@@ -177,12 +201,13 @@ class ShardedNeighborIndex:
         """Rebuild one user's row, patch their entry in every shard.
 
         Same contract as :meth:`NeighborIndex.refresh_user`: returns
-        the users whose peer list changed (including ``user_id``).
+        the users whose stored row changed (including ``user_id``).
+        The home shard's score table feeds every shard's patch.
         """
-        self.shard(user_id).rebuild_row(user_id)
+        scores = self.shard(user_id).rebuild_row(user_id)
         changed = {user_id}
         for shard in self.shards:
-            changed |= shard.patch_neighbor(user_id)
+            changed |= shard.patch_neighbor(user_id, scores)
         return changed
 
     def invalidate_user(self, user_id: str) -> None:

@@ -78,6 +78,26 @@ class UserSimilarity(ABC):
             if candidate != user_id
         }
 
+    def similarities_toward(
+        self,
+        user_id: str,
+        candidates: Iterable[str],
+        forward: Mapping[str, float],
+    ) -> dict[str, float]:
+        """``simU(v, user_id)`` for every candidate ``v``: scores toward a user.
+
+        ``forward`` is this measure's :meth:`similarities` of
+        ``user_id`` against the candidate pool.  The default ignores it
+        and scores each pair in the ``(v, user_id)`` direction, one
+        :meth:`similarity` call at a time; a measure whose scores are
+        bit-symmetric overrides this to answer from ``forward``.
+        """
+        return {
+            candidate: self.similarity(candidate, user_id)
+            for candidate in candidates
+            if candidate != user_id
+        }
+
     def similarities_many(
         self,
         user_ids: Iterable[str],

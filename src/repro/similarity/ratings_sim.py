@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import math
 import weakref
-from typing import Iterable
+from typing import Iterable, Mapping
 
 from ..data.ratings import RatingMatrix
 from ..kernels import (
@@ -193,6 +193,30 @@ class PearsonRatingSimilarity(UserSimilarity):
             self.min_common_items,
             self.mean_over_common_only,
         )
+
+    def similarities_toward(
+        self,
+        user_id: str,
+        candidates: Iterable[str],
+        forward: Mapping[str, float],
+    ) -> dict[str, float]:
+        """``RS(v, u)`` read off ``u``'s own sweep: Eq. 2 is bit-symmetric.
+
+        Both directions sum the same products over the co-rated items
+        in the same interned item order, so ``forward[v]`` equals
+        ``similarity(v, u)`` bit for bit (pinned by
+        ``tests/property/test_pearson_symmetry.py``).  A candidate the
+        sweep did not score falls back to the pair kernel.
+        """
+        return {
+            candidate: (
+                forward[candidate]
+                if candidate in forward
+                else self.similarity(candidate, user_id)
+            )
+            for candidate in candidates
+            if candidate != user_id
+        }
 
 
 class CosineRatingSimilarity(UserSimilarity):

@@ -48,6 +48,8 @@ from repro.data.groups import Group
 from repro.exec import DEFAULT_MAX_DELTA_LOG, RemoteBackend, run_worker
 from repro.kernels.oracle import DictPearsonSimilarity
 from repro.serving import RecommendationService
+from repro.serving import index as index_module
+from repro.similarity.peers import PeerSelector
 
 #: The fixed seed matrix (acceptance: >= 3 seeds).
 SEEDS = (3, 11, 29)
@@ -94,6 +96,15 @@ CONFIGURATIONS = (
     ("remote", 3, False, {"spill": True, "max_delta_log": 0}),
     ("remote", 1, False, {"validation": "strict"}),
     ("remote", 3, False, {"mixed": True}),
+    # Capped rows (the path every perfbench workload serves): stored
+    # prefixes of max_peers + ROW_SLACK entries, with ROW_SLACK
+    # lowered to 1 (see _capped_slack) so group exclusions can reach
+    # past the slack and grow a prefix; the random workload's closing
+    # _growth_steps make sure one does, then write to a peer only the
+    # grown prefix holds.  The oracle replays with the same max_peers.
+    ("serial", 1, False, {"max_peers": 2}),
+    ("serial", 3, False, {"max_peers": 2}),
+    ("pool", 1, False, {"max_peers": 2}),
 )
 
 #: The recommendation semantics every row and the oracle share.
@@ -101,6 +112,23 @@ SEMANTICS = RecommenderConfig(peer_threshold=0.1, top_k=5, top_z=4)
 
 #: Seconds the TCP joiners of a ``"remote"`` row get to connect.
 _JOIN_SECONDS = 30.0
+
+
+@pytest.fixture(autouse=True)
+def _capped_slack(monkeypatch):
+    """A one-entry slack for the capped rows; forked workers inherit it."""
+    monkeypatch.setattr(index_module, "ROW_SLACK", 1)
+
+
+def _capped_stats(index_stats: dict[tuple, dict]) -> dict[tuple, dict]:
+    """The capped rows' parent index stats; each must hold truncated rows."""
+    capped = {
+        key: stats for key, stats in index_stats.items() if "max_peers" in key[3]
+    }
+    assert capped
+    for key, stats in capped.items():
+        assert stats["truncated_rows"] > 0, key
+    return capped
 
 
 def _join_tcp_workers(
@@ -178,7 +206,9 @@ def _age_bump(user) -> None:
     user.age = (user.age or 30) + 1
 
 
-def _oracle_trace(payload: dict, script: list[tuple]) -> list:
+def _oracle_trace(
+    payload: dict, script: list[tuple], max_peers: int | None = None
+) -> list:
     """Replay ``script`` through the paper's pipeline on the dict oracle.
 
     Each step builds a fresh :class:`GroupRecommender` over
@@ -197,7 +227,7 @@ def _oracle_trace(payload: dict, script: list[tuple]) -> list:
             DictPearsonSimilarity(matrix),
             aggregation=SEMANTICS.aggregation,
             peer_threshold=SEMANTICS.peer_threshold,
-            max_peers=SEMANTICS.max_peers,
+            max_peers=max_peers,
             top_k=SEMANTICS.top_k,
         )
         if op[0] == "batch":
@@ -238,8 +268,10 @@ def _run_script(
     shards: int,
     autoscale: bool = False,
     extras: dict | None = None,
-) -> list:
-    """Replay one script against a fresh service; returns its trace.
+) -> tuple[list, dict]:
+    """Replay one script against a fresh service.
+
+    Returns the trace and the parent service's ``stats()["index"]``.
 
     The trace captures every *recommendation* observable: recommended
     item tuples, the unfair plain top-z, exact float relevance tables
@@ -332,6 +364,7 @@ def _run_script(
                 assert stats["restarts"] >= 2
             else:
                 assert stats["delta_syncs"] >= 1
+        index_stats = service.stats()["index"]
     finally:
         service.close()
         if fleet is not None:
@@ -343,7 +376,78 @@ def _run_script(
                 joiner.join()
         if spill_dir is not None:
             shutil.rmtree(spill_dir, ignore_errors=True)
-    return trace
+    return trace, index_stats
+
+
+def _growth_steps(payload: dict, script: list[tuple]) -> list[tuple]:
+    """Steps that grow a capped row, then write to a peer only it holds.
+
+    The first group is a user plus that user's top three peers once
+    the script's writes are applied.  Under ``max_peers=2`` and a slack
+    of 1 the user's stored prefix is exactly the other three members, so
+    whoever computes the group (the parent, or a pool worker in its
+    own index) must store a longer prefix first, and the answer uses
+    the user's fourth peer.  Single-user requests then build the
+    parent's rows of every member if nothing had (a pool parent drops
+    cached groups with an unbuilt member on any write), the fourth peer
+    rates one of the group's candidates so that the capped answer
+    changes, and the same batch runs again: a parent whose row of the
+    user lacks the fourth peer would serve the cached pre-write answer.
+    """
+    matrix = HealthDataset.from_dict(payload).ratings
+    for op in script:
+        if op[0] == "ingest":
+            matrix.add(op[1], op[2], op[3])
+    selector = PeerSelector(
+        DictPearsonSimilarity(matrix), threshold=SEMANTICS.peer_threshold
+    )
+    for user_id in matrix.user_ids():
+        peers = selector.peers_from_matrix(user_id, matrix)
+        if len(peers) <= 3:
+            continue
+        members = tuple(sorted([user_id] + [peer.user_id for peer in peers[:3]]))
+        fourth = peers[3].user_id
+        # A second group sends the batch to the workers of a pool row.
+        batch = ("batch", (members, members[1:]), 3)
+        before = _oracle_trace(payload, script + [batch], max_peers=2)[-1]
+        for item_id in sorted(before[0][2]):
+            value = 1.0 if matrix.get(fourth, item_id) == 5.0 else 5.0
+            steps = [
+                batch,
+                *(("user", member, 3) for member in members),
+                ("ingest", fourth, item_id, value),
+                batch,
+            ]
+            after = _oracle_trace(payload, script + steps, max_peers=2)[-1]
+            if after != before:
+                return steps
+    raise AssertionError("no write to a fourth peer changes a group answer")
+
+
+def _replay_all(
+    payload: dict, script: list[tuple], reference: list, label: str
+) -> dict[tuple, dict]:
+    """Every configuration replays ``script`` exactly like the oracle.
+
+    ``reference`` is the uncapped oracle trace; capped rows compare
+    against a replay with their own ``max_peers``.  Returns each
+    configuration's parent ``stats()["index"]``.
+    """
+    references: dict[int | None, list] = {None: reference}
+    index_stats: dict[tuple, dict] = {}
+    for backend, shards, autoscale, extras in CONFIGURATIONS:
+        max_peers = extras.get("max_peers")
+        if max_peers not in references:
+            references[max_peers] = _oracle_trace(payload, script, max_peers)
+        trace, stats = _run_script(
+            payload, script, backend, shards, autoscale, extras
+        )
+        assert trace == references[max_peers], (
+            f"backend={backend} shards={shards} "
+            f"autoscale={autoscale} extras={extras} {label}"
+        )
+        index_stats[(backend, shards, autoscale, tuple(extras))] = stats
+    return index_stats
 
 
 @pytest.mark.parametrize("seed", SEEDS)
@@ -356,16 +460,22 @@ def test_random_workload_parity_across_backends_and_sharding(seed):
     payload = dataset.to_dict()
     script = _build_script(seed, dataset.users.ids(), dataset.ratings.item_ids())
     assert script[0][0] == "batch" and script[1][0] == "ingest"
+    script.extend(_growth_steps(payload, script))
 
     reference = _oracle_trace(payload, script)
     assert any(isinstance(step, list) and step for step in reference)
-    for backend, shards, autoscale, extras in CONFIGURATIONS:
-        trace = _run_script(payload, script, backend, shards, autoscale, extras)
-        assert trace == reference, (
-            f"backend={backend} shards={shards} "
-            f"autoscale={autoscale} extras={extras} "
-            f"diverged from the oracle replay on seed {seed}"
+    capped = _capped_stats(
+        _replay_all(
+            payload,
+            script,
+            reference,
+            f"diverged from the oracle replay on seed {seed}",
         )
+    )
+    # Pool parents grow their rows when they cache a worker's answer
+    # for a group past the slack (NeighborIndex.cover).
+    for key, stats in capped.items():
+        assert stats["row_growths"] > 0, key
 
 
 def test_mutation_between_batches_changes_results_and_keeps_parity():
@@ -392,10 +502,11 @@ def test_mutation_between_batches_changes_results_and_keeps_parity():
         "the mutations were supposed to change at least one group's "
         "recommendations — the staleness scenario is vacuous"
     )
-    for backend, shards, autoscale, extras in CONFIGURATIONS:
-        trace = _run_script(payload, script, backend, shards, autoscale, extras)
-        assert trace == reference, (
-            f"backend={backend} shards={shards} "
-            f"autoscale={autoscale} extras={extras} "
-            f"served stale results after mutations between batches"
+    _capped_stats(
+        _replay_all(
+            payload,
+            script,
+            reference,
+            "served stale results after mutations between batches",
         )
+    )

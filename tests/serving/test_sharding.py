@@ -7,20 +7,25 @@ import pytest
 from repro.core.pipeline import build_similarity
 from repro.config import RecommenderConfig
 from repro.serving import NeighborIndex, ShardedNeighborIndex, shard_of
+from repro.serving import index as index_module
 
 CONFIG = RecommenderConfig(peer_threshold=0.1)
 
 
-def _indexes(dataset, num_shards=3):
+def _indexes(dataset, num_shards=3, max_peers=None):
     similarity = build_similarity(dataset, CONFIG)
     flat = NeighborIndex(
-        dataset.ratings, similarity, threshold=CONFIG.peer_threshold
+        dataset.ratings,
+        similarity,
+        threshold=CONFIG.peer_threshold,
+        max_peers=max_peers,
     )
     sharded = ShardedNeighborIndex(
         dataset.ratings,
         similarity,
         threshold=CONFIG.peer_threshold,
         num_shards=num_shards,
+        max_peers=max_peers,
     )
     return flat, sharded
 
@@ -91,6 +96,43 @@ class TestFlatParity:
         assert changed_sharded == changed_flat
         for user in mutable_dataset.users.ids():
             assert sharded.row(user) == flat.row(user)
+
+    def test_capped_shards_match_the_capped_flat_index(self, mutable_dataset):
+        flat, sharded = _indexes(mutable_dataset, max_peers=2)
+        flat.build()
+        sharded.build()
+        users = mutable_dataset.users.ids()
+        for uid in users:
+            top = [peer.user_id for peer in flat.row(uid)]
+            for exclude in ((), users[:3], top):
+                assert sharded.peers_excluding(
+                    uid, exclude, max_peers=2
+                ) == flat.peers_excluding(uid, exclude, max_peers=2)
+        for name in ("stored_peers", "truncated_rows", "row_growths"):
+            assert getattr(sharded, name) == getattr(flat, name)
+        assert flat.truncated_rows > 0 and flat.row_growths > 0
+        uid = users[0]
+        unrated = mutable_dataset.ratings.unrated_items(
+            uid, mutable_dataset.ratings.item_ids()
+        )
+        mutable_dataset.ratings.add(uid, unrated[0], 5.0)
+        flat.similarity.invalidate_user(uid)
+        assert sharded.refresh_user(uid) == flat.refresh_user(uid)
+        assert sharded.snapshot_rows() == flat.snapshot_rows()
+
+    def test_cover_grows_the_home_shard_row(self, small_dataset, monkeypatch):
+        monkeypatch.setattr(index_module, "ROW_SLACK", 1)
+        flat, sharded = _indexes(small_dataset, max_peers=2)
+        uid = small_dataset.users.ids()[0]
+        full = NeighborIndex(
+            small_dataset.ratings, flat.similarity, CONFIG.peer_threshold
+        ).row(uid)
+        assert len(full) > 4
+        exclude = {peer.user_id for peer in full[:2]}
+        for index in (flat, sharded):
+            index.cover(uid, exclude)
+        assert sharded.snapshot_rows() == flat.snapshot_rows() == {uid: full[:4]}
+        assert sharded.row_growths == flat.row_growths == 1
 
 
 class TestMaintenance:
