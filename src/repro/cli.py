@@ -801,9 +801,7 @@ def _command_worker(args: argparse.Namespace) -> int:
 
 
 def _command_serve(args: argparse.Namespace) -> int:
-    from .eval.reporting import format_latency_histogram, format_serving_stats
-    from .eval.timing import stopwatch
-    from .obs import render_json, render_prometheus, reset_registry
+    from .obs import reset_registry
     from .serving import RecommendationService
 
     # A fresh process-wide registry per invocation: kernel and service
@@ -828,7 +826,18 @@ def _command_serve(args: argparse.Namespace) -> int:
         packed_spill=args.packed_spill or "",
         validation="strict" if args.strict else args.validation,
     )
-    service = RecommendationService(dataset, config, metrics=registry)
+    # Every exit path closes the service: a pool backend's workers and
+    # sockets must not be left to the garbage collector.
+    with RecommendationService(dataset, config, metrics=registry) as service:
+        return _serve(service, registry, dataset, args)
+
+
+def _serve(service, registry, dataset, args: argparse.Namespace) -> int:
+    """Load or warm the index, then listen or replay ``args``' requests."""
+    from .eval.reporting import format_latency_histogram, format_serving_stats
+    from .eval.timing import stopwatch
+    from .obs import render_json, render_prometheus
+
     requests = _load_workload(args, dataset)
 
     from .serving.snapshot import MANIFEST_NAME

@@ -41,26 +41,27 @@ class AggregationStrategy(ABC):
         member (using a default for members without a prediction).
         """
 
+    def aggregate_columns(
+        self, item_ids: Sequence[str], columns: Sequence[Sequence[float]]
+    ) -> list[float]:
+        """Group scores aligned with ``item_ids``, one column per member.
+
+        ``columns[m][j]`` is member ``m``'s relevance of ``item_ids[j]``;
+        each group score is :meth:`aggregate` of the item's scores.
+        """
+        return [self.aggregate(list(scores)) for scores in zip(*columns)]
+
     def aggregate_table(
         self, relevance_table: Mapping[str, Mapping[str, float]]
     ) -> dict[str, float]:
         """Aggregate a full ``{user: {item: score}}`` table.
 
         Only items present for every user are aggregated — Definition 2
-        requires a relevance estimate from each member.
+        requires a relevance estimate from each member.  The result
+        keeps the first user's key order (see :func:`table_columns`).
         """
-        users = list(relevance_table)
-        if not users:
-            return {}
-        common_items = set(relevance_table[users[0]])
-        for user_id in users[1:]:
-            common_items &= set(relevance_table[user_id])
-        return {
-            item_id: self.aggregate(
-                [relevance_table[user_id][item_id] for user_id in users]
-            )
-            for item_id in common_items
-        }
+        item_ids, columns = table_columns(relevance_table, list(relevance_table))
+        return dict(zip(item_ids, self.aggregate_columns(item_ids, columns)))
 
     def __call__(self, scores: Sequence[float]) -> float:
         return self.aggregate(scores)
@@ -134,7 +135,8 @@ class BordaAggregation(AggregationStrategy):
 
     Operates on the full relevance table: each member contributes
     ``|items| - rank`` points per item (best item gets the most points),
-    and the group score of an item is the average of its points.  The
+    and the group score of an item is the average of its points.  Each
+    member's ranking orders by score descending, ties by item id.  The
     per-item :meth:`aggregate` method is not meaningful for Borda and
     raises.
     """
@@ -143,30 +145,37 @@ class BordaAggregation(AggregationStrategy):
 
     def aggregate(self, scores: Sequence[float]) -> float:
         raise NotImplementedError(
-            "Borda aggregation is rank based; use aggregate_table instead"
+            "Borda aggregation is rank based; use aggregate_columns instead"
         )
 
-    def aggregate_table(
-        self, relevance_table: Mapping[str, Mapping[str, float]]
-    ) -> dict[str, float]:
-        users = list(relevance_table)
-        if not users:
-            return {}
-        common_items = set(relevance_table[users[0]])
-        for user_id in users[1:]:
-            common_items &= set(relevance_table[user_id])
-        if not common_items:
-            return {}
-        points: dict[str, float] = {item_id: 0.0 for item_id in common_items}
-        num_items = len(common_items)
-        for user_id in users:
+    def aggregate_columns(
+        self, item_ids: Sequence[str], columns: Sequence[Sequence[float]]
+    ) -> list[float]:
+        num_items = len(item_ids)
+        points = [0.0] * num_items
+        for column in columns:
             ranked = sorted(
-                common_items,
-                key=lambda item_id: (-relevance_table[user_id][item_id], item_id),
+                range(num_items), key=lambda j: (-column[j], item_ids[j])
             )
-            for rank, item_id in enumerate(ranked):
-                points[item_id] += float(num_items - 1 - rank)
-        return {item_id: score / len(users) for item_id, score in points.items()}
+            for rank, j in enumerate(ranked):
+                points[j] += float(num_items - 1 - rank)
+        return [score / len(columns) for score in points]
+
+
+def table_columns(
+    relevance_table: Mapping[str, Mapping[str, float]], users: Sequence[str]
+) -> tuple[list[str], list[list[float]]]:
+    """The items every user in ``users`` scores, and one column per user.
+
+    Items keep the first user's key order; ``columns[m][j]`` is
+    ``relevance_table[users[m]][item_ids[j]]``.  No users, no items.
+    """
+    rows = [relevance_table[user_id] for user_id in users]
+    item_ids = [
+        item_id for item_id in (rows[0] if rows else ())
+        if all(item_id in row for row in rows[1:])
+    ]
+    return item_ids, [[row[item_id] for item_id in item_ids] for row in rows]
 
 
 #: Registry of all aggregation strategies keyed by their configuration name.

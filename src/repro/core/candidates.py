@@ -10,20 +10,22 @@ all operate on the same information:
 * the aggregated group relevance ``relevanceG(G, i)``;
 * the per-member top-``k`` sets ``A_u`` used by the fairness test.
 
-:class:`GroupCandidates` bundles those pieces.  It can be built from a
-relevance table plus an aggregation strategy (the normal pipeline path)
-or constructed directly from synthetic scores (how the Table II
-benchmark controls the candidate pool size ``m``).
+:class:`GroupCandidates` bundles those pieces.  It can be built from
+aligned score columns plus an aggregation strategy (the serving path),
+from a relevance table (the cold pipeline path, adapted to columns), or
+constructed directly from synthetic scores (how the Table II benchmark
+controls the candidate pool size ``m``).
 """
 
 from __future__ import annotations
 
+import heapq
 from dataclasses import dataclass, field
 from typing import Mapping, Sequence
 
 from ..data.groups import Group
 from ..exceptions import EmptyGroupError
-from .aggregation import AggregationStrategy, AverageAggregation
+from .aggregation import AggregationStrategy, AverageAggregation, table_columns
 from .relevance import ScoredItem, rank_items
 
 
@@ -81,6 +83,46 @@ class GroupCandidates:
     # -- construction ----------------------------------------------------------
 
     @classmethod
+    def from_columns(
+        cls,
+        group: Group,
+        item_ids: Sequence[str],
+        columns: Sequence[Sequence[float]],
+        aggregation: AggregationStrategy | None = None,
+        top_k: int = 10,
+        candidate_limit: int | None = None,
+    ) -> "GroupCandidates":
+        """Build candidates from aligned per-member score columns.
+
+        ``columns[m][j]`` is member ``group.member_ids[m]``'s relevance
+        of ``item_ids[j]``, an item every member scores.  The columns
+        are aggregated once; ``candidate_limit`` then keeps the ``m``
+        items with the best group relevance (the paper's ``m`` knob in
+        Section VI; score descending, ties by item id), and only those
+        enter the dicts, in ranking order (else in ``item_ids`` order).
+        """
+        if len(group) == 0:
+            raise EmptyGroupError("group must not be empty")
+        if len(columns) != len(group):
+            raise ValueError("from_columns needs one score column per member")
+        aggregation = aggregation or AverageAggregation()
+        scores = aggregation.aggregate_columns(item_ids, columns)
+        kept: Sequence[int] = range(len(item_ids))
+        if candidate_limit is not None and candidate_limit < len(item_ids):
+            kept = heapq.nsmallest(
+                candidate_limit, kept, key=lambda j: (-scores[j], item_ids[j])
+            )
+        return cls(
+            group=group,
+            relevance={
+                user_id: {item_ids[j]: column[j] for j in kept}
+                for user_id, column in zip(group.member_ids, columns)
+            },
+            group_relevance={item_ids[j]: scores[j] for j in kept},
+            top_k=top_k,
+        )
+
+    @classmethod
     def from_relevance_table(
         cls,
         group: Group,
@@ -92,53 +134,16 @@ class GroupCandidates:
         """Build candidates from per-member predictions.
 
         Only items predicted for *every* member are kept (Definition 2
-        needs a score from each member).  ``candidate_limit`` optionally
-        truncates the pool to the ``m`` items with the best group
-        relevance — this is the paper's ``m`` knob in Section VI.
+        needs a score from each member), in the first member's key
+        order; the table is turned into score columns and built by
+        :meth:`from_columns`, so ``candidate_limit`` works the same way.
         """
-        if len(group) == 0:
-            raise EmptyGroupError("group must not be empty")
         missing = [user_id for user_id in group if user_id not in relevance]
         if missing:
             raise ValueError(f"relevance table misses group members: {missing}")
-        aggregation = aggregation or AverageAggregation()
-        table: dict[str, dict[str, float]] = {
-            user_id: dict(relevance[user_id]) for user_id in group
-        }
-        common_items = set(table[group.member_ids[0]])
-        for user_id in group.member_ids[1:]:
-            common_items &= set(table[user_id])
-        table = {
-            user_id: {
-                item_id: scores[item_id]
-                for item_id in common_items
-            }
-            for user_id, scores in table.items()
-        }
-        group_relevance = aggregation.aggregate_table(table)
-        if candidate_limit is not None and candidate_limit < len(group_relevance):
-            kept = {
-                item.item_id
-                for item in rank_items(group_relevance, candidate_limit)
-            }
-            group_relevance = {
-                item_id: score
-                for item_id, score in group_relevance.items()
-                if item_id in kept
-            }
-            table = {
-                user_id: {
-                    item_id: score
-                    for item_id, score in scores.items()
-                    if item_id in kept
-                }
-                for user_id, scores in table.items()
-            }
-        return cls(
-            group=group,
-            relevance=table,
-            group_relevance=group_relevance,
-            top_k=top_k,
+        item_ids, columns = table_columns(relevance, group.member_ids)
+        return cls.from_columns(
+            group, item_ids, columns, aggregation, top_k, candidate_limit
         )
 
     # -- access ---------------------------------------------------------------------

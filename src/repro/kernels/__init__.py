@@ -13,6 +13,8 @@ paper's hot equations over that layout —
 * :func:`predict_row_packed` / :func:`predict_topk_packed` — Equation 1
   over a user's unrated row (full, and bounded-heap top-k) for the
   recommend paths;
+* :func:`group_columns_packed` — Equation 1 for every member of a group
+  over the group candidates, as aligned score columns;
 * :func:`items_unrated_by_all_packed` /
   :func:`candidate_ints_unrated_by_all` — the group candidate scan
   (Definition 2) as a set subtract in intern space;
@@ -31,7 +33,7 @@ from __future__ import annotations
 
 from .packed import PackedRatings, attach_spill, get_packed
 from .pearson import overlap_counts, pearson_one_vs_many, pearson_pair
-from .relevance import predict_row_packed, predict_topk_packed
+from .relevance import group_columns_packed, predict_row_packed, predict_topk_packed
 from .scan import candidate_ints_unrated_by_all, items_unrated_by_all_packed
 from .spill import SPILL_MANIFEST_NAME, SpillError
 
@@ -42,6 +44,7 @@ __all__ = [
     "attach_spill",
     "candidate_ints_unrated_by_all",
     "get_packed",
+    "group_columns_packed",
     "items_unrated_by_all_packed",
     "overlap_counts",
     "pearson_one_vs_many",

@@ -1,17 +1,19 @@
 """Packed prediction kernels (Equation 1 over the CSR rows).
 
-Both kernels compute the full unrated row of one user without ever
-*decoding* a candidate set — candidates are enumerated in intern space,
-and each emitted item id is decoded exactly once:
+The kernels never *decode* a candidate set — candidates are enumerated
+in intern space, and each emitted item id is decoded exactly once:
 
-* :func:`predict_row_packed` — the row as a ``{item_id: score}`` dict.
-  This is the serving layer's relevance-row kernel.
+* :func:`predict_row_packed` — one user's full unrated row as a
+  ``{item_id: score}`` dict (the serving layer's single-user row).
 * :func:`predict_topk_packed` — the same row, emitted straight into a
   bounded heap of size ``k`` instead of materialising the full score
   dict; the heap orders by the pinned score-desc/item-asc tie-break, so
   its output equals ``rank_items(predict_row_packed(...), k)``.
+* :func:`group_columns_packed` — a group's candidates (items no member
+  rated) that every member has a prediction for, with one aligned score
+  column per member; only those items are decoded.
 
-One loop, :func:`_scatter`, sits behind both.  It is peer-major: it
+One loop, :func:`_scatter`, sits behind all three.  It is peer-major: it
 walks each peer's CSR row (``row_items[p]``, ``row_values[p]``) once
 and adds ``sim·r`` and ``sim`` into per-item numerator and denominator
 accumulators, so a row costs Σ|peer row| instead of items × peers.
@@ -32,6 +34,7 @@ from typing import Mapping
 
 from ..obs import observe_kernel
 from .packed import PackedRatings
+from .scan import candidate_ints_unrated_by_all
 
 
 def _scatter(
@@ -168,3 +171,29 @@ def predict_topk_packed(
     ranked = sorted(heap, key=lambda entry: (-entry.score, entry.item_id))
     observe_kernel("predict_topk_packed", started)
     return [(entry.item_id, entry.score) for entry in ranked]
+
+
+def group_columns_packed(
+    packed: PackedRatings,
+    member_peers: Mapping[str, Mapping[str, float]],
+) -> tuple[list[str], list[list[float]]]:
+    """A group's candidates every member has a prediction for, as columns.
+
+    ``member_peers`` maps each member, in group order, to its peer
+    similarities.  Of the items no member rated, an item survives only
+    if every member's similarity mass is nonzero (the test
+    :func:`predict_row_packed` applies before it emits).  Returns the
+    survivors' ids in ascending intern order and one column per member
+    holding the floats :func:`predict_row_packed` emits for them.
+    Timed as ``kernel_ms{kernel="group_columns_packed"}``, its
+    candidate scan included.
+    """
+    started = time.perf_counter()
+    survivors = candidate_ints_unrated_by_all(packed, member_peers)
+    sums = [_scatter(packed, member, peers)[:2] for member, peers in member_peers.items()]
+    for _, denominators in sums:
+        survivors = [j for j in survivors if denominators[j] != 0.0]
+    columns = [[nums[j] / dens[j] for j in survivors] for nums, dens in sums]
+    item_ids = [packed.item_ids[j] for j in survivors]
+    observe_kernel("group_columns_packed", started)
+    return item_ids, columns

@@ -226,7 +226,9 @@ class NeighborIndex:
 
     # -- queries -------------------------------------------------------------
 
-    def row(self, user_id: str, exclude: Collection[str] = ()) -> list[Peer]:
+    def row(
+        self, user_id: str, exclude: Collection[str] = (), store: bool = True
+    ) -> list[Peer]:
         """The stored peer row of ``user_id`` (built lazily).
 
         Every thresholded peer without ``max_peers``.  With it, an exact
@@ -234,9 +236,13 @@ class NeighborIndex:
         ``exclude`` is dropped: a truncated prefix too short for that
         is first recomputed to ``max_peers + len(exclude)`` entries and
         stored, so every peer an answer uses stays in the stored row.
+        With ``store=False`` a user without a stored row gets a full row
+        computed for this call only.
         """
         with self._lock:
             row = self._rows.get(user_id)
+            if row is None and not store:
+                return self._compute_row(user_id, None)[0]
             if row is None:
                 row, truncated = self._compute_row(user_id, self._limit())
                 self._store_row(user_id, row, truncated)
@@ -249,10 +255,6 @@ class NeighborIndex:
                     self._store_row(user_id, row, truncated)
                     self._growths += 1
             return row
-
-    def peer_ids(self, user_id: str, exclude: Collection[str] = ()) -> set[str]:
-        """The ids in ``user_id``'s stored row, grown for ``exclude``."""
-        return {peer.user_id for peer in self.row(user_id, exclude)}
 
     def cover(self, user_id: str, exclude: Collection[str]) -> None:
         """Store a row of ``user_id`` that holds every peer an answer
@@ -274,6 +276,7 @@ class NeighborIndex:
         user_id: str,
         exclude: Iterable[str] = (),
         max_peers: int | None = None,
+        store: bool = True,
     ) -> list[Peer]:
         """``P_u`` with some users excluded and an optional cap applied.
 
@@ -290,7 +293,7 @@ class NeighborIndex:
                 f"answer max_peers={max_peers}"
             )
         excluded = set(exclude)
-        row = self.row(user_id, excluded)
+        row = self.row(user_id, excluded, store)
         peers = [peer for peer in row if peer.user_id not in excluded]
         if max_peers is not None:
             peers = peers[:max_peers]

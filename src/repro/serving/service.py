@@ -13,14 +13,13 @@ façade:
   enough for the cap plus group exclusions), built once (or lazily)
   and patched on updates;
 * a :class:`~repro.serving.cache.ScoreCache` holds pairwise similarity
-  scores, another one holds per-user relevance rows;
+  scores, another one holds single-user relevance rows;
 * :meth:`ingest_rating` / :meth:`update_profile` apply *targeted*
   invalidation — only the touched user, the users whose indexed peer
   list changed, and the users that count the touched user as a peer
   lose cached state;
 * :meth:`recommend_many` answers a batch of group requests, sharing
-  peer and relevance computation across overlapping groups, optionally
-  on a thread pool;
+  peer rows across overlapping groups, optionally on a thread pool;
 * :meth:`cached_group` / :meth:`cached_user` are the one cache-hit
   path of group and user requests; with ``wait=False`` they never
   compute and never wait for the data lock, which is how the request
@@ -28,8 +27,9 @@ façade:
 
 Warm results are bit-identical to the cold
 :class:`~repro.core.pipeline.CaregiverPipeline`: both use the same peer
-ordering, and the warm rows' Equation 1 kernel
-(:func:`~repro.kernels.predict_row_packed`) sums each item's peer terms
+ordering, and the warm Equation 1 kernels
+(:func:`~repro.kernels.predict_row_packed`,
+:func:`~repro.kernels.group_columns_packed`) sum each item's peer terms
 in the same order as the cold path's
 :func:`~repro.core.relevance.predict_table`.
 """
@@ -42,7 +42,7 @@ import time
 import weakref
 from contextlib import contextmanager
 from pathlib import Path
-from typing import Any, Callable, Iterable, Iterator, Sequence
+from typing import Any, Callable, Collection, Iterable, Iterator, Sequence
 
 from ..config import DEFAULT_CONFIG, RecommenderConfig, resolve_positive
 from ..core.candidates import GroupCandidates
@@ -68,7 +68,8 @@ from ..kernels import (
     SpillError,
     attach_spill,
     get_packed,
-    items_unrated_by_all_packed,
+    group_columns_packed,
+    items_unrated_by_all_packed,  # noqa: F401 - perfbench's span wrapper patches it
     predict_row_packed,
     predict_topk_packed,
 )
@@ -737,56 +738,45 @@ class RecommendationService:
 
     # -- relevance rows ------------------------------------------------------
 
-    def _effective_exclude(
-        self, user_id: str, exclude: Iterable[str]
-    ) -> frozenset[str]:
-        """Canonicalise an exclusion set against the user's stored row.
+    def _known(self, user_id: str) -> bool:
+        """Whether ``user_id`` has ratings or a registry entry.
 
-        The index first grows a truncated row until it answers this
-        exclusion, so the stored row fixes the answer and excluding a
-        user outside it is a no-op: the cache key only keeps the
-        members that actually matter.  Overlapping groups whose other
-        members are not in ``user_id``'s row all collapse onto the same
-        key.  An empty exclusion never touches the index, so a
-        single-user key costs nothing.
+        Only such ids get a stored index row, so unknown ids cannot grow it.
         """
-        exclude = frozenset(exclude)
-        if not exclude:
-            return exclude
-        return exclude & self.index.peer_ids(user_id, exclude)
+        return user_id in self.dataset.users or bool(self.matrix.item_ids_of(user_id))
+
+    def _peers(self, user_id: str, exclude: Collection[str] = ()) -> dict[str, float]:
+        """``user_id``'s capped peer similarities without ``exclude``."""
+        peers = self.index.peers_excluding(
+            user_id, exclude, self.config.max_peers, store=self._known(user_id)
+        )
+        return peers_as_mapping(peers)
 
     def relevance_row(
         self, user_id: str, exclude: Iterable[str] = ()
     ) -> dict[str, float]:
         """Equation 1 predictions for every item ``user_id`` has not rated.
 
-        ``exclude`` removes users from the peer pool (the group
-        recommender excludes the other group members).  Rows are cached
-        per ``(user, effective-exclusion)`` key.
+        ``exclude`` removes users from the peer pool.  The row without
+        exclusions is the single-user row, cached per user id; a row
+        with exclusions is computed on each call and not cached.
         """
+        exclude = frozenset(exclude)
         with self._data_lock.read():
-            return self._relevance_row(user_id, exclude)
-
-    def _relevance_row(
-        self, user_id: str, exclude: Iterable[str] = ()
-    ) -> dict[str, float]:
-        effective = self._effective_exclude(user_id, exclude)
-        key = (user_id, effective)
-        return self.relevance_cache.get_or_compute(
-            key, lambda: self._compute_relevance_row(user_id, effective)
-        )
+            if exclude:
+                return self._compute_relevance_row(user_id, exclude)
+            return self.relevance_cache.get_or_compute(
+                user_id, lambda: self._compute_relevance_row(user_id)
+            )
 
     def _compute_relevance_row(
-        self, user_id: str, exclude: frozenset[str]
+        self, user_id: str, exclude: Collection[str] = ()
     ) -> dict[str, float]:
-        peers = self.index.peers_excluding(
-            user_id, exclude, max_peers=self.config.max_peers
-        )
         # One pass over the packed row in intern space: the unrated set
         # is derived from the CSR row itself (no string-keyed
         # unrated_items scan, no candidate-list decode/re-encode).
         return predict_row_packed(
-            self._packed, user_id, peers_as_mapping(peers)
+            self._packed, user_id, self._peers(user_id, exclude)
         )
 
     # -- single-user requests ------------------------------------------------
@@ -816,11 +806,8 @@ class RecommendationService:
             # feeds a bounded heap directly.  Output is bit-identical
             # to rank_items over the full row (same pinned tie-break).
             with self._data_lock.read():
-                peers = self.index.peers_excluding(
-                    user_id, (), max_peers=self.config.max_peers
-                )
                 pairs = predict_topk_packed(
-                    self._packed, user_id, peers_as_mapping(peers), k
+                    self._packed, user_id, self._peers(user_id), k
                 )
                 result = [
                     ScoredItem(item_id=item_id, score=score)
@@ -839,8 +826,8 @@ class RecommendationService:
             return result
         with self._data_lock.read():
             epoch = self.relevance_cache.epoch
-            row = self._compute_relevance_row(user_id, frozenset())
-            self.relevance_cache.put((user_id, frozenset()), row, epoch=epoch)
+            row = self._compute_relevance_row(user_id)
+            self.relevance_cache.put(user_id, row, epoch=epoch)
             result = rank_items(row, k)
             self._validate_user(result, user_id, k)
         self._record("user", started, "user_requests")
@@ -852,7 +839,7 @@ class RecommendationService:
         """Top-``k`` from ``user_id``'s cached relevance row, or ``None``.
 
         The row is the one :meth:`recommend_user` caches, under key
-        ``(user_id, frozenset())``.  A hit is ranked, validated (unless
+        ``user_id``.  A hit is ranked, validated (unless
         ``validation`` is ``off``) and recorded as one user request.
         ``wait`` works as in :meth:`cached_group`, except that the
         data read lock is always taken: the row is ranked under it, as
@@ -867,7 +854,7 @@ class RecommendationService:
         with self._data_lock.read(wait) as held:
             if not held:
                 return None
-            row = lookup((user_id, frozenset()))
+            row = lookup(user_id)
             if row is None:
                 return None
             result = rank_items(row, k)
@@ -920,24 +907,18 @@ class RecommendationService:
         if cached is not None:
             return cached
         with self._data_lock.read():
-            # Packed candidate scan: one bytearray mask over the member
-            # rows, decoded to strings once at the end, in matrix
-            # (item insertion) order.
-            candidate_items = items_unrated_by_all_packed(
-                self._packed, group.member_ids
-            )
-            table: dict[str, dict[str, float]] = {}
-            for member_id in group:
-                others = [uid for uid in group.member_ids if uid != member_id]
-                row = self._relevance_row(member_id, exclude=others)
-                table[member_id] = {
-                    item_id: row[item_id]
-                    for item_id in candidate_items
-                    if item_id in row
-                }
-        candidates = GroupCandidates.from_relevance_table(
+            # Each member's peers leave the other members out.
+            member_peers = {
+                member_id: self._peers(
+                    member_id, [uid for uid in group.member_ids if uid != member_id]
+                )
+                for member_id in group.member_ids
+            }
+            item_ids, columns = group_columns_packed(self._packed, member_peers)
+        candidates = GroupCandidates.from_columns(
             group,
-            table,
+            item_ids,
+            columns,
             aggregation=self.aggregation,
             top_k=self.config.top_k,
             candidate_limit=self.config.candidate_pool_size,
@@ -1007,7 +988,7 @@ class RecommendationService:
         """Answer a batch of group requests, in input order.
 
         Identical groups in the batch are computed once; overlapping
-        groups share peer rows and relevance rows through the caches.
+        groups share the members' stored peer rows.
         The distinct groups fan out on an execution backend — explicit
         ``backend`` argument first, then the service backend, then a
         thread pool when a serial service is asked for ``workers > 1``:
@@ -1209,7 +1190,7 @@ class RecommendationService:
             # the same peers, so a write to any of them drops the
             # cached answer (see _drop_affected).
             for key in missing:
-                for member in key:
+                for member in filter(self._known, key):
                     self.index.cover(
                         member, {uid for uid in key if uid != member}
                     )
@@ -1325,7 +1306,7 @@ class RecommendationService:
         was built: :meth:`NeighborIndex.cover` grows it at fold-back
         for groups whose exclusions pass the row slack.
         """
-        self.relevance_cache.invalidate_where(lambda key: key[0] in affected)
+        self.relevance_cache.invalidate_where(lambda key: key in affected)
         self.group_cache.invalidate_where(
             lambda key: any(
                 member in affected or not self.index.is_built(member)

@@ -135,13 +135,11 @@ class ShardedNeighborIndex:
 
     # -- queries ---------------------------------------------------------------
 
-    def row(self, user_id: str, exclude: Collection[str] = ()) -> list[Peer]:
+    def row(
+        self, user_id: str, exclude: Collection[str] = (), store: bool = True
+    ) -> list[Peer]:
         """The stored peer row of ``user_id`` (see NeighborIndex.row)."""
-        return self.shard(user_id).row(user_id, exclude)
-
-    def peer_ids(self, user_id: str, exclude: Collection[str] = ()) -> set[str]:
-        """The ids in ``user_id``'s stored row, grown for ``exclude``."""
-        return self.shard(user_id).peer_ids(user_id, exclude)
+        return self.shard(user_id).row(user_id, exclude, store)
 
     def cover(self, user_id: str, exclude: Collection[str]) -> None:
         """Store a row covering an answer computed elsewhere (see
@@ -153,10 +151,11 @@ class ShardedNeighborIndex:
         user_id: str,
         exclude: Iterable[str] = (),
         max_peers: int | None = None,
+        store: bool = True,
     ) -> list[Peer]:
         """``P_u`` with some users excluded and an optional cap applied."""
         return self.shard(user_id).peers_excluding(
-            user_id, exclude, max_peers=max_peers
+            user_id, exclude, max_peers=max_peers, store=store
         )
 
     def users_with_neighbor(self, user_id: str) -> set[str]:

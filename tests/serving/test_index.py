@@ -76,7 +76,7 @@ class TestNeighborIndex:
         for user_id in tiny_matrix.user_ids():
             holders = index.users_with_neighbor(user_id)
             for holder in holders:
-                assert user_id in index.peer_ids(holder)
+                assert user_id in {p.user_id for p in index.row(holder)}
 
     def test_refresh_user_patches_other_rows(self, mutable_dataset):
         matrix = mutable_dataset.ratings
@@ -108,7 +108,7 @@ class TestNeighborIndex:
         assert "dave" in changed
         # dave now co-rates i1/i2 with alice, so alice's row gained him.
         assert "alice" in changed
-        assert "dave" in index.peer_ids("alice")
+        assert "dave" in {p.user_id for p in index.row("alice")}
 
     def test_refreshing_a_user_without_ratings_adds_it_to_no_row(
         self, tiny_matrix
@@ -186,7 +186,8 @@ class TestCappedRows:
         expected = _selector_peers(
             matrix, user_id, 0.0, exclude=exclude, max_peers=3
         )
-        assert capped.peer_ids(user_id, exclude) >= {p.user_id for p in expected}
+        stored = {p.user_id for p in capped.row(user_id, exclude)}
+        assert stored >= {p.user_id for p in expected}
         assert capped.row_growths == 1
         grown = capped.row(user_id)
         assert grown == _selector_peers(matrix, user_id, 0.0)[:6]

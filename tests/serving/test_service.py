@@ -14,8 +14,11 @@ from repro.config import RecommenderConfig
 from repro.core.pipeline import CaregiverPipeline
 from repro.data.groups import Group, random_group
 from repro.data.phr import HealthProblem
+from repro.data.users import User
+from repro.exceptions import UnknownUserError
 from repro.kernels.oracle import DictPearsonSimilarity
 from repro.serving import RecommendationService
+from repro.serving import service as service_module
 from repro.serving.service import _ReadWriteLock
 
 CONFIG = RecommenderConfig(peer_threshold=0.1, top_z=5, top_k=5, max_peers=10)
@@ -68,10 +71,110 @@ class TestWarmColdParity:
         def untouchable(*args, **kwargs):
             raise AssertionError("a cached user request read the index")
 
-        service.index.peer_ids = untouchable
         service.index.peers_excluding = untouchable
         assert service.recommend_user(user_id) == first
         assert service.cached_user(user_id, wait=False) == first
+
+
+class TestGroupPathContract:
+    """A group is scored by the column kernel, never from relevance rows."""
+
+    def test_group_requests_leave_the_relevance_cache_alone(
+        self, service, mutable_dataset, monkeypatch
+    ):
+        calls = []
+        for name in ("predict_row_packed", "items_unrated_by_all_packed"):
+            kernel = getattr(service_module, name)
+
+            def counted(*args, _kernel=kernel, _name=name, **kwargs):
+                calls.append(_name)
+                return _kernel(*args, **kwargs)
+
+            monkeypatch.setattr(service_module, name, counted)
+        cache = service.relevance_cache
+
+        def cache_state():
+            return len(cache), cache.stats.hits, cache.stats.misses
+
+        before = cache_state()
+        group = random_group(mutable_dataset.users.ids(), 4, seed=2)
+        assert service.recommend_group(group).items == _cold(
+            mutable_dataset, group
+        ).items
+        assert calls == []
+        assert cache_state() == before
+        member = group.member_ids[0]
+        service.recommend_user(member)
+        assert len(cache) == before[0] + 1
+        hits = cache.stats.hits
+        service.recommend_user(member)
+        assert cache.stats.hits == hits + 1
+
+    def test_an_excluding_row_matches_the_cold_row_and_is_not_cached(
+        self, service, mutable_dataset
+    ):
+        matrix = mutable_dataset.ratings
+        cold = CaregiverPipeline(mutable_dataset, CONFIG).group_recommender
+        group = random_group(mutable_dataset.users.ids(), 4, seed=3)
+        for member in group.member_ids:
+            others = [uid for uid in group.member_ids if uid != member]
+            expected = cold.single_user.predict_items(
+                member,
+                matrix.unrated_items(member, matrix.item_ids()),
+                exclude_peers=others,
+            )
+            assert list(service.relevance_row(member, others).items()) == list(
+                expected.items()
+            )
+        assert len(service.relevance_cache) == 0
+
+
+class TestUnknownIds:
+    """Ids the dataset does not know are answered but never indexed."""
+
+    @pytest.mark.parametrize("shards", [1, 3])
+    def test_unknown_ids_store_no_index_row(self, mutable_dataset, shards):
+        config = CONFIG.with_overrides(index_shards=shards)
+        service = RecommendationService(mutable_dataset, config)
+        service.warm()
+        built = service.stats()["index"]["built_rows"]
+        pipeline = CaregiverPipeline(mutable_dataset, config)
+        known = mutable_dataset.users.ids()[:3]
+        for number in range(4):
+            ghost = f"ghost-{number}"
+            assert service.recommend_user(ghost) == []
+            assert pipeline.recommend_for_user(ghost) == []
+            group = Group(member_ids=[*known[: number % 3 + 1], ghost])
+            warm, cold = service.recommend_group(group), pipeline.recommend(group)
+            assert warm.items == cold.items
+            assert warm.candidates.relevance == cold.candidates.relevance
+        assert service.stats()["index"]["built_rows"] == built
+
+    def test_a_registered_user_without_ratings_is_indexed(self, mutable_dataset):
+        mutable_dataset.users.add(User(user_id="newcomer"))
+        service = RecommendationService(mutable_dataset, CONFIG)
+        pipeline = CaregiverPipeline(mutable_dataset, CONFIG)
+        assert service.recommend_user("newcomer") == []
+        assert pipeline.recommend_for_user("newcomer") == []
+        assert service.index.is_built("newcomer")
+
+    @pytest.mark.parametrize("similarity", ["profile", "semantic", "hybrid"])
+    def test_profile_measures_reject_unknown_ids_and_store_nothing(
+        self, mutable_dataset, similarity
+    ):
+        config = CONFIG.with_overrides(similarity=similarity)
+        service = RecommendationService(mutable_dataset, config)
+        pipeline = CaregiverPipeline(mutable_dataset, config)
+        group = Group(member_ids=[mutable_dataset.users.ids()[0], "ghost"])
+        for request in (
+            lambda: pipeline.recommend_for_user("ghost"),
+            lambda: pipeline.recommend(group),
+            lambda: service.recommend_user("ghost"),
+            lambda: service.recommend_group(group),
+        ):
+            with pytest.raises(UnknownUserError):
+                request()
+        assert not service.index.is_built("ghost")
 
 
 class TestReadWriteLock:
@@ -312,9 +415,9 @@ class TestExecutionBackends:
     @pytest.mark.parametrize("backend", ["serial", "thread", "pool", "remote"])
     def test_batch_matches_cold_pipeline(self, mutable_dataset, backend):
         config = CONFIG.with_overrides(exec_backend=backend, exec_workers=2)
-        service = RecommendationService(mutable_dataset, config)
         groups = self._groups(mutable_dataset)
-        results = service.recommend_many(groups)
+        with RecommendationService(mutable_dataset, config) as service:
+            results = service.recommend_many(groups)
         for group, result in zip(groups, results):
             cold = _cold(mutable_dataset, group)
             assert result.items == cold.items

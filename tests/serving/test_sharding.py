@@ -73,7 +73,7 @@ class TestFlatParity:
         sharded.build()
         users = small_dataset.users.ids()
         for uid in users:
-            assert sharded.peer_ids(uid) == flat.peer_ids(uid)
+            assert sharded.row(uid) == flat.row(uid)
             assert sharded.peers_excluding(
                 uid, exclude=users[:2], max_peers=5
             ) == flat.peers_excluding(uid, exclude=users[:2], max_peers=5)
