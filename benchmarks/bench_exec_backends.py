@@ -2,13 +2,12 @@
 
 The ``repro.exec`` refactor promises two things:
 
-1. **bit-identical results** on every backend (serial / thread /
-   pool) — asserted here on both the neighbour-index rows and the
-   batch recommendations;
+1. **bit-identical results** on every backend (serial / pool) —
+   asserted here on both the neighbour-index rows and the batch
+   recommendations;
 2. **real parallelism for the CPU-bound paths** — the index build is
    pure Pearson arithmetic, so the pool's worker processes should beat
-   serial once ≥ 2 CPU cores are available (threads stay GIL-bound,
-   they are measured for reference).
+   serial once ≥ 2 CPU cores are available.
 
 Run directly (``python benchmarks/bench_exec_backends.py [--quick]``)
 or via ``pytest benchmarks/bench_exec_backends.py``.  Either way the
@@ -40,7 +39,7 @@ from repro.serving import RecommendationService, synthetic_workload  # noqa: E40
 #: Where the measured numbers are written for regression diffing.
 RESULT_PATH = _ROOT / "BENCH_exec.json"
 
-BACKENDS = ("serial", "thread", "pool")
+BACKENDS = ("serial", "pool")
 
 
 @dataclass
@@ -164,7 +163,7 @@ def write_result(result: ExecBenchResult, path: Path = RESULT_PATH) -> Path:
 
 
 def test_backends_bit_identical():
-    """Serial, thread and pool must agree on rows and rankings."""
+    """Serial and pool must agree on rows and rankings."""
     result = run_backend_comparison(
         num_users=80, num_items=100, ratings_per_user=15, num_requests=8
     )

@@ -18,7 +18,7 @@ The package is organised in layers:
   baseline and the end-to-end caregiver pipeline;
 * :mod:`repro.mapreduce` — an in-process MapReduce engine and the
   paper's three-job implementation;
-* :mod:`repro.exec` — the execution substrate (serial / thread /
+* :mod:`repro.exec` — the execution substrate (serial and
   worker-process backends with deterministic, bit-identical results)
   shared by the engine, the index builds, batch serving and the eval
   grids;
@@ -74,7 +74,6 @@ from .exec import (
     ExecutionBackend,
     PoolBackend,
     SerialBackend,
-    ThreadBackend,
     get_backend,
 )
 from .mapreduce import MapReduceEngine, MapReduceGroupRecommender
@@ -123,7 +122,6 @@ __all__ = [
     "SerialBackend",
     "SingleUserRecommender",
     "SwapRefinementSelector",
-    "ThreadBackend",
     "User",
     "UserRegistry",
     "ValidationError",

@@ -95,10 +95,8 @@ def _add_workload_arguments(sub: argparse.ArgumentParser) -> None:
         type=int,
         default=None,
         help=(
-            "worker count for the chosen backend (default: one CPU per "
-            "worker for thread/pool/remote); with --backend serial, >1 "
-            "falls back to a thread pool over runs of consecutive group "
-            "requests"
+            "worker count for --backend pool/remote (default: one worker "
+            "per CPU); --backend serial ignores it"
         ),
     )
     sub.add_argument("--seed", type=int, default=7)
@@ -216,18 +214,12 @@ def build_parser() -> argparse.ArgumentParser:
         ),
     )
     serve.add_argument(
-        "--shards",
-        type=int,
-        default=1,
-        help="hash-shard the neighbor index into N independent partitions",
-    )
-    serve.add_argument(
         "--snapshot",
         default=None,
         metavar="PATH",
         help=(
-            "neighbor-index snapshot directory (a manifest plus one file "
-            "per shard): load it if PATH holds a manifest (rejecting a "
+            "neighbor-index snapshot directory (a manifest plus shard "
+            "files): load it if PATH holds a manifest (rejecting a "
             "stale fingerprint), otherwise warm the index and save it "
             "there; later saves are incremental, and a PATH that is a "
             "regular file is rejected"
@@ -635,10 +627,10 @@ def _load_workload(args: argparse.Namespace, dataset):
 def _replay_requests(service, requests, args, emit) -> int:
     """Stream ``requests`` through ``service``; returns requests answered.
 
-    Consecutive group requests form one batch so --workers can fan them
-    out; user/rate requests are natural batch boundaries (a rate must
-    invalidate before the next read).  With workers=1 and a serial
-    backend the batch path degenerates to the sequential loop.  Latency
+    On a worker fleet, consecutive group requests form one batch that
+    fans out on it; user/rate requests are natural batch boundaries (a
+    rate must invalidate before the next read).  A serial backend
+    answers every request in turn.  Latency
     is not timed here: every request path observes its own ``request_ms``
     histogram inside the service, one observation per request — the
     caller reads the distribution back from the registry.
@@ -665,7 +657,7 @@ def _replay_requests(service, requests, args, emit) -> int:
             emit(number, request, recommendation)
         pending.clear()
 
-    batching = (args.workers or 1) > 1 or args.backend != "serial"
+    batching = args.backend != "serial"
     for request in requests:
         if request.kind == "group" and batching:
             # recommend_many takes one z for the whole batch; a z
@@ -822,7 +814,6 @@ def _command_serve(args: argparse.Namespace) -> int:
         remote_heartbeat_interval=args.remote_heartbeat_interval,
         remote_heartbeat_timeout=args.remote_heartbeat_timeout,
         degraded_mode=args.degraded_mode,
-        index_shards=args.shards,
         packed_spill=args.packed_spill or "",
         validation="strict" if args.strict else args.validation,
     )

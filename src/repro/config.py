@@ -41,7 +41,7 @@ KNOWN_SIMILARITIES: tuple[str, ...] = (
 #: Execution backend names accepted by :class:`RecommenderConfig`
 #: (mirrors :data:`repro.exec.BACKEND_NAMES` without importing it —
 #: config must stay import-light).
-KNOWN_EXEC_BACKENDS: tuple[str, ...] = ("serial", "thread", "pool", "remote")
+KNOWN_EXEC_BACKENDS: tuple[str, ...] = ("serial", "pool", "remote")
 
 #: Response-validation modes accepted by :class:`RecommenderConfig`
 #: (mirrors :data:`repro.validation.VALIDATION_MODES` without importing
@@ -116,13 +116,12 @@ class RecommenderConfig:
         Capacity (in finished group recommendations) of the serving
         layer's result cache.  ``0`` disables the cache.
     exec_backend:
-        Default execution backend (``"serial"``, ``"thread"``,
-        ``"pool"`` or ``"remote"``) used by the compute layers
-        (MapReduce engine, index builds, batch serving, eval grids).
-        ``"pool"`` and ``"remote"`` are the same worker fleet; the
-        latter also accepts ``repro worker`` processes over TCP.  All
-        backends produce bit-identical results; this is purely a
-        performance knob.
+        Default execution backend (``"serial"``, ``"pool"`` or
+        ``"remote"``) used by the compute layers (MapReduce engine,
+        index builds, batch serving, eval grids).  ``"pool"`` and
+        ``"remote"`` are the same worker fleet; the latter also accepts
+        ``repro worker`` processes over TCP.  All backends produce
+        bit-identical results; this is purely a performance knob.
     exec_workers:
         Worker count for the execution backend — for the worker fleet,
         the number of local worker processes; ``0`` selects the number
@@ -166,11 +165,6 @@ class RecommenderConfig:
         execution (counted as ``pool_degraded_dispatches``; served
         responses carry ``"degraded": true``).  Results never differ —
         purely operational (excluded from :meth:`fingerprint`).
-    index_shards:
-        Number of shards the serving layer's neighbour index is hash-
-        partitioned into.  ``1`` keeps the single flat index; more
-        shards let builds and refreshes proceed independently (and in
-        parallel under a non-serial backend).
     packed_spill:
         Optional directory the packed CSR arrays are spilled to
         (:meth:`repro.kernels.PackedRatings.save`).  When set, the
@@ -211,7 +205,6 @@ class RecommenderConfig:
     remote_heartbeat_interval: float = 2.0
     remote_heartbeat_timeout: float = 10.0
     degraded_mode: str = "off"
-    index_shards: int = 1
     packed_spill: str = ""
     validation: str = "off"
 
@@ -301,8 +294,6 @@ class RecommenderConfig:
                 f"unknown degraded_mode {self.degraded_mode!r}; "
                 f"expected one of {KNOWN_DEGRADED_MODES}"
             )
-        if self.index_shards <= 0:
-            raise ConfigurationError("index_shards must be positive")
         if not isinstance(self.packed_spill, str):
             raise ConfigurationError(
                 "packed_spill must be a directory path string ('' = off)"
@@ -345,7 +336,7 @@ class RecommenderConfig:
 
         Two configs share a fingerprint exactly when they produce the
         same peer rows and recommendations: operational knobs (cache
-        sizes, worker counts, backend choice, sharding) are excluded —
+        sizes, worker counts, backend choice) are excluded —
         the execution layer never changes results, only wall-clock.
         Used to reject stale index snapshots.
         """

@@ -1,7 +1,7 @@
 """repro.exec — the execution substrate shared by every compute layer.
 
 One abstraction (:class:`~repro.exec.backends.ExecutionBackend`) with
-four backend names — serial, thread, pool, remote — used by the
+three backend names — serial, pool, remote — used by the
 MapReduce engine, the similarity batch builds, the neighbour index, the
 serving batch API and the evaluation grids.  All backends produce
 bit-identical results; they differ only in wall-clock and in how state
@@ -16,7 +16,6 @@ from .backends import (
     BACKEND_NAMES,
     ExecutionBackend,
     SerialBackend,
-    ThreadBackend,
     backend_scope,
     chunk_evenly,
     default_workers,
@@ -54,7 +53,6 @@ __all__ = [
     "PoolBackend",
     "RemoteBackend",
     "SerialBackend",
-    "ThreadBackend",
     "TruncatedFrameError",
     "WireError",
     "backend_scope",

@@ -1,4 +1,4 @@
-"""Pluggable execution backends (serial / thread / pool / remote).
+"""Pluggable execution backends (serial / pool / remote).
 
 The paper frames the recommender as three MapReduce jobs precisely
 because peer-set and relevance computation dominate at scale — yet the
@@ -7,11 +7,10 @@ grids each hand-rolled their own (mostly serial) execution.  This
 module is the single substrate they all share:
 
 * :class:`SerialBackend` — a plain loop; the reference semantics.
-* :class:`ThreadBackend` — a persistent thread pool; parallelises
-  workloads that release the GIL or block, and batch request fan-out.
 * :class:`~repro.exec.remote.RemoteBackend` — the worker fleet, for
-  the CPU-bound workloads (Pearson over co-rated items) where threads
-  are GIL-bound: *long-lived* worker processes that keep resident state
+  the CPU-bound workloads (Pearson over co-rated items), which threads
+  in one process would only time-slice under the GIL: *long-lived*
+  worker processes that keep resident state
   between calls and re-sync through broadcast per-epoch delta packets,
   one frame per worker, never per task.  Task functions and arguments
   must be picklable.  As ``"pool"`` its workers are forked local
@@ -31,7 +30,6 @@ from __future__ import annotations
 import os
 import pickle
 from abc import ABC, abstractmethod
-from concurrent.futures import ThreadPoolExecutor
 from contextlib import contextmanager
 from typing import Any, Callable, Iterable, Iterator, Sequence, TypeVar
 
@@ -42,7 +40,7 @@ T = TypeVar("T")
 R = TypeVar("R")
 
 #: Backend names accepted by :func:`get_backend` (and the CLI/config).
-BACKEND_NAMES: tuple[str, ...] = ("serial", "thread", "pool", "remote")
+BACKEND_NAMES: tuple[str, ...] = ("serial", "pool", "remote")
 
 
 def ensure_picklable(fn: Callable[..., Any]) -> None:
@@ -142,8 +140,8 @@ class ExecutionBackend(ABC):
 
         Results are returned in input order regardless of completion
         order.  ``initializer``/``initargs`` set up per-worker state
-        (worker processes run it once when they boot; the in-process
-        backends run it once before mapping, so the same task function
+        (worker processes run it once when they boot; the serial
+        backend runs it once before mapping, so the same task function
         works everywhere).  ``deadline`` is an optional
         :class:`~repro.resilience.Deadline`; when the budget runs out a
         backend raises :class:`~repro.exceptions.DeadlineExceeded`
@@ -176,8 +174,8 @@ class ExecutionBackend(ABC):
     def notify_state_change(self, delta: Any = None) -> int:
         """Report that per-worker state mutated since the last dispatch.
 
-        Backends without resident worker state (serial, thread) read
-        the parent's state on every call, so this is a no-op for them.
+        The serial backend has no resident worker state — it reads
+        the parent's state on every call — so this is a no-op for it.
         The worker fleet (:class:`~repro.exec.remote.RemoteBackend`)
         overrides it to bump its sync epoch (and, when ``delta`` is given, log the mutation for
         replay).  State owners should call it unconditionally after
@@ -235,60 +233,6 @@ class SerialBackend(ExecutionBackend):
         return results
 
 
-class ThreadBackend(ExecutionBackend):
-    """A persistent thread pool (created lazily, reused across calls).
-
-    Right for I/O-bound or lock-releasing tasks and for fan-out whose
-    per-task state lives in the parent process (no pickling).  The
-    CPU-bound inner loops of this library are GIL-bound under threads —
-    use the ``"pool"`` backend for those.
-    """
-
-    name = "thread"
-
-    def __init__(self, workers: int | None = None) -> None:
-        super().__init__(workers)
-        self._pool: ThreadPoolExecutor | None = None
-
-    def _ensure_pool(self) -> ThreadPoolExecutor:
-        if self._pool is None:
-            self._pool = ThreadPoolExecutor(
-                max_workers=self.workers, thread_name_prefix="repro-exec"
-            )
-        return self._pool
-
-    def map_items(
-        self,
-        fn: Callable[[T], R],
-        items: Iterable[T],
-        *,
-        initializer: Callable[..., None] | None = None,
-        initargs: tuple[Any, ...] = (),
-        deadline: Deadline | None = None,
-    ) -> list[R]:
-        """Map on the (lazily created, reused) thread pool, in order.
-
-        A ``deadline`` is checked before dispatch — once tasks are on
-        the pool the batch drains (threads share the parent's state, so
-        tasks are typically fast and abandoning futures would leak
-        running work).
-        """
-        if deadline is not None:
-            deadline.check("thread dispatch")
-        if initializer is not None:
-            initializer(*initargs)
-        items = list(items)
-        if len(items) <= 1:
-            return [fn(item) for item in items]
-        return list(self._ensure_pool().map(fn, items))
-
-    def close(self) -> None:
-        """Shut the thread pool down (idempotent; recreated on next use)."""
-        if self._pool is not None:
-            self._pool.shutdown(wait=True)
-            self._pool = None
-
-
 def get_backend(
     name: str | None,
     workers: int | None = None,
@@ -319,16 +263,11 @@ def get_backend(
     'serial'
     >>> get_backend(None).name
     'serial'
-    >>> with get_backend("thread", workers=2) as backend:
-    ...     backend.map_items(len, ["ab", "abc"])
-    [2, 3]
     """
     if name is None:
         name = "serial"
     if name == "serial":
         return SerialBackend(workers)
-    if name == "thread":
-        return ThreadBackend(workers)
     if name in ("pool", "remote"):
         from .remote import (
             DEFAULT_HEARTBEAT_INTERVAL,
@@ -395,7 +334,7 @@ def backend_scope(
     A caller-provided instance is passed through untouched (its owner
     closes it); a name or ``None`` is instantiated here and its pooled
     workers are released when the block ends — per-call fan-out sites
-    use this so a ``backend="thread"`` sweep cannot leak idle threads.
+    use this so a ``backend="pool"`` sweep cannot leak idle workers.
     """
     owned = not isinstance(backend, ExecutionBackend)
     resolved = resolve_backend(backend, workers)

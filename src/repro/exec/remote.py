@@ -26,8 +26,8 @@ After the join there is one code path for every worker:
   a new initializer or initargs) the fleet is re-shipped instead;
 * ``map_items`` places chunk *i* on live worker *i mod width*;
   ``map_partitions`` places partition *N* by its ``shard-N`` key on a
-  consistent-hash ring (:class:`HashRing`), so index shards stick to
-  workers across batches;
+  consistent-hash ring (:class:`HashRing`), so each MapReduce partition
+  sticks to one worker across batches;
 * workers stream tagged ``RESULT`` frames plus ``HEARTBEAT`` beacons.
   A worker whose stream ends, tears a frame or stays silent past
   ``heartbeat_timeout`` is declared dead and its unanswered items are
@@ -1597,10 +1597,9 @@ class RemoteBackend(ExecutionBackend):
     ) -> list[R]:
         """One task per partition, placed by ``shard-N`` ring keys.
 
-        Stable keys mean partition ``N`` lands on the same worker for
-        every batch while the fleet is unchanged — index shards stick
-        to workers (warm shard state stays warm), and a fleet change
-        re-homes only the dead worker's shards.
+        Stable keys mean partition ``N`` of a MapReduce job lands on
+        the same worker for every batch while the fleet is unchanged,
+        and a fleet change re-homes only the dead worker's partitions.
         """
         return self._dispatch(
             fn, list(partitions), initializer, initargs, deadline, by_shard=True

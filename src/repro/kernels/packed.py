@@ -134,8 +134,7 @@ class PackedRatings:
         self._dirty: set[str] = set()
         self._stale = True  # force the initial full build
         self._spill_backed = False
-        self._spill_dir: str | None = None
-        # Serialises repacks: batch serving runs kernel calls as
+        # Serialises repacks: the request server runs kernel calls as
         # concurrent readers, and two threads racing ensure_current()
         # after a mutation would both extend the interning tables.
         # Reentrant because the locked ensure_current/_repack_dirty
@@ -240,7 +239,7 @@ class PackedRatings:
         users/items).  Anything else — a removal, or a version move the
         packed view was never told about — triggers :meth:`rebuild`.
 
-        Thread-safe: the serving layer's batch paths call the kernels
+        Thread-safe: the request server's executor calls the kernels
         from concurrent reader threads, so the staleness check and the
         repack run under one lock — at most the first caller mutates,
         the rest re-check and fall through.
@@ -416,9 +415,6 @@ class PackedRatings:
         packed._version = matrix.version
         packed._removals = matrix.removals
         packed._spill_backed = True
-        # Remembered so sibling views (per-shard measures) can map the
-        # same spill instead of packing their own private copy.
-        packed._spill_dir = str(directory)
         return packed
 
     # -- pickling ------------------------------------------------------------

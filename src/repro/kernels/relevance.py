@@ -49,7 +49,7 @@ def _scatter(
     Peers are visited in the mapping's iteration order — the dict
     path's accumulation order; peers unknown to the matrix never rated
     anything and are skipped.  The accumulators are allocated per call:
-    batch serving runs the kernels from concurrent reader threads.
+    the request server runs the kernels from concurrent reader threads.
     """
     user_index = packed.user_index
     row_items = packed.row_items

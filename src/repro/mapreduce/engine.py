@@ -25,12 +25,12 @@ counters, which the tests use to assert the data flow.
 Every phase executes through an :class:`~repro.exec.ExecutionBackend`:
 the map phase over contiguous input chunks, the combine and reduce
 phases over whole partitions.  Partitions therefore buy real
-parallelism under the thread/pool backends instead of merely
-simulating a cluster — and because chunks and partitions are processed
-in a fixed order, the output (pairs *and* counters) is bit-identical
-across backends.  The process and pool backends additionally require
-the job's mapper/combiner/reducer to be picklable (module-level
-functions, not closures).
+parallelism on the worker fleet (``pool``/``remote``) instead of
+merely simulating a cluster — and because chunks and partitions are
+processed in a fixed order, the output (pairs *and* counters) is
+bit-identical across backends.  The fleet additionally requires the
+job's mapper/combiner/reducer to be picklable (module-level functions,
+not closures); closure jobs run on the serial backend.
 """
 
 from __future__ import annotations

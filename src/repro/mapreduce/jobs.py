@@ -215,7 +215,7 @@ def make_packed_similarity_job(
     both sums of Equation 1, so Job 3's output is unaffected.
 
     The mapper/reducer closures capture ``matrix``; as with the other
-    jobs, run them on the serial or thread backend.
+    jobs, run them on the serial backend.
     """
     members = set(group_members)
 

@@ -31,7 +31,6 @@ from ..core.greedy import FairnessAwareGreedy, GroupRecommendation
 from ..core.relevance import ScoredItem
 from ..data.groups import Group
 from ..data.ratings import RatingMatrix
-from ..exec import ExecutionBackend
 from .engine import JobCounters, MapReduceEngine
 from .jobs import (
     make_job1,
@@ -73,13 +72,9 @@ class MapReduceGroupRecommender:
         Minimum number of co-rated items for a valid Pearson similarity,
         matching :class:`~repro.similarity.ratings_sim.PearsonRatingSimilarity`.
     num_partitions:
-        Number of partitions for every job; under a non-serial backend
-        each partition's combine/reduce work runs in parallel.
-    backend:
-        Execution backend (instance, name or ``None`` for serial) the
-        engine phases run on.  Note the jobs' mapper/reducer closures
-        capture group state, so the pool backend cannot pickle them —
-        use serial or thread here.
+        Number of partitions for every job.  The jobs run on the serial
+        backend: their mapper/reducer closures capture group state,
+        which the worker fleet cannot pickle.
     """
 
     def __init__(
@@ -90,7 +85,6 @@ class MapReduceGroupRecommender:
         top_k: int = 10,
         min_common_items: int = 2,
         num_partitions: int = 4,
-        backend: "ExecutionBackend | str | None" = None,
     ) -> None:
         if isinstance(aggregation, str):
             aggregation = get_aggregation(aggregation)
@@ -100,17 +94,7 @@ class MapReduceGroupRecommender:
         self.top_k = top_k
         self.min_common_items = min_common_items
         self.num_partitions = num_partitions
-        self.engine = MapReduceEngine(backend=backend)
-
-    def close(self) -> None:
-        """Release the engine's backend workers (if the engine owns them)."""
-        self.engine.close()
-
-    def __enter__(self) -> "MapReduceGroupRecommender":
-        return self
-
-    def __exit__(self, *exc_info: object) -> None:
-        self.close()
+        self.engine = MapReduceEngine()
 
     # -- pipeline ---------------------------------------------------------------
 

@@ -8,10 +8,9 @@ the current *request id* — set per incoming request with
 :func:`request_context` and propagated through nested calls via a
 :mod:`contextvars` variable, so a kernel-level span recorded three
 layers below ``recommend_many`` still names the request that caused it
-(including across threads spawned with ``contextvars.copy_context``,
-which the thread backend's executor does implicitly for submitted
-functions' closures — worker *processes* instead re-establish the id
-from the shipped task).
+(in-process, a thread sees the id only when it runs inside a
+``contextvars.copy_context()`` snapshot; worker *processes* instead
+re-establish the id from the shipped task).
 
 Spans follow the global enabled flag: disabled, :func:`span` yields a
 shared no-op object without touching the clock.

@@ -35,7 +35,6 @@ from .requests import (
 )
 from .server import OverloadedError, RequestServer
 from .service import RecommendationService
-from .sharding import ShardedNeighborIndex, shard_of
 from .snapshot import (
     load_sharded_snapshot,
     save_sharded_snapshot,
@@ -50,14 +49,12 @@ __all__ = [
     "RecommendationService",
     "RequestServer",
     "ServeRequest",
-    "ShardedNeighborIndex",
     "iter_requests",
     "load_requests",
     "load_sharded_snapshot",
     "parse_request",
     "save_requests",
     "save_sharded_snapshot",
-    "shard_of",
     "snapshot_fingerprint",
     "synthetic_workload",
 ]

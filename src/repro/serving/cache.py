@@ -356,21 +356,6 @@ class CachedSimilarity(UserSimilarity):
         """
         return self.inner.picklable_measure()
 
-    def with_private_packed(self) -> "CachedSimilarity":
-        """A per-shard variant sharing this pair cache.
-
-        Forwards to the inner measure's ``with_private_packed`` (see
-        :meth:`repro.similarity.ratings_sim.PearsonRatingSimilarity.with_private_packed`)
-        and wraps the private clone around the *same* :class:`ScoreCache`,
-        so shards keep one unified pair cache while owning independent
-        packed state.  Returns ``self`` when the inner measure has no
-        packed state to privatise.
-        """
-        maker = getattr(self.inner, "with_private_packed", None)
-        if not callable(maker):
-            return self
-        return CachedSimilarity(maker(), self.cache)
-
     def invalidate_user(self, user_id: str) -> None:
         """Drop every cached pair involving ``user_id`` and inner state."""
         self.cache.invalidate_where(lambda key: user_id in key)

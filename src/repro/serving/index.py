@@ -331,8 +331,8 @@ class NeighborIndex:
 
         Bumped whenever a row is stored, dropped or cleared.  Equal
         versions guarantee unchanged content, which is what the
-        incremental per-shard snapshot save keys on; the converse does
-        not hold (a rebuild to identical rows still bumps it).
+        incremental snapshot save keys on; the converse does not hold
+        (a rebuild to identical rows still bumps it).
         """
         with self._lock:
             return self._version
@@ -349,50 +349,28 @@ class NeighborIndex:
 
         After ``user_id``'s ratings or profile changed, ``simU(u, v)``
         changed for every ``v`` — but each *other* row can only move its
-        single entry for ``u``.  The row of ``u`` is rebuilt from
-        scratch; the other rows are patched (see :meth:`patch_neighbor`).
+        single entry for ``u``.  The row of ``u`` is rebuilt from one
+        score sweep; the measure's
+        :meth:`~repro.similarity.base.UserSimilarity.similarities_toward`
+        turns that sweep into ``simU(owner, u)`` for every built owner —
+        the direction the cold path evaluates — and only the rows that
+        hold ``u`` or that its new score qualifies for are patched.
+        Everything runs under the index lock, so a concurrent lazy
+        :meth:`row` build cannot interleave and resurrect a stale row.
 
         Returns the set of users whose stored row changed (including
         ``user_id`` itself), which is exactly the set whose cached
         relevance rows the service must drop.
         """
         with self._lock:
-            scores = self.rebuild_row(user_id)
-            return {user_id} | self.patch_neighbor(user_id, scores)
-
-    def rebuild_row(self, user_id: str) -> dict[str, float]:
-        """Recompute and store one user's row from current data.
-
-        Compute and store happen under the index lock, so a concurrent
-        lazy :meth:`row` build cannot interleave and resurrect a stale
-        row.  Returns the row's raw score table ``simU(user_id, ·)``
-        over every other user, the input of :meth:`patch_neighbor`.
-        """
-        with self._lock:
             scores = self._scores(user_id)
             self._store_row(user_id, *self._row_from_scores(scores, self._limit()))
-            return scores
-
-    def patch_neighbor(self, user_id: str, scores: Mapping[str, float]) -> set[str]:
-        """Re-evaluate ``user_id``'s entry in the other built rows.
-
-        ``scores`` is :meth:`rebuild_row`'s table for ``user_id``; the
-        measure's :meth:`~repro.similarity.base.UserSimilarity.similarities_toward`
-        turns it into ``simU(owner, user_id)`` for every built owner —
-        the direction the cold path evaluates.  Only the rows that hold
-        ``user_id`` or that its new score qualifies for are visited.
-        Returns the owners of the rows that changed.  (Rebuilding
-        ``user_id``'s own row is the caller's job — a sharded index
-        calls this on every shard but rebuilds the row once, in the
-        home shard.)
-        """
-        with self._lock:
             owners = [owner for owner in self._rows if owner != user_id]
             toward = self.similarity.similarities_toward(user_id, owners, scores)
             holders = set(self._reverse.get(user_id, ()))
             # A user without ratings is in no candidate pool.
             candidate = bool(self.matrix.item_ids_of(user_id))
-            changed: set[str] = set()
+            changed = {user_id}
             for owner in owners:
                 score = toward[owner]
                 qualifies = candidate and score >= self.threshold
@@ -484,7 +462,7 @@ class NeighborIndex:
         with self._lock:
             # Dropping the previous rows is a content change even when
             # ``rows`` is empty — clear() moves the version, or an
-            # incremental snapshot save would consider the shard clean
+            # incremental snapshot save would consider the index clean
             # and keep the pre-load rows on disk.
             self.clear()
             for user_id, row in rows.items():

@@ -19,7 +19,7 @@ façade:
   list changed, and the users that count the touched user as a peer
   lose cached state;
 * :meth:`recommend_many` answers a batch of group requests, sharing
-  peer rows across overlapping groups, optionally on a thread pool;
+  peer rows across overlapping groups, optionally on the worker fleet;
 * :meth:`cached_group` / :meth:`cached_user` are the one cache-hit
   path of group and user requests; with ``wait=False`` they never
   compute and never wait for the data lock, which is how the request
@@ -58,12 +58,7 @@ from ..data.groups import Group
 from ..data.serialization import atomic_write
 from ..data.users import User
 from ..exceptions import ExecutionError, ValidationError
-from ..exec import (
-    ExecutionBackend,
-    SerialBackend,
-    ThreadBackend,
-    get_backend,
-)
+from ..exec import ExecutionBackend, get_backend
 from ..kernels import (
     SpillError,
     attach_spill,
@@ -80,7 +75,6 @@ from ..validation import validate_group_response, validate_user_response
 from ..similarity.peers import peers_as_mapping
 from .cache import CachedSimilarity, ScoreCache
 from .index import NeighborIndex
-from .sharding import ShardedNeighborIndex
 from .snapshot import (
     load_sharded_snapshot,
     save_sharded_snapshot,
@@ -93,8 +87,8 @@ class _ReadWriteLock:
 
     Request paths read the rating matrix (whose dicts must not be
     mutated mid-iteration); the update paths mutate it.  Readers run
-    in parallel (the batch API's thread pool), a writer waits for the
-    readers to drain and blocks new ones.
+    in parallel (the request server's executor threads), a writer
+    waits for the readers to drain and blocks new ones.
     """
 
     def __init__(self) -> None:
@@ -333,9 +327,8 @@ class RecommendationService:
         The data bundle served by this instance.
     config:
         Recommendation parameters; also supplies the cache sizes
-        (``similarity_cache_size``, ``relevance_cache_size``), the
-        execution backend (``exec_backend``/``exec_workers``) and the
-        index sharding (``index_shards``).
+        (``similarity_cache_size``, ``relevance_cache_size``) and the
+        execution backend (``exec_backend``/``exec_workers``).
     selector:
         Fairness-aware selection algorithm name (as in the pipeline).
     similarity:
@@ -411,23 +404,12 @@ class RecommendationService:
             config.similarity_cache_size, name="similarity", metrics=self.metrics
         )
         self.similarity = CachedSimilarity(base, self.similarity_cache)
-        if config.index_shards > 1:
-            self.index: NeighborIndex | ShardedNeighborIndex = (
-                ShardedNeighborIndex(
-                    self.matrix,
-                    self.similarity,
-                    threshold=config.peer_threshold,
-                    num_shards=config.index_shards,
-                    max_peers=config.max_peers,
-                )
-            )
-        else:
-            self.index = NeighborIndex(
-                self.matrix,
-                self.similarity,
-                threshold=config.peer_threshold,
-                max_peers=config.max_peers,
-            )
+        self.index = NeighborIndex(
+            self.matrix,
+            self.similarity,
+            threshold=config.peer_threshold,
+            max_peers=config.max_peers,
+        )
         self.relevance_cache = ScoreCache(
             config.relevance_cache_size, name="relevance", metrics=self.metrics
         )
@@ -438,9 +420,9 @@ class RecommendationService:
         self.selector = build_selector(selector)
         self.aggregation = get_aggregation(config.aggregation)
         self._data_lock = _ReadWriteLock()
-        # Shard versions at the last per-shard save/load, keyed by
-        # resolved snapshot directory — drives incremental saves.
-        self._snapshot_versions: dict[str, list[int]] = {}
+        # Index version at the last save/load, keyed by resolved
+        # snapshot directory — drives incremental saves.
+        self._snapshot_versions: dict[str, int] = {}
         # One stable initargs tuple per service: pool backends compare
         # initargs by element identity to decide whether their resident
         # workers were built from *this* service's state.
@@ -672,47 +654,37 @@ class RecommendationService:
         """Fingerprint binding snapshots to this config/dataset pair."""
         return snapshot_fingerprint(self.config, self.dataset)
 
-    def _index_shards(self) -> list[NeighborIndex]:
-        """The underlying flat indexes, in shard order (flat = 1 shard)."""
-        shards = getattr(self.index, "shards", None)
-        return list(shards) if shards else [self.index]
-
     def save_snapshot(self, path: str | Path) -> Path:
         """Persist the warm neighbour-index rows to the directory ``path``.
 
-        The layout is a manifest plus one file per index shard (a flat
-        index is one shard; see :mod:`repro.serving.snapshot`).  Saves
-        are incremental — repeating a save after an update only
-        rewrites the shards whose rows actually changed.
+        The layout is a manifest plus one shard file (see
+        :mod:`repro.serving.snapshot`).  Saves are incremental —
+        repeating a save with no update since the last save or load of
+        ``path`` rewrites only the manifest.
         """
         path = Path(path)
         with self._data_lock.read():
-            shards = self._index_shards()
-            versions = [shard.version for shard in shards]
+            version = self.index.version
             key = str(path.resolve())
             saved = self._snapshot_versions.get(key)
-            dirty = (
-                None
-                if saved is None or len(saved) != len(versions)
-                else [old != new for old, new in zip(saved, versions)]
-            )
-            # Bound methods, not materialised rows: only the shards the
-            # writer decides to rewrite pay for a row copy.
+            # A bound method, not materialised rows: a clean index never
+            # pays for a row copy.
             result = save_sharded_snapshot(
-                [shard.snapshot_rows for shard in shards],
+                [self.index.snapshot_rows],
                 path,
                 self.snapshot_fingerprint(),
                 self.config.fingerprint(),
-                dirty=dirty,
+                dirty=None if saved is None else [saved != version],
             )
-            self._snapshot_versions[key] = versions
+            self._snapshot_versions[key] = version
             return result
 
     def load_snapshot(self, path: str | Path) -> int:
         """Restore the neighbour index from a snapshot; returns rows loaded.
 
-        The snapshot directory loads into flat and sharded indexes
-        alike.  Raises :class:`~repro.exceptions.SnapshotError` when the
+        A directory saved with any number of shard files loads: the
+        rows of every shard form the index.  Raises
+        :class:`~repro.exceptions.SnapshotError` when the
         snapshot's fingerprint does not match this service's config
         semantics and dataset shape — serving from a stale index would
         silently change recommendations — when any shard file is
@@ -730,10 +702,8 @@ class RecommendationService:
             self.relevance_cache.clear()
             self.group_cache.clear()
             # The directory now mirrors the in-memory rows: a save back
-            # to it before any update can skip every shard.
-            self._snapshot_versions[str(path.resolve())] = [
-                shard.version for shard in self._index_shards()
-            ]
+            # to it before any update can skip the row file.
+            self._snapshot_versions[str(path.resolve())] = self.index.version
             return loaded
 
     # -- relevance rows ------------------------------------------------------
@@ -741,7 +711,9 @@ class RecommendationService:
     def _known(self, user_id: str) -> bool:
         """Whether ``user_id`` has ratings or a registry entry.
 
-        Only such ids get a stored index row, so unknown ids cannot grow it.
+        Only such ids get a stored index row, relevance row or group
+        answer, so unknown ids can neither grow the index nor evict
+        cached answers.
         """
         return user_id in self.dataset.users or bool(self.matrix.item_ids_of(user_id))
 
@@ -758,12 +730,12 @@ class RecommendationService:
         """Equation 1 predictions for every item ``user_id`` has not rated.
 
         ``exclude`` removes users from the peer pool.  The row without
-        exclusions is the single-user row, cached per user id; a row
-        with exclusions is computed on each call and not cached.
+        exclusions is the single-user row, cached per known user id; a
+        row with exclusions is computed on each call and not cached.
         """
         exclude = frozenset(exclude)
         with self._data_lock.read():
-            if exclude:
+            if exclude or not self._known(user_id):
                 return self._compute_relevance_row(user_id, exclude)
             return self.relevance_cache.get_or_compute(
                 user_id, lambda: self._compute_relevance_row(user_id)
@@ -827,7 +799,8 @@ class RecommendationService:
         with self._data_lock.read():
             epoch = self.relevance_cache.epoch
             row = self._compute_relevance_row(user_id)
-            self.relevance_cache.put(user_id, row, epoch=epoch)
+            if self._known(user_id):
+                self.relevance_cache.put(user_id, row, epoch=epoch)
             result = rank_items(row, k)
             self._validate_user(result, user_id, k)
         self._record("user", started, "user_requests")
@@ -889,7 +862,8 @@ class RecommendationService:
         :meth:`CaregiverPipeline.recommend` on the same inputs.
         Finished recommendations are cached per ``(members, z)`` —
         repeated dashboard refreshes are answered without recomputing —
-        and invalidated as soon as an update touches any member.
+        and invalidated as soon as an update touches any member.  A
+        group with a member the dataset does not know is not cached.
         ``z`` defaults to ``config.top_z``; an explicit non-positive
         ``z`` raises :class:`~repro.exceptions.ConfigurationError`.
         A ``deadline`` is checked on entry — between group requests in
@@ -907,6 +881,7 @@ class RecommendationService:
         if cached is not None:
             return cached
         with self._data_lock.read():
+            storable = all(map(self._known, group.member_ids))
             # Each member's peers leave the other members out.
             member_peers = {
                 member_id: self._peers(
@@ -932,7 +907,8 @@ class RecommendationService:
             candidates=candidates,
         )
         self._validate_group(recommendation, z, group_epoch)
-        self.group_cache.put(cache_key, recommendation, epoch=group_epoch)
+        if storable:
+            self.group_cache.put(cache_key, recommendation, epoch=group_epoch)
         self._record("group", started, "group_requests")
         return recommendation
 
@@ -988,25 +964,19 @@ class RecommendationService:
         """Answer a batch of group requests, in input order.
 
         Identical groups in the batch are computed once; overlapping
-        groups share the members' stored peer rows.
-        The distinct groups fan out on an execution backend — explicit
-        ``backend`` argument first, then the service backend, then a
-        thread pool when a serial service is asked for ``workers > 1``:
-
-        * **thread** — requests run as parallel readers against the
-          shared caches and index; a concurrent :meth:`ingest_rating` /
-          :meth:`update_profile` waits for in-flight requests to drain
-          (results computed while an update slips in between requests
-          are simply not cached — see :attr:`ScoreCache.epoch`);
-        * **pool / remote** — each resident worker process holds the
-          dataset and config and computes groups CPU-parallel; results
-          are bit-identical (the warm/cold invariant) and are folded
-          back into this service's group cache.
+        groups share the members' stored peer rows.  The backend is the
+        explicit ``backend`` argument, else the service backend;
+        ``workers`` sets the width of a worker fleet and is ignored by
+        the serial backend, which answers the groups one by one.  On
+        the **pool / remote** fleet each resident worker process holds
+        the dataset and config and computes groups CPU-parallel;
+        results are bit-identical (the warm/cold invariant) and are
+        folded back into this service's group cache.
 
         A ``deadline`` (see :class:`~repro.resilience.Deadline`) caps
         the whole batch end-to-end: it is checked on entry, between
         groups on the serial path, and between dispatch rounds on the
-        backend paths — :class:`~repro.exceptions.DeadlineExceeded`
+        fleet — :class:`~repro.exceptions.DeadlineExceeded`
         propagates before any partial results are recorded.
         """
         z_value = resolve_positive(z, self.config.top_z, "z")
@@ -1025,28 +995,17 @@ class RecommendationService:
                 distinct=len(distinct),
                 backend=resolved.name,
             ):
-                if len(distinct) <= 1 or resolved.name == "serial":
+                if len(distinct) <= 1 or not resolved.requires_pickling:
                     results = {
                         key: self.recommend_group(
                             group, z_value, deadline=deadline
                         )
                         for key, group in distinct.items()
                     }
-                elif resolved.requires_pickling:
+                else:
                     results = self._recommend_many_process(
                         distinct, z_value, resolved, deadline
                     )
-                else:
-                    with span(
-                        "exec_dispatch", self.metrics, backend=resolved.name
-                    ):
-                        recommendations = resolved.map_items(
-                            lambda group: self.recommend_group(
-                                group, z_value, deadline=deadline
-                            ),
-                            list(distinct.values()),
-                        )
-                    results = dict(zip(distinct.keys(), recommendations))
         finally:
             if owned:
                 resolved.close()
@@ -1086,15 +1045,15 @@ class RecommendationService:
                 self._sync_foreign_pool(backend)
                 return backend, False
             return self._make_backend(backend, workers), True
-        if self.backend.name != "serial":
-            if workers is not None and workers != self.backend.workers:
-                # An explicit per-call width wins over the service
-                # default — spin up a same-kind backend for this batch.
-                return self._make_backend(self.backend.name, workers), True
-            return self.backend, False
-        if workers is not None and workers > 1:
-            return ThreadBackend(workers), True
-        return SerialBackend(), False
+        if (
+            self.backend.name != "serial"
+            and workers is not None
+            and workers != self.backend.workers
+        ):
+            # An explicit per-call width wins over the service default
+            # — spin up a same-kind fleet for this batch.
+            return self._make_backend(self.backend.name, workers), True
+        return self.backend, False
 
     def _worker_initargs(self) -> tuple:
         """The (cached) initializer arguments for serve worker processes.
@@ -1188,18 +1147,24 @@ class RecommendationService:
             # A worker grows a member's capped row for a large group's
             # exclusions in its own index; store rows here that hold
             # the same peers, so a write to any of them drops the
-            # cached answer (see _drop_affected).
+            # cached answer (see _drop_affected).  A group with an
+            # unknown member is answered but not cached.
+            storable: set[tuple[str, ...]] = set()
             for key in missing:
-                for member in filter(self._known, key):
+                known = list(filter(self._known, key))
+                for member in known:
                     self.index.cover(
                         member, {uid for uid in key if uid != member}
                     )
+                if len(known) == len(key):
+                    storable.add(key)
         elapsed_ms = (time.perf_counter() - started) * 1000.0
         per_group_ms = elapsed_ms / len(missing)
         group_requests = self._request_counters["group_requests"]
         group_hist = self._request_ms["group"]
         for key, recommendation in zip(missing.keys(), recommendations):
-            self.group_cache.put((key, z), recommendation, epoch=epoch)
+            if key in storable:
+                self.group_cache.put((key, z), recommendation, epoch=epoch)
             group_requests.inc()
             group_hist.observe(per_group_ms)
             results[key] = recommendation
@@ -1350,7 +1315,6 @@ class RecommendationService:
                 "built_rows": self.index.built_rows,
                 "users": self.matrix.num_users,
                 "threshold": self.index.threshold,
-                "shards": getattr(self.index, "num_shards", 1),
                 "stored_peers": self.index.stored_peers,
                 "truncated_rows": self.index.truncated_rows,
                 "row_growths": self.index.row_growths,

@@ -13,15 +13,17 @@ module snapshots those rows and restores them, with two guards:
   :class:`~repro.exceptions.SnapshotError` rather than silently served.
 
 A snapshot is a **directory** (:func:`save_sharded_snapshot` /
-:func:`load_sharded_snapshot`): a ``manifest.json`` plus one
-``shard-NNNN.json`` per index shard — a flat index is one shard, and
-either index kind loads any shard count.  Saves are *incremental*: a
-shard whose rows did not change since the last save is not
-re-serialised or rewritten.  Every shard file carries the fingerprint
-and the manifest records each shard's content checksum, so a torn save
-(crash between shard writes and the manifest write), a truncated file,
-or a missing shard is detected at load time instead of being silently
-served.  Shard files are written atomically
+:func:`load_sharded_snapshot`): a ``manifest.json`` plus
+``shard-NNNN.json`` row files.  The service writes one shard; a
+directory an older build wrote with several shards still loads, its
+rows unioned into the one index, and a re-save rewrites it as one
+shard and removes the shard files the new manifest no longer lists.
+Saves are *incremental*: a shard whose rows did not change since the
+last save is not re-serialised or rewritten.  Every shard file carries
+the fingerprint and the manifest records each shard's content
+checksum, so a torn save (crash between shard writes and the manifest
+write), a truncated file, or a missing shard is detected at load time
+instead of being silently served.  Shard files are written atomically
 (:func:`~repro.data.serialization.atomic_write`); the manifest is
 written **last**, so a crash mid-save leaves the previous manifest
 either fully consistent or detectably out of step with the shard files.
@@ -156,6 +158,8 @@ def save_sharded_snapshot(
     and shard count and the shard file is still on disk; anything else
     rewrites the shard regardless.  The manifest is written last, via
     an atomic rename, so a crash mid-save is detectable at load time.
+    Only then are the shard files of an earlier save with more shards
+    removed; no other file is touched.
     """
     directory = _snapshot_dir(directory)
     directory.mkdir(parents=True, exist_ok=True)
@@ -204,6 +208,14 @@ def save_sharded_snapshot(
             }
         ),
     )
+    for stale in directory.glob("shard-*.json"):
+        index = stale.name[len("shard-") : -len(".json")]
+        if (
+            index.isdecimal()
+            and int(index) >= num_shards
+            and stale.name == shard_file_name(int(index))
+        ):
+            stale.unlink()
     return directory
 
 

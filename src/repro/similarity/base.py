@@ -107,11 +107,11 @@ class UserSimilarity(ABC):
         """One :meth:`similarities` row per user, through a backend.
 
         The rows are computed independently, so they fan out on the
-        execution backend: threads share this measure in place, while
-        the pool backend ships :meth:`picklable_measure` and the
-        candidate pool to each worker once and chunks the users.  Row
-        order follows ``user_ids``; scores are bit-identical across
-        backends.
+        execution backend: the serial backend calls this measure in
+        place, while the worker fleet ships :meth:`picklable_measure`
+        and the candidate pool to each worker once and chunks the
+        users.  Row order follows ``user_ids``; scores are
+        bit-identical across backends.
         """
         users = list(user_ids)
         candidate_list = list(candidates)

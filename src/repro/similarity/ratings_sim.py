@@ -17,17 +17,10 @@ are bit-identical to the dict-of-dicts oracle in
 from __future__ import annotations
 
 import math
-import weakref
 from typing import Iterable, Mapping
 
 from ..data.ratings import RatingMatrix
-from ..kernels import (
-    PackedRatings,
-    SpillError,
-    get_packed,
-    pearson_one_vs_many,
-    pearson_pair,
-)
+from ..kernels import get_packed, pearson_one_vs_many, pearson_pair
 from .base import UserSimilarity
 
 
@@ -66,104 +59,29 @@ class PearsonRatingSimilarity(UserSimilarity):
         self.min_common_items = min_common_items
         self.mean_over_common_only = mean_over_common_only
         self._packed = None
-        # Per-shard sub-views: children created by with_private_packed()
-        # own a *private* PackedRatings (their own dirty set and repack
-        # lock), held weakly here so invalidations fan out for exactly
-        # as long as a shard holds its measure alive.
-        self._children: "weakref.WeakSet[PearsonRatingSimilarity]" = (
-            weakref.WeakSet()
-        )
-        self._private_packed = False
-        self._parent: "weakref.ref[PearsonRatingSimilarity] | None" = None
 
     def _packed_view(self):
         if self._packed is None:
-            if self._private_packed:
-                self._packed = self._open_private_view()
-            else:
-                self._packed = get_packed(self.matrix)
+            self._packed = get_packed(self.matrix)
         return self._packed
-
-    def _open_private_view(self) -> PackedRatings:
-        """A packed view owned by this measure alone (see with_private_packed).
-
-        When the shared view the parent reads is mmap-backed, the
-        private view maps the *same* spill — the operating system
-        shares the pages, so per-shard views at scale cost interning
-        tables, not CSR copies.  Otherwise (or when the spill has gone
-        stale) the row data is packed privately from the matrix.
-        """
-        parent = self._parent() if self._parent is not None else None
-        shared = parent._packed if parent is not None else None
-        if shared is not None and shared.spill_backed and shared._spill_dir:
-            try:
-                return PackedRatings.open_mmap(shared._spill_dir, self.matrix)
-            except (SpillError, OSError):
-                pass
-        return PackedRatings(self.matrix)
-
-    def with_private_packed(self) -> "PearsonRatingSimilarity":
-        """A clone of this measure holding its own packed view.
-
-        :class:`~repro.serving.sharding.ShardedNeighborIndex` gives each
-        shard one so parallel shard builds never serialise on a single
-        repack lock, and a dirty mark from one shard's home user does
-        not force every other shard through a repack check.
-
-        The parent keeps a weak reference to every child and forwards
-        :meth:`invalidate_user` / :meth:`invalidate_cache` marks, so
-        the serving layer keeps invalidating only the measure it holds.
-        Scores are bit-identical: private views pack from the same
-        matrix in the same canonical order.
-        """
-        clone = PearsonRatingSimilarity(
-            self.matrix,
-            min_common_items=self.min_common_items,
-            mean_over_common_only=self.mean_over_common_only,
-        )
-        clone._private_packed = True
-        clone._parent = weakref.ref(self)
-        self._children.add(clone)
-        return clone
 
     def __getstate__(self) -> dict:
         # The packed view rebuilds lazily on the far side of a process
         # hop (pool workers repack from their own replayed matrix), so
-        # the CSR arrays never cross the boundary.  Children and parent
-        # links are process-local wiring (weakrefs do not pickle); the
-        # far side rebuilds its own sharding.
+        # the CSR arrays never cross the boundary.
         state = self.__dict__.copy()
         state["_packed"] = None
-        state["_children"] = None
-        state["_parent"] = None
-        state["_private_packed"] = False
         return state
 
-    def __setstate__(self, state: dict) -> None:
-        self.__dict__.update(state)
-        self._children = weakref.WeakSet()
-
     def invalidate_cache(self) -> None:
-        """Mark every packed row stale (call after mutating the matrix).
-
-        Fans out to every live child created by
-        :meth:`with_private_packed`, so per-shard packed views go stale
-        together with the shared one.
-        """
+        """Mark every packed row stale (call after mutating the matrix)."""
         if self._packed is not None:
             self._packed.mark_all_dirty()
-        for child in tuple(self._children):
-            child.invalidate_cache()
 
     def invalidate_user(self, user_id: str) -> None:
-        """Mark one user's packed row stale (after a rating change).
-
-        Fans out to every live :meth:`with_private_packed` child.
-        """
+        """Mark one user's packed row stale (after a rating change)."""
         if self._packed is not None:
             self._packed.mark_dirty(user_id)
-        for child in tuple(self._children):
-            child.invalidate_user(user_id)
 
     def similarity(self, user_a: str, user_b: str) -> float:
         if user_a == user_b:

@@ -19,18 +19,21 @@ Layout:
   a spill with a torn journal converges on the parent's acknowledged
   state;
 * ``TestWorkerKillMatrix`` — killing one of two resident pool workers
-  mid-stream (flat and sharded index, strict validation on) is absorbed
-  by requeue, bit-identically; killing all of them surfaces as
+  mid-stream (strict validation on) is absorbed by requeue,
+  bit-identically; killing all of them surfaces as
   :class:`FleetLossError` and the respawned pool serves bit-identically;
 * ``TestMutationInterleaveParity`` — rating/profile mutations
-  interleaved with batches replay bit-identically across the backend
-  matrix, with strict validation observing every answer.
+  interleaved with batches replay bit-identically on the worker fleet
+  and through a :class:`~repro.serving.RequestServer` whose concurrent
+  clients read as parallel readers, with strict validation observing
+  every answer.
 """
 
 from __future__ import annotations
 
 import json
 import random
+import socket
 from pathlib import Path
 
 import pytest
@@ -42,7 +45,7 @@ from repro.exceptions import ExecutionError
 from repro.exec import FleetLossError
 from repro.kernels import PackedRatings, SpillError
 from repro.obs import get_registry
-from repro.serving import RecommendationService
+from repro.serving import RecommendationService, RequestServer
 from repro.serving import service as service_module
 from repro.serving.service import (
     SPILL_DATASET_NAME,
@@ -257,25 +260,23 @@ class TestSpillFileCorruption:
 
 
 class TestWorkerKillMatrix:
-    """Pool workers killed mid-stream, across the index matrix."""
+    """Pool workers killed mid-stream."""
 
-    def _service(self, payload, shards) -> RecommendationService:
+    def _service(self, payload) -> RecommendationService:
         config = _config(
             exec_backend="pool",
             exec_workers=2,
             group_cache_size=0,
             relevance_cache_size=0,
-            index_shards=shards,
             validation="strict",
         )
         return RecommendationService(HealthDataset.from_dict(payload), config)
 
-    @pytest.mark.parametrize("shards", [1, 3])
-    def test_one_kill_is_requeued_bit_identically(self, dataset, shards):
+    def test_one_kill_is_requeued_bit_identically(self, dataset):
         payload = dataset.to_dict()
         groups = _groups(dataset, seed=47)
         reference = _serial_reference(payload, groups)
-        service = self._service(payload, shards)
+        service = self._service(payload)
         try:
             first = [repr(rec) for rec in service.recommend_many(groups, z=4)]
             assert first == reference
@@ -291,12 +292,11 @@ class TestWorkerKillMatrix:
         finally:
             service.close()
 
-    @pytest.mark.parametrize("shards", [1, 3])
-    def test_kill_surfaces_typed_error_then_recovers(self, dataset, shards):
+    def test_kill_surfaces_typed_error_then_recovers(self, dataset):
         payload = dataset.to_dict()
         groups = _groups(dataset, seed=47)
         reference = _serial_reference(payload, groups)
-        service = self._service(payload, shards)
+        service = self._service(payload)
         try:
             first = [repr(rec) for rec in service.recommend_many(groups, z=4)]
             assert first == reference
@@ -314,24 +314,40 @@ class TestWorkerKillMatrix:
             service.close()
 
 
+def _read_response(sock: socket.socket) -> dict:
+    """One JSON response line from a request-server connection."""
+    buffer = bytearray()
+    while not buffer.endswith(b"\n"):
+        chunk = sock.recv(4096)
+        if not chunk:
+            raise AssertionError("server closed mid-response")
+        buffer.extend(chunk)
+    return json.loads(buffer.decode())
+
+
+def _request(sock: socket.socket, payload: dict) -> None:
+    sock.sendall((json.dumps(payload) + "\n").encode())
+
+
+def _connect(address: tuple[str, int]) -> socket.socket:
+    sock = socket.create_connection(address, timeout=10.0)
+    sock.settimeout(10.0)
+    return sock
+
+
+def _age_44(user) -> None:
+    user.age = 44
+
+
 class TestMutationInterleaveParity:
-    """Mutations between in-flight batches, across the backend matrix."""
+    """Mutations between in-flight batches, on the fleet and the server."""
 
-    #: ``("serial", 1)`` is the reference; ``("thread", 1)`` runs each
-    #: batch's groups as concurrent readers on a 2-thread pool.
-    MATRIX = (
-        ("serial", 1),
-        ("thread", 1),
-        ("pool", 1),
-        ("pool", 3),
-    )
-
-    def _trace(self, payload, script, backend, shards) -> list:
+    def _trace(self, payload, script, backend) -> list:
+        """Each batch's recommendations, replayed through ``backend``."""
         config = _config(
             exec_backend=backend,
             exec_workers=2,
-            index_shards=shards,
-            validation="strict" if backend != "serial" or shards != 1 else "off",
+            validation="strict" if backend != "serial" else "off",
         )
         service = RecommendationService(HealthDataset.from_dict(payload), config)
         trace: list = []
@@ -339,17 +355,56 @@ class TestMutationInterleaveParity:
             for op in script:
                 if op[0] == "batch":
                     groups = [Group(member_ids=list(m)) for m in op[1]]
-                    trace.append(
-                        [repr(rec) for rec in service.recommend_many(groups, z=4)]
-                    )
+                    trace.append(service.recommend_many(groups, z=4))
                 elif op[0] == "ingest":
                     service.ingest_rating(op[1], op[2], op[3])
                 else:
-                    service.update_profile(
-                        op[1], lambda user: setattr(user, "age", 44)
-                    )
+                    service.update_profile(op[1], _age_44)
         finally:
             service.close()
+        return trace
+
+    def _server_trace(self, payload, script) -> list:
+        """Each batch's answers, replayed through a started server.
+
+        Every group of a batch gets its own client connection, and all
+        of them are sent before any answer is read, so the misses run
+        as concurrent readers on the server's executor.  Each ingest
+        is a ``rate`` request; a profile edit goes to the service
+        between batches, as the request schema has no profile kind.
+        """
+        service = RecommendationService(
+            HealthDataset.from_dict(payload), _config(validation="strict")
+        )
+        trace: list = []
+        with service, RequestServer(service) as server:
+            for op in script:
+                if op[0] == "batch":
+                    clients = [_connect(server.address) for _ in op[1]]
+                    try:
+                        for client, members in zip(clients, op[1]):
+                            _request(
+                                client,
+                                {"type": "group", "members": list(members), "z": 4},
+                            )
+                        trace.append([_read_response(client) for client in clients])
+                    finally:
+                        for client in clients:
+                            client.close()
+                elif op[0] == "ingest":
+                    with _connect(server.address) as client:
+                        _request(
+                            client,
+                            {
+                                "type": "rate",
+                                "user_id": op[1],
+                                "item_id": op[2],
+                                "value": op[3],
+                            },
+                        )
+                        assert _read_response(client)["ok"] is True
+                else:
+                    service.update_profile(op[1], _age_44)
         return trace
 
     def test_interleaved_mutations_stay_bit_identical(self, dataset):
@@ -368,15 +423,22 @@ class TestMutationInterleaveParity:
             ("ingest", pool[2], items[3], 5.0),
             ("batch", members),
         ]
-        reference = self._trace(payload, script, *self.MATRIX[0])
-        batches = [step for step in reference if isinstance(step, list)]
-        assert batches[0] != batches[1], (
+        reference = self._trace(payload, script, "serial")
+        expected = [[repr(rec) for rec in batch] for batch in reference]
+        assert expected[0] != expected[1], (
             "the interleaved mutation was supposed to change the second "
             "batch — the scenario is vacuous"
         )
-        for backend, shards in self.MATRIX[1:]:
-            trace = self._trace(payload, script, backend, shards)
-            assert trace == reference, (
-                f"backend={backend} shards={shards} diverged from the "
-                f"serial reference under interleaved mutations"
-            )
+        pooled = self._trace(payload, script, "pool")
+        assert [[repr(rec) for rec in batch] for batch in pooled] == expected, (
+            "the pool diverged from the serial reference under "
+            "interleaved mutations"
+        )
+        served = self._server_trace(payload, script)
+        assert [
+            [(answer["items"], answer["fairness"]) for answer in batch]
+            for batch in served
+        ] == [
+            [(list(rec.items), rec.report.fairness) for rec in batch]
+            for batch in reference
+        ], "concurrent server clients diverged from the serial reference"

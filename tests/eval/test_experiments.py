@@ -131,7 +131,7 @@ class TestAblations:
 class TestExperimentBackends:
     """Grid sweeps must produce identical rows on every backend."""
 
-    @pytest.mark.parametrize("backend", ["thread", "pool"])
+    @pytest.mark.parametrize("backend", ["pool"])
     def test_value_quality_rows_match_serial(self, backend):
         serial = run_value_quality(m_values=(8, 10), z_values=(3, 5))
         parallel = run_value_quality(
@@ -139,7 +139,7 @@ class TestExperimentBackends:
         )
         assert parallel == serial
 
-    @pytest.mark.parametrize("backend", ["thread", "pool"])
+    @pytest.mark.parametrize("backend", ["pool"])
     def test_proposition1_rows_match_serial(self, backend):
         serial = verify_proposition1(
             group_sizes=(2, 3), z_values=(2, 4), num_candidates=12
@@ -156,15 +156,15 @@ class TestExperimentBackends:
         serial = run_table2(
             m_values=(6, 8), z_values=(2, 4), max_subsets=1000
         )
-        threaded = run_table2(
+        pooled = run_table2(
             m_values=(6, 8), z_values=(2, 4), max_subsets=1000,
-            backend="thread",
+            backend="pool",
         )
-        assert [(r.m, r.z) for r in threaded.rows] == [
+        assert [(r.m, r.z) for r in pooled.rows] == [
             (r.m, r.z) for r in serial.rows
         ]
-        for serial_row, thread_row in zip(serial.rows, threaded.rows):
-            assert thread_row.brute_force_value == serial_row.brute_force_value
-            assert thread_row.heuristic_value == serial_row.heuristic_value
-            assert thread_row.brute_force_fairness == serial_row.brute_force_fairness
-            assert thread_row.subsets_enumerated == serial_row.subsets_enumerated
+        for serial_row, pool_row in zip(serial.rows, pooled.rows):
+            assert pool_row.brute_force_value == serial_row.brute_force_value
+            assert pool_row.heuristic_value == serial_row.heuristic_value
+            assert pool_row.brute_force_fairness == serial_row.brute_force_fairness
+            assert pool_row.subsets_enumerated == serial_row.subsets_enumerated

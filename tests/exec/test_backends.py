@@ -14,7 +14,6 @@ from repro.exec import (
     BACKEND_NAMES,
     PoolBackend,
     SerialBackend,
-    ThreadBackend,
     chunk_evenly,
     default_workers,
     get_backend,
@@ -44,7 +43,7 @@ def _add_offset(x: int) -> int:
     return x + _INIT_STATE["offset"]
 
 
-ALL_BACKENDS = ["serial", "thread", "pool", "remote"]
+ALL_BACKENDS = ["serial", "pool", "remote"]
 
 
 class TestChunkEvenly:
@@ -78,7 +77,7 @@ class TestFactory:
 
     def test_invalid_workers_rejected(self):
         with pytest.raises(ConfigurationError):
-            ThreadBackend(workers=0)
+            SerialBackend(workers=0)
 
     def test_resolve_none_is_serial(self):
         assert resolve_backend(None).name == "serial"
@@ -123,17 +122,6 @@ class TestMapSemantics:
         for name in ALL_BACKENDS:
             with get_backend(name, workers=4) as backend:
                 assert backend.map_items(_square, range(50)) == expected
-
-    def test_thread_backend_reuses_pool(self):
-        backend = ThreadBackend(workers=2)
-        try:
-            backend.map_items(_square, range(4))
-            pool = backend._pool
-            backend.map_items(_square, range(4))
-            assert backend._pool is pool
-        finally:
-            backend.close()
-        assert backend._pool is None
 
 
 class TestProcessPicklingContract:

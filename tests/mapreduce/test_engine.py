@@ -204,7 +204,7 @@ class TestExecutionBackends:
         engine = MapReduceEngine(backend=backend)
         return engine.run(picklable_word_count_job(), self.DOCUMENTS)
 
-    @pytest.mark.parametrize("backend", ["thread", "pool", "remote"])
+    @pytest.mark.parametrize("backend", ["pool", "remote"])
     def test_output_and_counters_match_serial(self, backend):
         baseline = self._run("serial")
         parallel = self._run(backend)
@@ -212,24 +212,13 @@ class TestExecutionBackends:
         assert parallel.counters.as_dict() == baseline.counters.as_dict()
 
     def test_backend_instance_accepted(self):
-        from repro.exec import ThreadBackend
+        from repro.exec import PoolBackend
 
-        with ThreadBackend(workers=2) as backend:
+        with PoolBackend(workers=2) as backend:
             result = MapReduceEngine(backend=backend).run(
                 picklable_word_count_job(), self.DOCUMENTS
             )
         assert dict(result.output) == dict(self._run("serial").output)
-
-    def test_mapper_failure_is_wrapped_on_thread_backend(self):
-        def mapper(key, value):
-            raise RuntimeError("nope")
-
-        job = MapReduceJob(
-            name="fail", mapper=mapper, reducer=_picklable_reducer
-        )
-        engine = MapReduceEngine(backend="thread")
-        with pytest.raises(MapReduceError, match="mapper failed"):
-            engine.run(job, [(1, "a")])
 
     def test_closure_job_rejected_by_process_backend(self):
         from repro.exceptions import ExecutionError

@@ -1,11 +1,10 @@
 """Instrumentation must never change results or counts.
 
-The full backend matrix (serial/thread/pool/remote × flat/sharded
-neighbor index) runs the same workload instrumented and bare —
-recommendations must be bit-identical, and the instrumented request
-counters must agree across every cell of the matrix (the *metrics
-parity* contract: what a counter counts cannot depend on how the work
-was executed).
+The full backend matrix (serial/pool/remote) runs the same workload
+instrumented and bare — recommendations must be bit-identical, and the
+instrumented request counters must agree across every backend (the
+*metrics parity* contract: what a counter counts cannot depend on how
+the work was executed).
 """
 
 from __future__ import annotations
@@ -17,8 +16,7 @@ from repro.data.datasets import generate_dataset
 from repro.obs import MetricsRegistry, set_enabled
 from repro.serving import RecommendationService, synthetic_workload
 
-BACKENDS = ("serial", "thread", "pool", "remote")
-SHARDS = (1, 3)
+BACKENDS = ("serial", "pool", "remote")
 
 
 @pytest.fixture(scope="module")
@@ -37,14 +35,13 @@ def workload():
     return dataset, groups
 
 
-def _run(dataset, groups, backend, shards, enabled):
+def _run(dataset, groups, backend, enabled):
     set_enabled(enabled)
     try:
         config = RecommenderConfig(
             peer_threshold=0.0,
             exec_backend=backend,
             exec_workers=2,
-            index_shards=shards,
             top_z=5,
         )
         registry = MetricsRegistry()
@@ -64,11 +61,10 @@ def _run(dataset, groups, backend, shards, enabled):
 
 
 @pytest.mark.parametrize("backend", BACKENDS)
-@pytest.mark.parametrize("shards", SHARDS)
-def test_instrumented_matches_bare_bit_identically(workload, backend, shards):
+def test_instrumented_matches_bare_bit_identically(workload, backend):
     dataset, groups = workload
-    bare_items, bare_counters = _run(dataset, groups, backend, shards, False)
-    instr_items, instr_counters = _run(dataset, groups, backend, shards, True)
+    bare_items, bare_counters = _run(dataset, groups, backend, False)
+    instr_items, instr_counters = _run(dataset, groups, backend, True)
     assert instr_items == bare_items
     # Bare counters are frozen at zero; instrumented ones moved.
     assert bare_counters == {"group_requests": 0, "batch_requests": 0}
@@ -82,11 +78,10 @@ def test_request_counters_agree_across_the_matrix(workload):
     reference_items = None
     reference_counters = None
     for backend in BACKENDS:
-        for shards in SHARDS:
-            items, counters = _run(dataset, groups, backend, shards, True)
-            if reference_items is None:
-                reference_items = items
-                reference_counters = counters
-            else:
-                assert items == reference_items, (backend, shards)
-                assert counters == reference_counters, (backend, shards)
+        items, counters = _run(dataset, groups, backend, True)
+        if reference_items is None:
+            reference_items = items
+            reference_counters = counters
+        else:
+            assert items == reference_items, backend
+            assert counters == reference_counters, backend

@@ -1,11 +1,10 @@
 """Randomized cross-backend parity: every backend, bit-identical, always.
 
 The execution layer's load-bearing promise is that the backend is a
-pure performance knob — serial, thread and the worker fleet (forked
-``"pool"`` workers, and ``"remote"`` workers that join over TCP and
-boot from pickled BOOT frames) must produce **bit-identical**
-recommendations on any workload, and the sharded index must agree
-with the flat one.  Long-lived workers make
+pure performance knob — serial and the worker fleet (forked ``"pool"``
+workers, and ``"remote"`` workers that join over TCP and boot from
+pickled BOOT frames) must produce **bit-identical** recommendations on
+any workload.  Long-lived workers make
 that promise fragile in exactly one place: state mutated *between*
 batches.  So the workloads here are seeded random interleavings of
 
@@ -54,57 +53,49 @@ from repro.similarity.peers import PeerSelector
 #: The fixed seed matrix (acceptance: >= 3 seeds).
 SEEDS = (3, 11, 29)
 
-#: Every backend, plus the sharded-index, re-ship and autoscaling
-#: variants, as (backend, shards, autoscale, extras) — ``autoscale``
-#: opens the fleet bounds (min 1, max 4) so broadcast sync runs against
-#: a fleet whose width shifts between batches.  ``extras`` overrides
-#: further config knobs: ``spill=True`` variants where workers
-#: bootstrap from the mmap'd packed spill directory instead of pickled
-#: initargs, and ``max_delta_log=0`` variants, run on an explicitly
-#: built fleet whose zero-length delta log re-ships the state after
-#: every mutation instead of broadcasting it.  ``"remote"`` rows run a
-#: fleet with no local workers, joined by two ``run_worker`` processes
-#: over loopback TCP (see :func:`_join_tcp_workers`); ``mixed=True``
-#: instead joins one TCP worker to the config-built ``"remote"`` fleet
-#: beside its two forked workers.  Every row must equal the oracle
-#: replay (:func:`_oracle_trace`) bit-for-bit.
+#: Every backend, plus the re-ship and autoscaling variants, as
+#: (backend, autoscale, extras) — ``autoscale`` opens the fleet bounds
+#: (min 1, max 4) so broadcast sync runs against a fleet whose width
+#: shifts between batches.  ``extras`` overrides further config knobs:
+#: ``spill=True`` variants where workers bootstrap from the mmap'd
+#: packed spill directory instead of pickled initargs, and
+#: ``max_delta_log=0`` variants, run on an explicitly built fleet whose
+#: zero-length delta log re-ships the state after every mutation
+#: instead of broadcasting it.  ``"remote"`` rows run a fleet with no
+#: local workers, joined by two ``run_worker`` processes over loopback
+#: TCP (see :func:`_join_tcp_workers`); ``mixed=True`` instead joins
+#: one TCP worker to the config-built ``"remote"`` fleet beside its two
+#: forked workers.  Every row must equal the oracle replay
+#: (:func:`_oracle_trace`) bit-for-bit.
 CONFIGURATIONS = (
-    ("serial", 1, False, {}),
-    ("serial", 3, False, {}),
-    ("thread", 1, False, {}),
-    ("pool", 1, False, {}),
-    ("pool", 3, False, {}),
-    ("pool", 1, False, {"max_delta_log": 0}),
-    ("pool", 1, True, {}),
-    ("pool", 1, False, {"spill": True}),
-    ("pool", 3, False, {"spill": True, "max_delta_log": 0}),
+    ("serial", False, {}),
+    ("pool", False, {}),
+    ("pool", False, {"max_delta_log": 0}),
+    ("pool", True, {}),
+    ("pool", False, {"spill": True}),
+    ("pool", False, {"spill": True, "max_delta_log": 0}),
     # Strict response validation must be a pure observer: on clean
     # traffic it re-checks every served answer against the paper
-    # invariants and changes nothing — serial/pool × flat/sharded.
-    ("serial", 1, False, {"validation": "strict"}),
-    ("serial", 3, False, {"validation": "strict"}),
-    ("pool", 1, False, {"validation": "strict"}),
-    ("pool", 3, False, {"validation": "strict"}),
+    # invariants and changes nothing.
+    ("serial", False, {"validation": "strict"}),
+    ("pool", False, {"validation": "strict"}),
     # TCP-joined workers: HELLO/WELCOME, then state from pickled BOOT
     # frames (the mmap'd spill for the spill row) and SYNC replay over
-    # loopback sockets, flat/sharded × broadcast/re-ship × spill ×
-    # strict validation, including the pinned batch → ingest → batch
-    # staleness scenario.
-    ("remote", 1, False, {}),
-    ("remote", 3, False, {}),
-    ("remote", 1, False, {"max_delta_log": 0}),
-    ("remote", 3, False, {"spill": True, "max_delta_log": 0}),
-    ("remote", 1, False, {"validation": "strict"}),
-    ("remote", 3, False, {"mixed": True}),
+    # loopback sockets, broadcast/re-ship × spill × strict validation,
+    # including the pinned batch → ingest → batch staleness scenario.
+    ("remote", False, {}),
+    ("remote", False, {"max_delta_log": 0}),
+    ("remote", False, {"spill": True, "max_delta_log": 0}),
+    ("remote", False, {"validation": "strict"}),
+    ("remote", False, {"mixed": True}),
     # Capped rows (the path every perfbench workload serves): stored
     # prefixes of max_peers + ROW_SLACK entries, with ROW_SLACK
     # lowered to 1 (see _capped_slack) so group exclusions can reach
     # past the slack and grow a prefix; the random workload's closing
     # _growth_steps make sure one does, then write to a peer only the
     # grown prefix holds.  The oracle replays with the same max_peers.
-    ("serial", 1, False, {"max_peers": 2}),
-    ("serial", 3, False, {"max_peers": 2}),
-    ("pool", 1, False, {"max_peers": 2}),
+    ("serial", False, {"max_peers": 2}),
+    ("pool", False, {"max_peers": 2}),
 )
 
 #: The recommendation semantics every row and the oracle share.
@@ -123,7 +114,7 @@ def _capped_slack(monkeypatch):
 def _capped_stats(index_stats: dict[tuple, dict]) -> dict[tuple, dict]:
     """The capped rows' parent index stats; each must hold truncated rows."""
     capped = {
-        key: stats for key, stats in index_stats.items() if "max_peers" in key[3]
+        key: stats for key, stats in index_stats.items() if "max_peers" in key[2]
     }
     assert capped
     for key, stats in capped.items():
@@ -265,7 +256,6 @@ def _run_script(
     payload: dict,
     script: list[tuple],
     backend: str,
-    shards: int,
     autoscale: bool = False,
     extras: dict | None = None,
 ) -> tuple[list, dict]:
@@ -295,7 +285,6 @@ def _run_script(
         exec_workers=2,
         pool_min_workers=1 if autoscale else 0,
         pool_max_workers=4 if autoscale else 0,
-        index_shards=shards,
         **overrides,
     )
     fleet = None
@@ -435,25 +424,23 @@ def _replay_all(
     """
     references: dict[int | None, list] = {None: reference}
     index_stats: dict[tuple, dict] = {}
-    for backend, shards, autoscale, extras in CONFIGURATIONS:
+    for backend, autoscale, extras in CONFIGURATIONS:
         max_peers = extras.get("max_peers")
         if max_peers not in references:
             references[max_peers] = _oracle_trace(payload, script, max_peers)
-        trace, stats = _run_script(
-            payload, script, backend, shards, autoscale, extras
-        )
+        trace, stats = _run_script(payload, script, backend, autoscale, extras)
         assert trace == references[max_peers], (
-            f"backend={backend} shards={shards} "
-            f"autoscale={autoscale} extras={extras} {label}"
+            f"backend={backend} autoscale={autoscale} extras={extras} {label}"
         )
-        index_stats[(backend, shards, autoscale, tuple(extras))] = stats
+        index_stats[(backend, autoscale, tuple(extras))] = stats
     return index_stats
 
 
 @pytest.mark.parametrize("seed", SEEDS)
-def test_random_workload_parity_across_backends_and_sharding(seed):
-    """Every backend (and shard/re-ship variants) replays one random
-    workload bit-identically, mutations between batches included."""
+def test_random_workload_parity_across_backends(seed):
+    """Every backend (and its re-ship, spill and capped variants)
+    replays one random workload bit-identically, mutations between
+    batches included."""
     dataset = generate_dataset(
         num_users=24, num_items=36, ratings_per_user=10, seed=seed
     )

@@ -156,10 +156,10 @@ class TestServeCommand:
         from repro.cli import build_parser
 
         args = build_parser().parse_args(["serve", "data.json", "reqs.jsonl"])
-        assert args.workers is None  # auto: one per CPU for thread/pool
+        assert args.workers is None  # auto: one per CPU for pool/remote
         assert args.backend == "serial"
         assert not hasattr(args, "kernel")
-        assert args.shards == 1
+        assert not hasattr(args, "shards")
         assert args.snapshot is None
         assert args.similarity_cache == 500_000
         assert args.relevance_cache == 10_000
@@ -187,7 +187,7 @@ class TestServeBackendsAndSnapshots:
         assert code == 0
         return dataset_path
 
-    @pytest.mark.parametrize("backend", ["thread", "pool", "remote"])
+    @pytest.mark.parametrize("backend", ["pool", "remote"])
     def test_serve_with_backend(self, tmp_path, capsys, backend):
         dataset_path = self._dataset(tmp_path)
         capsys.readouterr()
@@ -279,8 +279,9 @@ class TestServeBackendsAndSnapshots:
     def test_serve_pool_backend_with_sharded_snapshot_dir(
         self, tmp_path, capsys
     ):
-        """--backend pool + a directory --snapshot: save per-shard on the
-        first run, restart from the manifest on the second."""
+        """--backend pool + a directory --snapshot: save a manifest and
+        one shard file on the first run, restart from them on the
+        second."""
         from repro.serving.snapshot import MANIFEST_NAME
 
         dataset_path = self._dataset(tmp_path)
@@ -295,8 +296,6 @@ class TestServeBackendsAndSnapshots:
             "pool",
             "--workers",
             "2",
-            "--shards",
-            "3",
             "--peer-threshold",
             "0.0",
             "--snapshot",
@@ -308,7 +307,7 @@ class TestServeBackendsAndSnapshots:
         first = capsys.readouterr().out
         assert "saved neighbor-index snapshot" in first
         assert (snapshot_dir / MANIFEST_NAME).exists()
-        assert len(list(snapshot_dir.glob("shard-*.json"))) == 3
+        assert len(list(snapshot_dir.glob("shard-*.json"))) == 1
 
         assert main(args) == 0
         second = capsys.readouterr().out
@@ -362,26 +361,17 @@ class TestServeBackendsAndSnapshots:
         assert "Traceback" not in captured.err
         assert snapshot_path.read_text() == "{}"
 
-    def test_serve_with_shards(self, tmp_path, capsys):
-        dataset_path = self._dataset(tmp_path)
-        capsys.readouterr()
-        code = main(
-            [
-                "serve",
-                str(dataset_path),
-                "-",
-                "--synthetic-requests",
-                "4",
-                "--shards",
-                "3",
-                "--peer-threshold",
-                "0.0",
-                "--quiet",
-            ]
-        )
-        out = capsys.readouterr().out
-        assert code == 0
-        assert "warmed neighbor index: 20 rows" in out
+    def test_serve_rejects_the_shards_flag(self, capsys):
+        """The neighbour index is never sharded: no --shards, and
+        --backend offers serial and the worker fleet only."""
+        with pytest.raises(SystemExit):
+            main(["serve", "--help"])
+        usage = capsys.readouterr().out
+        assert "--shards" not in usage
+        assert "{serial,pool,remote}" in usage
+        with pytest.raises(SystemExit) as exc_info:
+            main(["serve", "data.json", "-", "--shards", "2"])
+        assert exc_info.value.code == 2
 
     def test_no_warm_does_not_save_an_empty_snapshot(self, tmp_path, capsys):
         dataset_path = self._dataset(tmp_path)

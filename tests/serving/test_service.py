@@ -130,15 +130,14 @@ class TestGroupPathContract:
 
 
 class TestUnknownIds:
-    """Ids the dataset does not know are answered but never indexed."""
+    """Ids the dataset does not know are answered but never indexed
+    or cached."""
 
-    @pytest.mark.parametrize("shards", [1, 3])
-    def test_unknown_ids_store_no_index_row(self, mutable_dataset, shards):
-        config = CONFIG.with_overrides(index_shards=shards)
-        service = RecommendationService(mutable_dataset, config)
+    def test_unknown_ids_store_no_index_row(self, mutable_dataset):
+        service = RecommendationService(mutable_dataset, CONFIG)
         service.warm()
         built = service.stats()["index"]["built_rows"]
-        pipeline = CaregiverPipeline(mutable_dataset, config)
+        pipeline = CaregiverPipeline(mutable_dataset, CONFIG)
         known = mutable_dataset.users.ids()[:3]
         for number in range(4):
             ghost = f"ghost-{number}"
@@ -149,6 +148,49 @@ class TestUnknownIds:
             assert warm.items == cold.items
             assert warm.candidates.relevance == cold.candidates.relevance
         assert service.stats()["index"]["built_rows"] == built
+
+    def test_unknown_ids_evict_no_cached_answer(self, mutable_dataset):
+        """Ghost traffic must not push known users' answers out of the
+        relevance and group caches: nothing is stored for an id that
+        neither the ratings nor the user registry knows."""
+        config = CONFIG.with_overrides(
+            relevance_cache_size=8, group_cache_size=8
+        )
+        service = RecommendationService(mutable_dataset, config)
+        known = mutable_dataset.users.ids()[:8]
+        groups = [Group(member_ids=known[i : i + 3]) for i in range(5)]
+        for user_id in known:
+            service.recommend_user(user_id)
+        for group in groups:
+            service.recommend_group(group)
+        for number in range(30):
+            ghost = f"ghost-{number}"
+            assert service.recommend_user(ghost) == []
+            assert service.relevance_row(ghost) == {}
+            service.recommend_group(Group(member_ids=[known[number % 8], ghost]))
+        service.recommend_many(
+            [Group(member_ids=[known[0], f"ghost-{n}"]) for n in range(4)]
+        )
+        assert len(service.relevance_cache) == len(known)
+        assert len(service.group_cache) == len(groups)
+        hits = service.relevance_cache.stats.hits
+        for user_id in known:
+            service.recommend_user(user_id)
+        assert service.relevance_cache.stats.hits == hits + len(known)
+        hits = service.group_cache.stats.hits
+        for group in groups:
+            service.recommend_group(group)
+        assert service.group_cache.stats.hits == hits + len(groups)
+
+    def test_fleet_answers_for_unknown_ids_are_not_cached(self, mutable_dataset):
+        """The pool fold-back stores only groups of known members."""
+        config = CONFIG.with_overrides(exec_backend="pool", exec_workers=2)
+        known = mutable_dataset.users.ids()[:3]
+        ghostly = Group(member_ids=[*known[:2], "ghost"])
+        with RecommendationService(mutable_dataset, config) as service:
+            service.recommend_many([ghostly, Group(member_ids=known)])
+            assert len(service.group_cache) == 1
+            assert service.cached_group(ghostly.member_ids) is None
 
     def test_a_registered_user_without_ratings_is_indexed(self, mutable_dataset):
         mutable_dataset.users.add(User(user_id="newcomer"))
@@ -373,12 +415,16 @@ class TestBatchApi:
             tuple(g.member_ids) for g in workload
         ]
 
-    def test_threaded_batch_matches_sequential(self, mutable_dataset):
+    def test_serial_batch_ignores_workers(self, mutable_dataset):
+        """A serial service ignores ``workers``: a wide batch is
+        answered one group at a time, exactly as a sequential one."""
         sequential = RecommendationService(mutable_dataset, CONFIG)
-        threaded = RecommendationService(mutable_dataset, CONFIG)
+        wide = RecommendationService(mutable_dataset, CONFIG)
         groups = self._groups(mutable_dataset, count=8)
         expected = sequential.recommend_many(groups, workers=1)
-        actual = threaded.recommend_many(groups, workers=4)
+        resolved, owned = wide._batch_backend(workers=4, backend=None)
+        assert resolved is wide.backend and not owned
+        actual = wide.recommend_many(groups, workers=4)
         assert [r.items for r in actual] == [r.items for r in expected]
 
 
@@ -412,7 +458,7 @@ class TestExecutionBackends:
             for seed in range(count)
         ]
 
-    @pytest.mark.parametrize("backend", ["serial", "thread", "pool", "remote"])
+    @pytest.mark.parametrize("backend", ["serial", "pool", "remote"])
     def test_batch_matches_cold_pipeline(self, mutable_dataset, backend):
         config = CONFIG.with_overrides(exec_backend=backend, exec_workers=2)
         groups = self._groups(mutable_dataset)
@@ -430,7 +476,7 @@ class TestExecutionBackends:
         service = RecommendationService(mutable_dataset, CONFIG)
         groups = self._groups(mutable_dataset)
         baseline = [r.items for r in service.recommend_many(groups)]
-        for backend in ("thread", "pool", "remote"):
+        for backend in ("pool", "remote"):
             fresh = RecommendationService(mutable_dataset, CONFIG)
             got = [
                 r.items
@@ -445,34 +491,6 @@ class TestExecutionBackends:
         hits_before = service.group_cache.stats.hits
         service.recommend_many(groups)
         assert service.group_cache.stats.hits >= hits_before + 3
-
-    def test_sharded_service_matches_flat(self, mutable_dataset):
-        flat = RecommendationService(mutable_dataset, CONFIG)
-        sharded = RecommendationService(
-            mutable_dataset, CONFIG.with_overrides(index_shards=3)
-        )
-        flat.warm()
-        sharded.warm()
-        for group in self._groups(mutable_dataset):
-            assert (
-                sharded.recommend_group(group).items
-                == flat.recommend_group(group).items
-            )
-
-    def test_sharded_service_survives_updates(self, mutable_dataset):
-        sharded = RecommendationService(
-            mutable_dataset, CONFIG.with_overrides(index_shards=3)
-        )
-        sharded.warm()
-        group = random_group(mutable_dataset.users.ids(), 4, seed=2)
-        sharded.recommend_group(group)
-        user_id = group.member_ids[0]
-        unrated = mutable_dataset.ratings.unrated_items(
-            user_id, mutable_dataset.ratings.item_ids()
-        )
-        sharded.ingest_rating(user_id, unrated[0], 5.0)
-        fresh = sharded.recommend_group(group)
-        assert fresh.items == _cold(mutable_dataset, group).items
 
     def test_pool_backend_warm_then_serve_rebinds_resident_state(
         self, mutable_dataset
@@ -506,16 +524,14 @@ class TestExecutionBackends:
                 r.items for r in reference.recommend_many(groups)
             ]
 
-    def test_stats_report_backend_and_shards(self, mutable_dataset):
-        service = RecommendationService(
-            mutable_dataset,
-            CONFIG.with_overrides(
-                exec_backend="thread", exec_workers=2, index_shards=2
-            ),
-        )
-        stats = service.stats()
-        assert stats["backend"]["name"] == "thread"
-        assert stats["index"]["shards"] == 2
+    def test_stats_report_backend(self, mutable_dataset):
+        """The backend is reported; the index has no shard count."""
+        config = CONFIG.with_overrides(exec_backend="pool", exec_workers=2)
+        with RecommendationService(mutable_dataset, config) as service:
+            stats = service.stats()
+        assert stats["backend"]["name"] == "pool"
+        assert stats["backend"]["workers"] == 2
+        assert "shards" not in stats["index"]
 
 
 class TestExplicitSizeValidation:
@@ -536,20 +552,18 @@ class TestExplicitSizeValidation:
     def test_explicit_workers_override_service_backend_width(
         self, mutable_dataset
     ):
-        service = RecommendationService(
-            mutable_dataset,
-            CONFIG.with_overrides(exec_backend="thread", exec_workers=2),
-        )
-        resolved, owned = service._batch_backend(workers=5, backend=None)
-        try:
-            assert resolved.name == "thread"
-            assert resolved.workers == 5
-            assert owned
-        finally:
-            resolved.close()
-        reused, owned = service._batch_backend(workers=2, backend=None)
-        assert reused is service.backend
-        assert not owned
+        config = CONFIG.with_overrides(exec_backend="pool", exec_workers=2)
+        with RecommendationService(mutable_dataset, config) as service:
+            resolved, owned = service._batch_backend(workers=5, backend=None)
+            try:
+                assert resolved.name == "pool"
+                assert resolved.workers == 5
+                assert owned
+            finally:
+                resolved.close()
+            reused, owned = service._batch_backend(workers=2, backend=None)
+            assert reused is service.backend
+            assert not owned
 
 
 class TestBackendLifecycleAndCustomMeasures:
@@ -620,15 +634,17 @@ class TestBackendLifecycleAndCustomMeasures:
             assert service.metrics.value("pool_restarts") == 1
             assert service.backend.pool_stats()["live_workers"] == 0
 
-    def test_service_close_releases_owned_thread_pool(self, mutable_dataset):
+    def test_service_close_releases_owned_fleet(self, mutable_dataset):
+        """Closing a service stops the worker fleet it built."""
         service = RecommendationService(
             mutable_dataset,
-            CONFIG.with_overrides(exec_backend="thread", exec_workers=2),
+            CONFIG.with_overrides(exec_backend="pool", exec_workers=2),
         )
         groups = self._groups(mutable_dataset, count=2)
         with service:
             service.recommend_many(groups)
-        assert service.backend._pool is None
+            assert service.backend.pool_stats()["live_workers"] == 2
+        assert service.backend.pool_stats()["live_workers"] == 0
 
 
 class TestWorkerFoldedCacheInvalidation:

@@ -1,7 +1,8 @@
 """Snapshot persistence: save → load → serve must be byte-identical.
 
-The contract: a snapshot directory saved from a warm (flat) service
-restores a service whose first response equals the warm one *without*
+The contract: a snapshot directory saved from a warm service — or
+written with several shard files by an older build — restores a
+service whose first response equals the warm one *without*
 recomputing peer rows, a snapshot from another dataset or config is
 rejected as stale, a future layout version is rejected, and a snapshot
 path that is a regular file — such as one written by the retired
@@ -19,7 +20,11 @@ from repro.config import RecommenderConfig
 from repro.data.groups import random_group
 from repro.exceptions import SnapshotError
 from repro.serving import RecommendationService
-from repro.serving.snapshot import MANIFEST_NAME, shard_file_name
+from repro.serving.snapshot import (
+    MANIFEST_NAME,
+    save_sharded_snapshot,
+    shard_file_name,
+)
 from repro.similarity.base import UserSimilarity
 
 CONFIG = RecommenderConfig(peer_threshold=0.1, top_z=5, top_k=5)
@@ -87,19 +92,30 @@ class TestRoundTrip:
     def test_sharded_and_flat_snapshots_interchange(
         self, small_dataset, tmp_path
     ):
+        """A directory written with three shard files loads into the
+        service bit-identically: its rows are unioned into the index."""
         path = tmp_path / "index"
-        sharded = RecommendationService(
-            small_dataset, CONFIG.with_overrides(index_shards=3)
+        warm = _warm_service(small_dataset)
+        rows = warm.index.snapshot_rows()
+        users = sorted(rows)
+        save_sharded_snapshot(
+            [{uid: rows[uid] for uid in users[shard::3]} for shard in range(3)],
+            path,
+            warm.snapshot_fingerprint(),
+            CONFIG.fingerprint(),
         )
-        sharded.warm()
-        sharded.save_snapshot(path)
-        flat = RecommendationService(small_dataset, CONFIG)
-        assert flat.load_snapshot(path) == small_dataset.num_users
-        group = random_group(small_dataset.users.ids(), 4, seed=1)
-        assert (
-            flat.recommend_group(group).items
-            == sharded.recommend_group(group).items
-        )
+        assert (path / shard_file_name(2)).exists()
+        restored = RecommendationService(small_dataset, CONFIG)
+        assert restored.load_snapshot(path) == small_dataset.num_users
+        assert restored.index.snapshot_rows() == rows
+        for seed in range(3):
+            group = random_group(small_dataset.users.ids(), 4, seed=seed)
+            fresh, expected = (
+                restored.recommend_group(group),
+                warm.recommend_group(group),
+            )
+            assert fresh.items == expected.items
+            assert fresh.candidates.relevance == expected.candidates.relevance
 
 
 class TestStaleRejection:
@@ -117,16 +133,14 @@ class TestStaleRejection:
     def test_operational_knobs_do_not_invalidate(self, small_dataset, tmp_path):
         path = tmp_path / "index"
         _warm_service(small_dataset).save_snapshot(path)
-        tuned = RecommendationService(
-            small_dataset,
-            CONFIG.with_overrides(
-                exec_backend="thread",
-                exec_workers=4,
-                index_shards=2,
-                similarity_cache_size=10,
-            ),
+        tuned = CONFIG.with_overrides(
+            exec_backend="pool",
+            exec_workers=4,
+            similarity_cache_size=10,
+            validation="log",
         )
-        assert tuned.load_snapshot(path) == small_dataset.num_users
+        with RecommendationService(small_dataset, tuned) as service:
+            assert service.load_snapshot(path) == small_dataset.num_users
 
     def test_mismatched_dataset_rejected(self, small_dataset, tmp_path):
         from repro.data.datasets import generate_dataset

@@ -1,11 +1,17 @@
-"""Per-shard snapshot directories: round trip, incremental save, failure paths.
+"""Snapshot directories: round trip, incremental save, failure paths.
 
-The satellite contract: every way a per-shard snapshot can be broken —
+The service writes one shard file; directories with several shard
+files (as older builds wrote them) still load, and a re-save rewrites
+them as one shard without leaving the old shard files behind.
+
+The failure contract: every way a snapshot directory can be broken —
 truncated shard file, corrupt JSON, manifest/shard checksum mismatch,
 missing shard file, a partial save that died before the manifest was
 updated — raises :class:`SnapshotError` with a message that names the
 offending file and tells the operator what to do (re-save from a warm
-service), never silently serving partial or stale rows.
+service), never silently serving partial or stale rows.  The failure
+paths run on three-shard directories written by
+:func:`save_sharded_snapshot` directly.
 """
 
 from __future__ import annotations
@@ -27,7 +33,10 @@ from repro.serving.snapshot import (
     shard_file_name,
 )
 
-CONFIG = RecommenderConfig(peer_threshold=0.1, top_k=5, top_z=5, index_shards=3)
+CONFIG = RecommenderConfig(peer_threshold=0.1, top_k=5, top_z=5)
+
+#: Shard files of the directories the failure paths corrupt.
+SHARDS = 3
 
 
 def _warm_service(dataset, config=CONFIG):
@@ -36,9 +45,23 @@ def _warm_service(dataset, config=CONFIG):
     return service
 
 
+def _save_in_shards(service, path, rows=None, dirty=None):
+    """Write ``rows`` (default: ``service``'s) as :data:`SHARDS` shard
+    files, round robin over the sorted user ids."""
+    rows = service.index.snapshot_rows() if rows is None else rows
+    users = sorted(rows)
+    return save_sharded_snapshot(
+        [{uid: rows[uid] for uid in users[index::SHARDS]} for index in range(SHARDS)],
+        path,
+        service.snapshot_fingerprint(),
+        service.config.fingerprint(),
+        dirty=dirty,
+    )
+
+
 @pytest.fixture
 def snapshot_dir(mutable_dataset, tmp_path):
-    """A warm sharded service and the directory it snapshotted into.
+    """A warm service and the directory it snapshotted into.
 
     Built on the per-test dataset copy so the mutation tests cannot
     touch the shared session dataset.
@@ -49,16 +72,20 @@ def snapshot_dir(mutable_dataset, tmp_path):
     return service, path
 
 
+@pytest.fixture
+def sharded_dir(mutable_dataset, tmp_path):
+    """A warm service and a three-shard directory of its rows."""
+    service = _warm_service(mutable_dataset)
+    path = _save_in_shards(service, tmp_path / "sharded-snapshot")
+    return service, path
+
+
 class TestRoundTrip:
     def test_layout_is_manifest_plus_one_file_per_shard(self, snapshot_dir):
+        """The service writes one shard file beside the manifest."""
         _, path = snapshot_dir
         names = sorted(entry.name for entry in path.iterdir())
-        assert names == [
-            MANIFEST_NAME,
-            shard_file_name(0),
-            shard_file_name(1),
-            shard_file_name(2),
-        ]
+        assert names == [MANIFEST_NAME, shard_file_name(0)]
 
     def test_save_load_serve_is_byte_identical(self, snapshot_dir):
         warm, path = snapshot_dir
@@ -76,22 +103,6 @@ class TestRoundTrip:
                 fresh.candidates.group_relevance
                 == warm_result.candidates.group_relevance
             )
-
-    def test_flat_and_sharded_services_interchange(
-        self, small_dataset, tmp_path
-    ):
-        path = tmp_path / "flat-snapshot"
-        flat = _warm_service(small_dataset, CONFIG.with_overrides(index_shards=1))
-        flat.save_snapshot(path)
-        assert (path / shard_file_name(0)).exists()
-        sharded = RecommendationService(small_dataset, CONFIG)
-        # A 1-shard directory loads into a 3-shard index: rows reroute.
-        assert sharded.load_snapshot(path) == small_dataset.num_users
-        group = random_group(small_dataset.users.ids(), 4, seed=1)
-        assert (
-            sharded.recommend_group(group).items
-            == flat.recommend_group(group).items
-        )
 
     def test_json_suffix_path_is_still_a_directory(
         self, small_dataset, tmp_path
@@ -136,15 +147,8 @@ class TestIncrementalSave:
         service.ingest_rating(user_id, item_id, 5.0)
         written = self._count_writes(monkeypatch)
         service.save_snapshot(path)
-        # The touched user's home shard must be rewritten; shards whose
-        # rows were untouched by the patch fan-out must not be.
-        assert service.index.shard_index(user_id) in {
-            int(name[len("shard-") : -len(".json")])
-            for name in written
-            if name.startswith("shard-")
-        }
-        assert MANIFEST_NAME in written
-        assert len(written) <= 1 + CONFIG.index_shards
+        # The changed rows are rewritten, then the manifest, last.
+        assert written == [shard_file_name(0), MANIFEST_NAME]
         # ...and the incrementally saved directory still loads cleanly.
         restored = RecommendationService(service.dataset, CONFIG)
         assert restored.load_snapshot(path) == service.dataset.num_users
@@ -163,38 +167,62 @@ class TestIncrementalSave:
         self, snapshot_dir
     ):
         service, path = snapshot_dir
-        (path / shard_file_name(1)).unlink()
+        (path / shard_file_name(0)).unlink()
         service.save_snapshot(path)  # clean versions, but file is gone
-        assert (path / shard_file_name(1)).exists()
+        assert (path / shard_file_name(0)).exists()
         restored = RecommendationService(service.dataset, CONFIG)
         assert restored.load_snapshot(path) == service.dataset.num_users
 
+    def test_resave_of_a_sharded_directory_removes_its_old_shards(
+        self, sharded_dir, mutable_dataset
+    ):
+        """Loading a three-shard directory, writing and saving again
+        leaves one shard file: the manifest lists no other."""
+        warm, path = sharded_dir
+        service = RecommendationService(mutable_dataset, CONFIG)
+        assert service.load_snapshot(path) == mutable_dataset.num_users
+        user_id = mutable_dataset.users.ids()[0]
+        item_id = mutable_dataset.ratings.item_ids()[0]
+        service.ingest_rating(user_id, item_id, 5.0)
+        service.save_snapshot(path)
+        assert sorted(entry.name for entry in path.iterdir()) == [
+            MANIFEST_NAME,
+            shard_file_name(0),
+        ]
+        fresh = RecommendationService(mutable_dataset, CONFIG)
+        assert fresh.load_snapshot(path) == mutable_dataset.num_users
+        for seed in range(3):
+            group = random_group(mutable_dataset.users.ids(), 4, seed=seed)
+            assert fresh.recommend_group(group).candidates.relevance == (
+                service.recommend_group(group).candidates.relevance
+            )
+
 
 class TestFailurePaths:
-    def test_truncated_shard_file(self, snapshot_dir, small_dataset):
-        _, path = snapshot_dir
+    def test_truncated_shard_file(self, sharded_dir, small_dataset):
+        _, path = sharded_dir
         shard_path = path / shard_file_name(1)
         shard_path.write_text(shard_path.read_text()[: 40])
         service = RecommendationService(small_dataset, CONFIG)
         with pytest.raises(SnapshotError, match="truncated or corrupt"):
             service.load_snapshot(path)
 
-    def test_corrupt_shard_json(self, snapshot_dir, small_dataset):
-        _, path = snapshot_dir
+    def test_corrupt_shard_json(self, sharded_dir, small_dataset):
+        _, path = sharded_dir
         (path / shard_file_name(2)).write_text("{not json at all")
         service = RecommendationService(small_dataset, CONFIG)
         with pytest.raises(SnapshotError, match="re-save the snapshot"):
             service.load_snapshot(path)
 
-    def test_missing_shard_file(self, snapshot_dir, small_dataset):
-        _, path = snapshot_dir
+    def test_missing_shard_file(self, sharded_dir, small_dataset):
+        _, path = sharded_dir
         (path / shard_file_name(0)).unlink()
         service = RecommendationService(small_dataset, CONFIG)
         with pytest.raises(SnapshotError, match="missing"):
             service.load_snapshot(path)
 
-    def test_manifest_shard_checksum_mismatch(self, snapshot_dir, small_dataset):
-        _, path = snapshot_dir
+    def test_manifest_shard_checksum_mismatch(self, sharded_dir, small_dataset):
+        _, path = sharded_dir
         shard_path = path / shard_file_name(1)
         payload = json.loads(shard_path.read_text())
         # Tamper with one score — the manifest checksum must catch it.
@@ -208,34 +236,33 @@ class TestFailurePaths:
         with pytest.raises(SnapshotError, match="does not match its manifest"):
             service.load_snapshot(path)
 
-    def test_partial_save_crash_is_detected(self, snapshot_dir, mutable_dataset):
+    def test_partial_save_crash_is_detected(self, sharded_dir, small_dataset):
         """A save that dies after writing shards but before the manifest
         leaves old-manifest/new-shard state behind — load must refuse."""
-        service, path = snapshot_dir
+        service, path = sharded_dir
         manifest_before = (path / MANIFEST_NAME).read_text()
-        user_id = mutable_dataset.users.ids()[0]
-        service.ingest_rating(
-            user_id, mutable_dataset.ratings.item_ids()[0], 5.0
-        )
-        service.save_snapshot(path)  # writes dirty shards + new manifest
+        rows = service.index.snapshot_rows()
+        user_id = next(uid for uid, row in sorted(rows.items()) if row)
+        rows[user_id] = rows[user_id][1:]
+        _save_in_shards(service, path, rows)  # new shards + new manifest
         # Simulate the crash: roll the manifest back to the old save.
         (path / MANIFEST_NAME).write_text(manifest_before)
-        fresh = RecommendationService(mutable_dataset, CONFIG)
-        with pytest.raises(SnapshotError):
+        fresh = RecommendationService(small_dataset, CONFIG)
+        with pytest.raises(SnapshotError, match="does not match its manifest"):
             fresh.load_snapshot(path)
 
-    def test_stale_fingerprint_rejected(self, snapshot_dir, small_dataset):
-        _, path = snapshot_dir
+    def test_stale_fingerprint_rejected(self, sharded_dir, small_dataset):
+        _, path = sharded_dir
         stale = RecommendationService(
             small_dataset, CONFIG.with_overrides(peer_threshold=0.4)
         )
         with pytest.raises(SnapshotError, match="stale"):
             stale.load_snapshot(path)
 
-    def test_per_shard_fingerprint_checked(self, snapshot_dir, small_dataset):
+    def test_per_shard_fingerprint_checked(self, sharded_dir, small_dataset):
         """Even with a matching manifest, a swapped-in shard file built
         under other semantics is rejected by its own fingerprint."""
-        service, path = snapshot_dir
+        service, path = sharded_dir
         shard_path = path / shard_file_name(0)
         payload = json.loads(shard_path.read_text())
         payload["fingerprint"] = "0123456789abcdef"
@@ -258,11 +285,11 @@ class TestFailurePaths:
         ids=["string", "non-string-file", "foreign-file"],
     )
     def test_malformed_shard_entry_rejected(
-        self, snapshot_dir, small_dataset, entry
+        self, sharded_dir, small_dataset, entry
     ):
         """Each manifest shard entry must be an object naming its own
         conventional file; anything else is a typed, named error."""
-        _, path = snapshot_dir
+        _, path = sharded_dir
         manifest = json.loads((path / MANIFEST_NAME).read_text())
         manifest["shards"][0] = entry
         (path / MANIFEST_NAME).write_text(json.dumps(manifest))
@@ -270,19 +297,19 @@ class TestFailurePaths:
         with pytest.raises(SnapshotError, match="shard entry 0"):
             service.load_snapshot(path)
 
-    def test_malformed_entry_is_not_carried_into_a_resave(self, snapshot_dir):
+    def test_malformed_entry_is_not_carried_into_a_resave(self, sharded_dir):
         """An incremental save rewrites shards instead of copying a
         malformed manifest entry into the new manifest."""
-        service, path = snapshot_dir
+        service, path = sharded_dir
         manifest = json.loads((path / MANIFEST_NAME).read_text())
         manifest["shards"][1] = "shard-0001.json"
         (path / MANIFEST_NAME).write_text(json.dumps(manifest))
-        service.save_snapshot(path)  # every shard is clean
+        _save_in_shards(service, path, dirty=[False] * SHARDS)
         restored = RecommendationService(service.dataset, CONFIG)
         assert restored.load_snapshot(path) == service.dataset.num_users
 
-    def test_wrong_manifest_version_rejected(self, snapshot_dir, small_dataset):
-        _, path = snapshot_dir
+    def test_wrong_manifest_version_rejected(self, sharded_dir, small_dataset):
+        _, path = sharded_dir
         manifest = json.loads((path / MANIFEST_NAME).read_text())
         manifest["version"] = 99
         (path / MANIFEST_NAME).write_text(json.dumps(manifest))
@@ -290,9 +317,9 @@ class TestFailurePaths:
         with pytest.raises(SnapshotError, match="version"):
             service.load_snapshot(path)
 
-    def test_shard_index_mismatch_rejected(self, snapshot_dir, small_dataset):
+    def test_shard_index_mismatch_rejected(self, sharded_dir, small_dataset):
         """Shard files renamed/rearranged on disk must not load."""
-        _, path = snapshot_dir
+        _, path = sharded_dir
         a, b = path / shard_file_name(0), path / shard_file_name(1)
         a_text, b_text = a.read_text(), b.read_text()
         a.write_text(b_text)

@@ -204,7 +204,7 @@ class TestBatchedPearson:
 class TestSimilaritiesMany:
     """Batched multi-user rows must match per-user rows on any backend."""
 
-    @pytest.mark.parametrize("backend", ["serial", "thread", "pool"])
+    @pytest.mark.parametrize("backend", ["serial", "pool"])
     def test_rows_match_pairwise_path(self, tiny_matrix, backend):
         measure = PearsonRatingSimilarity(tiny_matrix)
         users = tiny_matrix.user_ids()

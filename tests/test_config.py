@@ -87,13 +87,12 @@ class TestConvenience:
 
 
 class TestExecutionConfig:
-    """The execution/sharding knobs added with repro.exec."""
+    """The execution knobs added with repro.exec."""
 
     def test_defaults(self):
         config = RecommenderConfig()
         assert config.exec_backend == "serial"
         assert config.exec_workers == 0
-        assert config.index_shards == 1
         assert config.pool_min_workers == 0  # 0 = exec_workers width
         assert config.pool_max_workers == 0
         assert config.pool_idle_ttl == 30.0
@@ -103,7 +102,7 @@ class TestExecutionConfig:
         [
             {"exec_backend": "gpu"},
             {"exec_workers": -1},
-            {"index_shards": 0},
+            {"exec_backend": "thread"},
             {"pool_min_workers": -1},
             {"pool_max_workers": -2},
             {"pool_min_workers": 5, "pool_max_workers": 2},
@@ -127,7 +126,6 @@ class TestExecutionConfig:
         config = RecommenderConfig(
             exec_backend="pool",
             exec_workers=4,
-            index_shards=3,
             pool_min_workers=2,
             pool_max_workers=6,
             pool_idle_ttl=12.5,
@@ -140,7 +138,6 @@ class TestExecutionConfig:
         for key in (
             "exec_backend",
             "exec_workers",
-            "index_shards",
             "pool_min_workers",
             "pool_max_workers",
             "pool_idle_ttl",
@@ -171,7 +168,6 @@ class TestFingerprint:
         tuned = base.with_overrides(
             exec_backend="pool",
             exec_workers=8,
-            index_shards=4,
             similarity_cache_size=1,
             pool_min_workers=1,
             pool_max_workers=8,
@@ -186,10 +182,11 @@ class TestFingerprint:
 
 class TestDeletedKnobs:
     """``kernel``, ``packed_scan``, ``packed_topk`` and ``serve_workers``
-    are gone: the packed kernels are the only compute path."""
+    are gone: the packed kernels are the only compute path.  So is
+    ``index_shards``: the flat neighbour index is the only index."""
 
-    def test_config_has_25_fields(self):
-        assert len(RecommenderConfig().to_dict()) == 25
+    def test_config_has_24_fields(self):
+        assert len(RecommenderConfig().to_dict()) == 24
 
     @pytest.mark.parametrize(
         "key, value",
@@ -198,6 +195,7 @@ class TestDeletedKnobs:
             ("packed_scan", False),
             ("packed_topk", False),
             ("serve_workers", 2),
+            ("index_shards", 2),
         ],
     )
     def test_from_dict_rejects_a_deleted_knob_by_name(self, key, value):
