@@ -1,4 +1,4 @@
-"""Broadcast delta fan-out vs per-task delta replay, plus autoscaling.
+"""Broadcast delta fan-out vs per-task delta replay.
 
 PR 3's pool shipped the pending mutation log *with every task*: a batch
 of T tasks after a mutation burst serialised the delta packet T times.
@@ -30,10 +30,7 @@ Checked claims (all land in ``BENCH_broadcast.json``):
 3. **speedup** — broadcast serves the batch sequence at least
    :data:`SPEEDUP_FLOOR` times faster than per-task replay at
    :data:`WORKERS` workers (the acceptance bar; typical runs land
-   higher);
-4. **autoscaling** — an autoscaling pool serves a burst with zero
-   rejected tasks (everything returns, in order) and converges back to
-   ``min_workers`` when idle.
+   higher).
 
 Run directly (``python benchmarks/bench_broadcast_sync.py [--quick]``)
 or via ``pytest benchmarks/bench_broadcast_sync.py``.
@@ -44,7 +41,6 @@ from __future__ import annotations
 import json
 import random
 import sys
-import time
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -168,7 +164,6 @@ class BroadcastBenchResult:
     identical_results: bool = True
     sync_messages: int = 0
     sync_messages_expected: int = 0
-    autoscale: dict = field(default_factory=dict)
 
     def timing(self, arm: str) -> ArmTiming:
         for row in self.timings:
@@ -308,59 +303,7 @@ def run_broadcast_comparison(
         result.identical_results = False
     result.sync_messages = stats["sync_messages"]
     result.sync_messages_expected = workers * batches
-
-    result.autoscale = run_autoscale_scenario(
-        num_users=num_users, dim=dim, seed=seed
-    )
     return result
-
-
-def run_autoscale_scenario(
-    num_users: int = 200,
-    dim: int = 64,
-    burst_tasks: int = 128,
-    min_workers: int = 1,
-    max_workers: int = WORKERS,
-    idle_ttl: float = 0.2,
-    seed: int = 42,
-) -> dict:
-    """Burst-then-idle on an autoscaling pool; returns the verdicts.
-
-    The pool must grow to serve the burst (every task answered — the
-    queue never rejects), then converge back to ``min_workers`` after
-    ``idle_ttl`` of silence.
-    """
-    profiles = _make_profiles(num_users, dim, seed)
-    users = sorted(profiles)
-    rng = random.Random(seed * 13)
-    burst = [rng.choice(users) for _ in range(burst_tasks)]
-    with PoolBackend(
-        workers=min_workers,
-        min_workers=min_workers,
-        max_workers=max_workers,
-        idle_ttl=idle_ttl,
-    ) as backend:
-        backend.bind_delta_applier(_apply_profile_delta, _boot_profiles)
-        _BSTATE["profiles"] = profiles
-        expected = [(user, _score_user(user)) for user in burst]
-        served = backend.map_items(
-            _score_task, burst, initializer=_boot_profiles, initargs=(profiles,)
-        )
-        burst_workers = backend.live_workers
-        time.sleep(idle_ttl * 1.5)
-        idle_workers = backend.autoscale()
-    return {
-        "min_workers": min_workers,
-        "max_workers": max_workers,
-        "idle_ttl_s": idle_ttl,
-        "burst_tasks": burst_tasks,
-        "served_tasks": len(served),
-        "rejected_tasks": burst_tasks - len(served),
-        "burst_results_correct": served == expected,
-        "burst_workers": burst_workers,
-        "converged_to_min": idle_workers == min_workers,
-        "idle_workers": idle_workers,
-    }
 
 
 def write_result(
@@ -387,7 +330,6 @@ def write_result(
             "tasks_dispatched": result.tasks_per_batch * result.batches,
             "is_o_workers_not_o_tasks": result.sync_is_o_workers,
         },
-        "autoscale": result.autoscale,
         "timings": [
             {
                 "arm": row.arm,
@@ -410,9 +352,6 @@ def test_broadcast_bit_identical():
     )
     assert result.identical_results
     assert result.sync_is_o_workers
-    assert result.autoscale["rejected_tasks"] == 0
-    assert result.autoscale["burst_results_correct"]
-    assert result.autoscale["converged_to_min"]
 
 
 def test_broadcast_beats_per_task_replay():
@@ -429,8 +368,6 @@ def test_broadcast_beats_per_task_replay():
         f"broadcast sent {result.sync_messages} sync messages, expected "
         f"workers x stale batches = {result.sync_messages_expected}"
     )
-    assert result.autoscale["rejected_tasks"] == 0
-    assert result.autoscale["converged_to_min"]
     assert result.broadcast_speedup >= SPEEDUP_FLOOR, (
         f"broadcast {result.timing('broadcast').total_ms:.0f} ms is only "
         f"{result.broadcast_speedup:.2f}x faster than per-task replay "
@@ -464,10 +401,7 @@ def main(argv: list[str] | None = None) -> int:
         f"sync messages: {result.sync_messages} "
         f"(= workers x stale batches: {result.sync_is_o_workers})\n"
         f"broadcast vs per-task replay speedup: "
-        f"{result.broadcast_speedup:.2f}x (floor {SPEEDUP_FLOOR}x)\n"
-        f"autoscale: burst served by {result.autoscale['burst_workers']} "
-        f"workers, {result.autoscale['rejected_tasks']} rejected, "
-        f"converged to min: {result.autoscale['converged_to_min']}"
+        f"{result.broadcast_speedup:.2f}x (floor {SPEEDUP_FLOOR}x)"
     )
     if not quick:
         path = write_result(result)

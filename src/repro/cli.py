@@ -34,7 +34,7 @@ from pathlib import Path
 from typing import Sequence
 
 from .config import KNOWN_EXEC_BACKENDS, RecommenderConfig
-from .exec import DEFAULT_HEARTBEAT_INTERVAL, DEFAULT_IDLE_TTL
+from .exec import DEFAULT_HEARTBEAT_INTERVAL
 from .core.pipeline import CaregiverPipeline
 from .data.datasets import generate_dataset
 from .data.groups import Group, random_group
@@ -173,46 +173,6 @@ def build_parser() -> argparse.ArgumentParser:
         "serve", help="answer a stream of requests from a warm service"
     )
     _add_workload_arguments(serve)
-    serve.add_argument(
-        "--pool-min-workers",
-        type=int,
-        default=0,
-        help=(
-            "with --backend pool/remote: autoscaling floor — idle workers "
-            "shrink to this width after --pool-idle-ttl seconds (0 = pin "
-            "at the --workers width)"
-        ),
-    )
-    serve.add_argument(
-        "--pool-max-workers",
-        type=int,
-        default=0,
-        help=(
-            "with --backend pool/remote: autoscaling ceiling — the fleet "
-            "grows toward this width under batch queue depth (0 = pin at "
-            "the --workers width)"
-        ),
-    )
-    serve.add_argument(
-        "--pool-idle-ttl",
-        type=float,
-        default=DEFAULT_IDLE_TTL,
-        help=(
-            "with --backend pool/remote: seconds without a dispatch before "
-            "the fleet shrinks back to --pool-min-workers"
-        ),
-    )
-    serve.add_argument(
-        "--pool-target-p99-ms",
-        type=float,
-        default=0.0,
-        help=(
-            "with --backend pool/remote: latency-target autoscaling — grow "
-            "one worker while the windowed batch p99 exceeds this many ms, "
-            "shrink one after it recovers below half the target "
-            "(0 = queue-depth scaling only)"
-        ),
-    )
     serve.add_argument(
         "--snapshot",
         default=None,
@@ -807,10 +767,6 @@ def _command_serve(args: argparse.Namespace) -> int:
         args,
         similarity_cache_size=args.similarity_cache,
         relevance_cache_size=args.relevance_cache,
-        pool_min_workers=args.pool_min_workers,
-        pool_max_workers=args.pool_max_workers,
-        pool_idle_ttl=args.pool_idle_ttl,
-        pool_target_p99_ms=args.pool_target_p99_ms,
         remote_heartbeat_interval=args.remote_heartbeat_interval,
         remote_heartbeat_timeout=args.remote_heartbeat_timeout,
         degraded_mode=args.degraded_mode,

@@ -126,29 +126,6 @@ class RecommenderConfig:
         Worker count for the execution backend — for the worker fleet,
         the number of local worker processes; ``0`` selects the number
         of available CPUs.
-    pool_min_workers:
-        Autoscaling floor of the worker fleet: idle local workers are
-        shrunk down to this width.  ``0`` (default) pins the fleet at
-        the resolved ``exec_workers`` width (no autoscaling floor of
-        its own).
-    pool_max_workers:
-        Autoscaling ceiling of the worker fleet: it grows toward this
-        width when a batch's queue depth exceeds the live worker
-        count.  ``0`` (default) pins the ceiling at the
-        resolved ``exec_workers`` width — or at ``pool_min_workers``
-        when that floor is higher (a lone floor implies a covering
-        ceiling, never a contradiction).
-    pool_idle_ttl:
-        Seconds without a dispatch after which an autoscaling pool
-        shrinks back to ``pool_min_workers``.  Only meaningful when
-        the bounds leave room to scale.
-    pool_target_p99_ms:
-        Latency target for the worker fleet's p99-driven autoscaling:
-        while the windowed p99 of batch latency breaches this many
-        milliseconds the fleet grows toward
-        ``pool_max_workers``, shrinking again once p99 recovers below
-        half the target.  ``0.0`` (default) disables the policy
-        (queue-depth growth and idle-TTL shrinking still apply).
     remote_heartbeat_interval:
         Seconds between a fleet worker's heartbeat beacons.  Must be
         smaller than ``remote_heartbeat_timeout``.  Purely operational
@@ -198,10 +175,6 @@ class RecommenderConfig:
     group_cache_size: int = 2048
     exec_backend: str = "serial"
     exec_workers: int = 0
-    pool_min_workers: int = 0
-    pool_max_workers: int = 0
-    pool_idle_ttl: float = 30.0
-    pool_target_p99_ms: float = 0.0
     remote_heartbeat_interval: float = 2.0
     remote_heartbeat_timeout: float = 10.0
     degraded_mode: str = "off"
@@ -255,29 +228,6 @@ class RecommenderConfig:
             )
         if self.exec_workers < 0:
             raise ConfigurationError("exec_workers must be >= 0 (0 = auto)")
-        if self.pool_min_workers < 0:
-            raise ConfigurationError(
-                "pool_min_workers must be >= 0 (0 = exec_workers width)"
-            )
-        if self.pool_max_workers < 0:
-            raise ConfigurationError(
-                "pool_max_workers must be >= 0 (0 = exec_workers width)"
-            )
-        if (
-            self.pool_min_workers
-            and self.pool_max_workers
-            and self.pool_min_workers > self.pool_max_workers
-        ):
-            raise ConfigurationError(
-                f"pool_min_workers ({self.pool_min_workers}) must not "
-                f"exceed pool_max_workers ({self.pool_max_workers})"
-            )
-        if self.pool_idle_ttl <= 0:
-            raise ConfigurationError("pool_idle_ttl must be positive")
-        if self.pool_target_p99_ms < 0:
-            raise ConfigurationError(
-                "pool_target_p99_ms must be >= 0 (0 = disabled)"
-            )
         if self.remote_heartbeat_interval <= 0:
             raise ConfigurationError(
                 "remote_heartbeat_interval must be positive"

@@ -271,20 +271,10 @@ def format_serving_stats(stats: Mapping[str, Any]) -> str:
             lines.append(
                 f"pool: epoch {pool['epoch']} (resident "
                 f"{pool['resident_epoch']}), {pool['live_workers']} live "
-                f"workers [{pool['min_workers']}..{pool['max_workers']}], "
-                f"{pool['restarts']} restarts, {pool['delta_syncs']} "
-                f"broadcasts ({pool['sync_messages']} messages, "
-                f"{pool['sync_bytes']} B), scale +{pool['scale_ups']}/"
-                f"-{pool['scale_downs']}"
+                f"workers, {pool['restarts']} restarts, "
+                f"{pool['delta_syncs']} broadcasts "
+                f"({pool['sync_messages']} messages, {pool['sync_bytes']} B)"
             )
-            if pool.get("target_p99_ms"):
-                observed = pool.get("batch_p99_ms")
-                lines.append(
-                    f"pool p99 target: {pool['target_p99_ms']:.1f} ms "
-                    f"(windowed batch p99: "
-                    + (f"{observed:.3f} ms" if observed is not None else "n/a")
-                    + ")"
-                )
     return "\n".join(lines)
 
 

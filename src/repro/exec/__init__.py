@@ -8,7 +8,7 @@ bit-identical results; they differ only in wall-clock and in how state
 reaches the workers.  ``"pool"`` and ``"remote"`` are one class,
 :class:`~repro.exec.remote.RemoteBackend`: resident worker processes
 speaking the frames of :mod:`repro.exec.wire`, with broadcast epoch
-sync, heartbeats, dead-peer requeue and autoscaling
+sync, heartbeats, dead-peer requeue and regrowth to a fixed width
 (``docs/ARCHITECTURE.md`` has the cross-layer picture).
 """
 
@@ -28,7 +28,6 @@ from .remote import (
     DEFAULT_CONNECT_TIMEOUT,
     DEFAULT_HEARTBEAT_INTERVAL,
     DEFAULT_HEARTBEAT_TIMEOUT,
-    DEFAULT_IDLE_TTL,
     DEFAULT_MAX_DELTA_LOG,
     DEGRADED_MODES,
     FleetLossError,
@@ -43,7 +42,6 @@ __all__ = [
     "DEFAULT_CONNECT_TIMEOUT",
     "DEFAULT_HEARTBEAT_INTERVAL",
     "DEFAULT_HEARTBEAT_TIMEOUT",
-    "DEFAULT_IDLE_TTL",
     "DEFAULT_MAX_DELTA_LOG",
     "DEGRADED_MODES",
     "ExecutionBackend",

@@ -237,10 +237,6 @@ def get_backend(
     name: str | None,
     workers: int | None = None,
     *,
-    pool_min_workers: int | None = None,
-    pool_max_workers: int | None = None,
-    pool_idle_ttl: float | None = None,
-    pool_target_p99_ms: float | None = None,
     remote_heartbeat_interval: float | None = None,
     remote_heartbeat_timeout: float | None = None,
     remote_fingerprint: str | None = None,
@@ -251,11 +247,11 @@ def get_backend(
 
     ``"pool"`` and ``"remote"`` both build the worker fleet,
     :class:`~repro.exec.remote.RemoteBackend` (``"remote"`` also opens
-    its TCP listener for ``repro worker`` processes).  The ``pool_*``
-    keywords set its autoscaling bounds and p99 latency target, the
-    ``remote_*`` keywords its heartbeat cadence/timeout and the config
-    fingerprint its handshake enforces, ``degraded_mode`` whether total fleet loss degrades to
-    serial execution instead of raising, and ``metrics`` the
+    its TCP listener for ``repro worker`` processes).  ``workers`` is
+    its fixed width.  The ``remote_*`` keywords set its heartbeat
+    cadence/timeout and the config fingerprint its handshake enforces,
+    ``degraded_mode`` whether total fleet loss degrades to serial
+    execution instead of raising, and ``metrics`` the
     :class:`~repro.obs.MetricsRegistry` it reports into.  The other
     backends ignore them all.
 
@@ -277,10 +273,6 @@ def get_backend(
 
         return RemoteBackend(
             workers,
-            min_workers=pool_min_workers,
-            max_workers=pool_max_workers,
-            idle_ttl=pool_idle_ttl,
-            target_p99_ms=pool_target_p99_ms,
             port=0 if name == "remote" else None,
             heartbeat_interval=(
                 remote_heartbeat_interval

@@ -35,9 +35,11 @@ After the join there is one code path for every worker:
   stays bit-identical while one worker lives.  Losing every worker
   raises :class:`FleetLossError`, or serves the batch in-process under
   ``degraded_mode="serial"``;
-* a ``deadline`` is checked between collect rounds, and the local
-  workers **autoscale** on queue depth, idle TTL and a windowed p99
-  latency target.
+* a ``deadline`` is checked between collect rounds.
+
+The fleet has a **fixed width**: ``workers`` local workers, forked at
+the first dispatch or a rebind and regrown to that width after a death.
+Load never resizes it.
 
 Results are bit-identical to the serial backend as long as every
 mutation of the state behind the resident copies is reported: skipping
@@ -110,16 +112,6 @@ DEGRADED_MODES: tuple[str, ...] = ("off", "serial")
 #: re-ship; the fleet re-ships the full state instead.
 DEFAULT_MAX_DELTA_LOG = 256
 
-#: How long local workers may stay idle (no dispatch) before an
-#: autoscaling fleet shrinks them, in seconds (the config default).
-DEFAULT_IDLE_TTL = 30.0
-
-#: Sliding-window length (seconds) of the batch-latency histogram the
-#: p99 autoscaling policy reads.  A window, not the cumulative
-#: histogram, is what lets the fleet scale back *down*: observations
-#: from a past latency spike age out instead of pinning p99 forever.
-P99_WINDOW_SECONDS = 30.0
-
 #: Seconds each side of the TCP handshake waits for the other's frame.
 _HANDSHAKE_TIMEOUT_SECONDS = 30.0
 
@@ -142,8 +134,6 @@ _COUNTERS: tuple[str, ...] = (
     "sync_messages",
     "sync_bytes",
     "bootstrap_bytes",
-    "scale_ups",
-    "scale_downs",
     "forced_stops",
     "frames_sent",
     "frames_received",
@@ -734,37 +724,18 @@ class _Worker:
 
 
 class RemoteBackend(ExecutionBackend):
-    """The worker fleet: resident workers, epoch sync, requeue, autoscaling.
+    """The worker fleet: resident workers, epoch sync, requeue, regrowth.
 
     Parameters
     ----------
     workers:
-        Fleet width: the local workers forked at the first dispatch.
-        It seeds both autoscaling bounds, so a plain
-        ``RemoteBackend(workers=4)`` is a fixed fleet of 4.
+        Fleet width: the local workers forked at the first dispatch or
+        a rebind.  A dispatch after a worker died forks replacements,
+        at the parent's current epoch, back up to this width.
     max_delta_log:
         Pending-delta count beyond which a stale fleet is re-shipped
         instead of replaying the log; ``0`` re-ships after every
         mutation.
-    min_workers / max_workers:
-        Autoscaling bounds of the local workers.  Both default to
-        ``workers``; a lone ``min_workers`` above ``workers`` raises the
-        ceiling with it.  The fleet grows toward ``max_workers`` when a
-        dispatch's queue depth exceeds the live width (a grown worker
-        boots at the parent's current epoch) and back to ``min_workers``
-        after dead workers.
-    idle_ttl:
-        Idle seconds after which local workers above ``min_workers``
-        are stopped (``None``, the default, never shrinks).  Applied
-        lazily, by the next :meth:`autoscale` call or :meth:`pool_stats`
-        read.
-    target_p99_ms:
-        Latency target: while the p99 of this fleet's own batch
-        latencies over a sliding :data:`P99_WINDOW_SECONDS` window
-        breaches it, each
-        dispatch or :meth:`autoscale` call adds one local worker (up to
-        ``max_workers``); once p99 recovers below half the target,
-        :meth:`autoscale` removes one.  ``None`` (default) disables it.
     host / port:
         Bind address of the TCP listener ``repro worker`` processes
         connect to.  ``port=None`` (default) opens no listener until
@@ -805,8 +776,8 @@ class RemoteBackend(ExecutionBackend):
         per registry, not per fleet: fleets sharing one registry add
         into the same counters.
     clock:
-        Monotonic time source (injectable for tests): idle TTL, the
-        latency window, heartbeat silence and the connect wait.
+        Monotonic time source (injectable for tests): heartbeat
+        silence, the circuit breaker and the connect wait.
 
     The resident state is bound by the first dispatch's ``initializer``
     and ``initargs``.  A later dispatch with a different initializer or
@@ -821,10 +792,6 @@ class RemoteBackend(ExecutionBackend):
         self,
         workers: int | None = None,
         max_delta_log: int = DEFAULT_MAX_DELTA_LOG,
-        min_workers: int | None = None,
-        max_workers: int | None = None,
-        idle_ttl: float | None = None,
-        target_p99_ms: float | None = None,
         host: str = "127.0.0.1",
         port: int | None = None,
         spawn_workers: bool = True,
@@ -842,33 +809,6 @@ class RemoteBackend(ExecutionBackend):
         super().__init__(workers)
         if max_delta_log < 0:
             raise ConfigurationError("max_delta_log must be >= 0")
-        if max_workers is not None:
-            self.max_workers = max_workers
-        elif min_workers is not None:
-            # A lone floor implies the ceiling covers it: min_workers=4
-            # with no explicit ceiling means "at least 4", not a
-            # min-above-max contradiction with the default width.
-            self.max_workers = max(self.workers, min_workers)
-        else:
-            self.max_workers = self.workers
-        if self.max_workers < 1:
-            raise ConfigurationError("max_workers must be >= 1")
-        self.min_workers = (
-            min_workers
-            if min_workers is not None
-            else min(self.workers, self.max_workers)
-        )
-        if self.min_workers < 1:
-            raise ConfigurationError("min_workers must be >= 1")
-        if self.min_workers > self.max_workers:
-            raise ConfigurationError(
-                f"min_workers ({self.min_workers}) must not exceed "
-                f"max_workers ({self.max_workers})"
-            )
-        if idle_ttl is not None and idle_ttl <= 0:
-            raise ConfigurationError("idle_ttl must be positive or None")
-        if target_p99_ms is not None and target_p99_ms <= 0:
-            raise ConfigurationError("target_p99_ms must be positive or None")
         if heartbeat_interval <= 0:
             raise ConfigurationError("heartbeat_interval must be positive")
         if heartbeat_timeout <= heartbeat_interval:
@@ -888,8 +828,6 @@ class RemoteBackend(ExecutionBackend):
         #: fleet takes TCP workers (the CLI/config spelling).
         self.name = "remote" if port is not None or not spawn_workers else "pool"
         self.max_delta_log = max_delta_log
-        self.idle_ttl = idle_ttl
-        self.target_p99_ms = target_p99_ms
         self.host = host
         self.port = port
         self.spawn_workers = spawn_workers
@@ -951,24 +889,13 @@ class RemoteBackend(ExecutionBackend):
         self._deltas: list[tuple[int, Any]] = []
         self._log_complete = True
         self._booted = False
-        self._last_dispatch = self._clock()
         # Pickled size of the bound initargs, cached per binding.
         self._initargs_size_cache: tuple[tuple[Any, ...], int] | None = None
         self.metrics = metrics if metrics is not None else MetricsRegistry()
         self._counters = {
             name: self.metrics.counter(f"pool_{name}") for name in _COUNTERS
         }
-        # The registry's pool_batch_ms series, like the pool_* counters,
-        # is shared by every fleet reporting into that registry (a
-        # service and its per-call batch fleets); the p99 policy reads a
-        # window of this fleet's own batches, so one fleet's latency
-        # never scales another.
-        self._registry_latency = self.metrics.histogram(
-            "pool_batch_ms", window_s=P99_WINDOW_SECONDS, clock=self._clock
-        )
-        self._batch_latency = MetricsRegistry().histogram(
-            "pool_batch_ms", window_s=P99_WINDOW_SECONDS, clock=self._clock
-        )
+        self._registry_latency = self.metrics.histogram("pool_batch_ms")
 
     # -- listener / handshake ------------------------------------------------
 
@@ -1167,19 +1094,15 @@ class RemoteBackend(ExecutionBackend):
         state-ship cost (``bootstrap_bytes``), frame traffic, heartbeats
         and the fault paths (requeues, dead workers, torn frames,
         handshake rejects, rejoins, breaker deferrals, degraded
-        dispatches, deadline aborts, stale results) — plus the epochs,
-        the live and pending widths, the autoscaling bounds and the
-        windowed ``batch_p99_ms`` the latency policy reads (``None``
-        while the window is empty).  Reading stats also applies any
-        due autoscaling.
+        dispatches, deadline aborts, stale results) — plus the epochs
+        and the live and pending widths.
 
         The counters are read from :attr:`metrics`, so they are per
         registry, not per fleet: fleets sharing a registry (a service
         and the per-call batch fleets it builds) report each other's
-        re-ships and faults.  The epochs, widths and ``batch_p99_ms``
-        are this fleet's own.
+        re-ships and faults.  The epochs and widths are this fleet's
+        own.
         """
-        self.autoscale()
         with self._lock:
             stats: dict[str, Any] = {
                 name: int(counter.value)
@@ -1196,11 +1119,6 @@ class RemoteBackend(ExecutionBackend):
                 ),
                 live_workers=len(self._workers),
                 pending_workers=len(self._pending),
-                min_workers=self.min_workers,
-                max_workers=self.max_workers,
-                idle_ttl=self.idle_ttl,
-                target_p99_ms=self.target_p99_ms,
-                batch_p99_ms=self._batch_latency.windowed_quantile(0.99),
                 heartbeat_interval=self.heartbeat_interval,
                 heartbeat_timeout=self.heartbeat_timeout,
                 connect_timeout=self.connect_timeout,
@@ -1208,76 +1126,10 @@ class RemoteBackend(ExecutionBackend):
             )
             return stats
 
-    # -- autoscaling ---------------------------------------------------------
-
-    def autoscale(self) -> int:
-        """Apply the scaling policies now; returns the live width.
-
-        Both policies run opportunistically (skipped while a dispatch
-        is in flight — never stop a worker that may hold queued tasks)
-        and act on local workers only:
-
-        * **idle shrink** — with ``idle_ttl`` set, a fleet over
-          ``min_workers`` that saw no dispatch for ``idle_ttl`` seconds
-          shrinks back to ``min_workers``;
-        * **p99 policy** — with ``target_p99_ms`` set, the windowed
-          batch-latency p99 grows the fleet by one worker while
-          breached and shrinks it by one once it recovers below half
-          the target (see :meth:`_apply_p99_policy`).
-        """
-        if not self._dispatch_lock.acquire(blocking=False):
-            return len(self._workers)
-        try:
-            with self._lock:
-                if (
-                    self._booted
-                    and self.idle_ttl is not None
-                    and len(self._local_workers()) > self.min_workers
-                    and self._clock() - self._last_dispatch >= self.idle_ttl
-                ):
-                    self._shrink_to(self.min_workers)
-                self._apply_p99_policy(allow_shrink=True)
-                return len(self._workers)
-        finally:
-            self._dispatch_lock.release()
-
-    def _apply_p99_policy(self, allow_shrink: bool) -> None:
-        """One p99-driven scaling step (under ``_lock``; booted fleets only).
-
-        Above ``target_p99_ms`` the fleet grows one local worker toward
-        ``max_workers``; at or below half the target (the hysteresis
-        band that keeps grow/shrink from oscillating) it shrinks one
-        toward ``min_workers``.  An empty window takes no action.  The
-        dispatch path passes ``allow_shrink=False``: a dispatch wants
-        capacity now, reclaiming it is :meth:`autoscale`'s job.
-        """
-        local = self._local_workers()
-        if self.target_p99_ms is None or not self._booted or not local:
-            return
-        p99 = self._batch_latency.windowed_quantile(0.99)
-        if p99 is None:
-            return
-        if p99 > self.target_p99_ms and len(local) < self.max_workers:
-            self._spawn_local()
-            self._counters["scale_ups"].inc()
-        elif (
-            allow_shrink
-            and p99 <= self.target_p99_ms * 0.5
-            and len(local) > self.min_workers
-        ):
-            self._shrink_to(len(local) - 1)
+    # -- local workers -------------------------------------------------------
 
     def _local_workers(self) -> list[_Worker]:
         return [worker for worker in self._workers if worker.process is not None]
-
-    def _shrink_to(self, width: int) -> None:
-        """Stop the newest local workers above ``width`` (under _lock)."""
-        stopped = self._local_workers()[width:]
-        for worker in stopped:
-            self._workers.remove(worker)
-            self._ring.remove(worker.node)
-        self._counters["scale_downs"].inc(len(stopped))
-        self._stop_workers(stopped)
 
     def _spawn_local(self) -> None:
         """Fork one local worker at the parent's current epoch (under _lock).
@@ -1408,12 +1260,11 @@ class RemoteBackend(ExecutionBackend):
         self,
         initializer: Callable[..., None] | None,
         initargs: tuple[Any, ...],
-        queue_depth: int,
     ) -> None:
         """Full re-ship at the current epoch (under _lock).
 
-        Local workers are stopped and re-forked from the new binding;
-        TCP workers are re-booted in place.
+        Local workers are stopped and re-forked from the new binding by
+        :meth:`_prepare_dispatch`; TCP workers are re-booted in place.
         """
         local = self._local_workers()
         for worker in local:
@@ -1430,10 +1281,6 @@ class RemoteBackend(ExecutionBackend):
         for worker in list(self._workers):
             if not self._send_boot(worker):
                 self._discard_worker(worker)
-        if self.spawn_workers:
-            width = min(self.max_workers, max(self.min_workers, queue_depth))
-            for _ in range(width):
-                self._spawn_local()
 
     def _broadcast_sync(self) -> None:
         """Fan the pending delta packet out: one SYNC frame per worker.
@@ -1513,15 +1360,14 @@ class RemoteBackend(ExecutionBackend):
         self,
         initializer: Callable[..., None] | None,
         initargs: tuple[Any, ...],
-        queue_depth: int,
     ) -> tuple[list[_Worker], int]:
         """Bring the fleet to the current epoch; returns (workers, epoch).
 
         Must run under :attr:`_lock`.  Order matters: re-ship or
-        broadcast first (stale workers get the packet), then grow and
-        admit (new workers boot at the current epoch and need none).
+        broadcast first (stale workers get the packet), then fork up to
+        ``workers`` and admit (new workers boot at the current epoch
+        and need none).
         """
-        self._last_dispatch = self._clock()
         if self.port is not None or not self.spawn_workers:
             self._ensure_listener()
         rebind = (
@@ -1531,24 +1377,16 @@ class RemoteBackend(ExecutionBackend):
         )
         stale = self._epoch > self._fleet_epoch
         if rebind or (stale and not self._can_delta_sync(initializer)):
-            self._restart(initializer, initargs, queue_depth)
+            self._restart(initializer, initargs)
         elif stale:
             self._broadcast_sync()
         self._fleet_epoch = self._epoch
         self._deltas.clear()
         self._log_complete = True
         if self.spawn_workers:
-            # Regrow after deaths and under queue depth; then the
-            # latency policy may add one more worker on a breach.
-            local = len(self._local_workers())
-            target = min(
-                self.max_workers, max(self.min_workers, local, queue_depth)
-            )
-            for _ in range(target - local):
+            # Boot, a rebind or a death leaves fewer than ``workers``.
+            for _ in range(self.workers - len(self._local_workers())):
                 self._spawn_local()
-            if target > local:
-                self._counters["scale_ups"].inc(target - local)
-            self._apply_p99_policy(allow_shrink=False)
         elif not self._workers:
             self._await_tcp_workers()
         self._admit_pending()
@@ -1625,7 +1463,7 @@ class RemoteBackend(ExecutionBackend):
             try:
                 with self._lock:
                     workers, epoch = self._prepare_dispatch(
-                        initializer, initargs, len(items)
+                        initializer, initargs
                     )
                 if by_shard:
                     placed = [
@@ -1649,11 +1487,9 @@ class RemoteBackend(ExecutionBackend):
                     fn, items, initializer, initargs, deadline
                 )
             finally:
-                # One observation per batch against the injectable
-                # clock: the windowed p99 the latency policy reads.
-                elapsed_ms = (self._clock() - started) * 1000.0
-                self._batch_latency.observe(elapsed_ms)
-                self._registry_latency.observe(elapsed_ms)
+                self._registry_latency.observe(
+                    (self._clock() - started) * 1000.0
+                )
 
     def _degraded_batch(
         self,
@@ -2027,6 +1863,5 @@ class RemoteBackend(ExecutionBackend):
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (
             f"RemoteBackend(name={self.name!r}, workers={self.workers}, "
-            f"min_workers={self.min_workers}, max_workers={self.max_workers}, "
             f"address={self.address}, live={self.live_workers})"
         )

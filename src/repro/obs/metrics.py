@@ -33,8 +33,8 @@ flips one module-level flag that every record path checks first —
 disabled, a counter bump is a single attribute load and compare.
 Histograms accept an injectable ``clock`` and an optional sliding
 window (``window_s``) whose :meth:`Histogram.windowed_quantile` is what
-latency-targeted policies (the pool's p99 autoscaler) read, so a breach
-can *recover*: old observations age out of the window instead of
+the request server's ``retry_after_ms`` hint reads, so the hint tracks
+recent latency: old observations age out of the window instead of
 pinning the percentile forever.
 """
 
@@ -184,10 +184,10 @@ class Histogram:
 
     With ``window_s`` set the histogram additionally maintains a
     sliding window (rotated in ``window_s / 4`` slices against the
-    injectable ``clock``); :meth:`windowed_quantile` then answers "p99
-    over roughly the last ``window_s`` seconds", which is what a
-    latency-targeted autoscaler must read — cumulative percentiles can
-    never recover after a breach.
+    injectable ``clock``); :meth:`windowed_quantile` then answers "p50
+    over roughly the last ``window_s`` seconds", which is what the
+    request server's ``retry_after_ms`` hint reads — cumulative
+    percentiles can never recover after a spike.
     """
 
     __slots__ = (

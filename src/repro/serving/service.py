@@ -1016,17 +1016,13 @@ class RecommendationService:
 
         The one factory call behind the service backend and every
         per-call batch backend, so a batch backend reports into
-        :attr:`metrics` and keeps the configured autoscaling,
-        heartbeat, fingerprint and degraded-mode settings.
+        :attr:`metrics` and keeps the configured heartbeat,
+        fingerprint and degraded-mode settings.
         """
         config = self.config
         return get_backend(
             name,
             workers,
-            pool_min_workers=config.pool_min_workers or None,
-            pool_max_workers=config.pool_max_workers or None,
-            pool_idle_ttl=config.pool_idle_ttl,
-            pool_target_p99_ms=config.pool_target_p99_ms or None,
             remote_heartbeat_interval=config.remote_heartbeat_interval,
             remote_heartbeat_timeout=config.remote_heartbeat_timeout,
             remote_fingerprint=config.fingerprint(),

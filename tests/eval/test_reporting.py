@@ -61,15 +61,14 @@ class TestExperimentFormatters:
         assert "count" in rendered
 
     def test_format_serving_stats_renders_pool_counters(self):
-        """The broadcast/autoscale counters reach the serve output."""
+        """The broadcast counters reach the serve output."""
         rendered = format_serving_stats(
             {
                 "requests": {"group_requests": 2},
                 "backend": {
                     "name": "pool",
-                    "workers": 1,
+                    "workers": 4,
                     "pool": {
-                        "sync": "delta",
                         "epoch": 5,
                         "resident_epoch": 5,
                         "restarts": 2,
@@ -78,19 +77,16 @@ class TestExperimentFormatters:
                         "sync_bytes": 1188,
                         "pending_deltas": 0,
                         "live_workers": 4,
-                        "min_workers": 1,
-                        "max_workers": 4,
-                        "idle_ttl": 30.0,
-                        "scale_ups": 2,
-                        "scale_downs": 0,
                     },
                 },
             }
         )
-        assert "backend: pool (workers=1)" in rendered
-        assert "4 live workers [1..4]" in rendered
-        assert "5 broadcasts (18 messages, 1188 B)" in rendered
-        assert "scale +2/-0" in rendered
+        assert "backend: pool (workers=4)" in rendered
+        assert (
+            "pool: epoch 5 (resident 5), 4 live workers, 2 restarts, "
+            "5 broadcasts (18 messages, 1188 B)"
+        ) in rendered
+        assert "scale" not in rendered
 
     def test_format_serving_stats_without_pool_section(self):
         rendered = format_serving_stats(

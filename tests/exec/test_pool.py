@@ -40,6 +40,17 @@ def _apply_delta(delta: int) -> None:
     _STATE["value"] += delta
 
 
+#: The parent-side "live" state a serving layer would own: mutated in
+#: the parent *and* described as deltas, so a fresh fork (initializer
+#: over the live object) and a delta replay must converge on the same
+#: value.
+_LIVE: dict[str, int] = {"value": 0}
+
+
+def _boot_from_live(live: dict) -> None:
+    _STATE["value"] = live["value"]
+
+
 def _square(x: int) -> int:
     return x * x
 
@@ -80,6 +91,11 @@ class TestResidentState:
         with PoolBackend(workers=2) as backend:
             for _ in range(3):
                 assert backend.map_items(_square, [1, 2, 3]) == [1, 4, 9]
+            assert backend.restarts == 1
+            # A batch far wider than the fleet does not widen it.
+            burst = list(range(200))
+            assert backend.map_items(_square, burst) == [x * x for x in burst]
+            assert backend.live_workers == 2
             assert backend.restarts == 1
 
     def test_initializer_state_reaches_tasks(self):
@@ -310,7 +326,12 @@ class TestDeltaSync:
             assert stats["sync_messages"] == 1  # one worker, one message
             assert stats["sync_bytes"] > 0
             assert stats["live_workers"] == 1
-            assert stats["min_workers"] == stats["max_workers"] == 1
+            # The width is fixed: no scaling bounds, policy or counters.
+            for key in (
+                "min_workers", "max_workers", "idle_ttl", "target_p99_ms",
+                "batch_p99_ms", "scale_ups", "scale_downs",
+            ):
+                assert key not in stats, key
 
     def test_broadcast_is_one_message_per_worker_not_per_task(self):
         """The tentpole invariant: sync cost is O(workers), O(1) in the
@@ -451,3 +472,41 @@ class TestLocalWorkerFaults:
                 x * x for x in range(6)
             ]
             assert backend.pool_stats()["stale_results"] >= 1
+
+
+class TestBootstrapMidMutationStream:
+    def test_regrown_worker_sees_a_consistent_epoch(self):
+        """A replacement forked after a death, with deltas pending, must
+        answer from the parent's *current* state: the survivor replays
+        the broadcast packet, the replacement forks the already-mutated
+        live state at the current epoch, and both land on one value."""
+        _LIVE["value"] = 100
+        with PoolBackend(workers=2) as backend:
+            backend.bind_delta_applier(_apply_delta, _boot_from_live)
+            assert backend.map_items(
+                _read_state, [None], initializer=_boot_from_live, initargs=(_LIVE,)
+            ) == [100]
+            victim = backend._workers[0].process
+            os.kill(victim.pid, signal.SIGKILL)
+            victim.join(timeout=5.0)
+            assert not victim.is_alive()
+            # Two mutations land between batches: the parent applies
+            # them to its live state AND logs them as deltas, exactly
+            # like the serving layer's ingest path.
+            for delta in (5, 2):
+                _LIVE["value"] += delta
+                backend.notify_state_change(delta=delta)
+            result = backend.map_items(
+                _read_state,
+                [None] * 24,
+                initializer=_boot_from_live,
+                initargs=(_LIVE,),
+            )
+            assert result == [107] * 24
+            stats = backend.pool_stats()
+            assert stats["live_workers"] == 2
+            assert stats["restarts"] == 1  # regrowth is not a re-ship
+            assert stats["delta_syncs"] == 1
+            assert stats["dead_workers"] == 1
+            # Only the survivor needed the packet.
+            assert stats["sync_messages"] == 1

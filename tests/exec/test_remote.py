@@ -424,7 +424,6 @@ class TestLifecycle:
                 "handshake_rejects",
                 "heartbeat_interval",
                 "heartbeat_timeout",
-                "scale_ups",
                 "forced_stops",
                 "bootstrap_bytes",
             ):

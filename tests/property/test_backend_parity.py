@@ -53,10 +53,8 @@ from repro.similarity.peers import PeerSelector
 #: The fixed seed matrix (acceptance: >= 3 seeds).
 SEEDS = (3, 11, 29)
 
-#: Every backend, plus the re-ship and autoscaling variants, as
-#: (backend, autoscale, extras) — ``autoscale`` opens the fleet bounds
-#: (min 1, max 4) so broadcast sync runs against a fleet whose width
-#: shifts between batches.  ``extras`` overrides further config knobs:
+#: Every backend, plus its re-ship, spill and other variants, as
+#: (backend, extras) — ``extras`` overrides further config knobs:
 #: ``spill=True`` variants where workers bootstrap from the mmap'd
 #: packed spill directory instead of pickled initargs, and
 #: ``max_delta_log=0`` variants, run on an explicitly built fleet whose
@@ -68,34 +66,33 @@ SEEDS = (3, 11, 29)
 #: forked workers.  Every row must equal the oracle replay
 #: (:func:`_oracle_trace`) bit-for-bit.
 CONFIGURATIONS = (
-    ("serial", False, {}),
-    ("pool", False, {}),
-    ("pool", False, {"max_delta_log": 0}),
-    ("pool", True, {}),
-    ("pool", False, {"spill": True}),
-    ("pool", False, {"spill": True, "max_delta_log": 0}),
+    ("serial", {}),
+    ("pool", {}),
+    ("pool", {"max_delta_log": 0}),
+    ("pool", {"spill": True}),
+    ("pool", {"spill": True, "max_delta_log": 0}),
     # Strict response validation must be a pure observer: on clean
     # traffic it re-checks every served answer against the paper
     # invariants and changes nothing.
-    ("serial", False, {"validation": "strict"}),
-    ("pool", False, {"validation": "strict"}),
+    ("serial", {"validation": "strict"}),
+    ("pool", {"validation": "strict"}),
     # TCP-joined workers: HELLO/WELCOME, then state from pickled BOOT
     # frames (the mmap'd spill for the spill row) and SYNC replay over
     # loopback sockets, broadcast/re-ship × spill × strict validation,
     # including the pinned batch → ingest → batch staleness scenario.
-    ("remote", False, {}),
-    ("remote", False, {"max_delta_log": 0}),
-    ("remote", False, {"spill": True, "max_delta_log": 0}),
-    ("remote", False, {"validation": "strict"}),
-    ("remote", False, {"mixed": True}),
+    ("remote", {}),
+    ("remote", {"max_delta_log": 0}),
+    ("remote", {"spill": True, "max_delta_log": 0}),
+    ("remote", {"validation": "strict"}),
+    ("remote", {"mixed": True}),
     # Capped rows (the path every perfbench workload serves): stored
     # prefixes of max_peers + ROW_SLACK entries, with ROW_SLACK
     # lowered to 1 (see _capped_slack) so group exclusions can reach
     # past the slack and grow a prefix; the random workload's closing
     # _growth_steps make sure one does, then write to a peer only the
     # grown prefix holds.  The oracle replays with the same max_peers.
-    ("serial", False, {"max_peers": 2}),
-    ("pool", False, {"max_peers": 2}),
+    ("serial", {"max_peers": 2}),
+    ("pool", {"max_peers": 2}),
 )
 
 #: The recommendation semantics every row and the oracle share.
@@ -114,7 +111,7 @@ def _capped_slack(monkeypatch):
 def _capped_stats(index_stats: dict[tuple, dict]) -> dict[tuple, dict]:
     """The capped rows' parent index stats; each must hold truncated rows."""
     capped = {
-        key: stats for key, stats in index_stats.items() if "max_peers" in key[2]
+        key: stats for key, stats in index_stats.items() if "max_peers" in key[1]
     }
     assert capped
     for key, stats in capped.items():
@@ -256,7 +253,6 @@ def _run_script(
     payload: dict,
     script: list[tuple],
     backend: str,
-    autoscale: bool = False,
     extras: dict | None = None,
 ) -> tuple[list, dict]:
     """Replay one script against a fresh service.
@@ -283,8 +279,6 @@ def _run_script(
     config = SEMANTICS.with_overrides(
         exec_backend=backend,
         exec_workers=2,
-        pool_min_workers=1 if autoscale else 0,
-        pool_max_workers=4 if autoscale else 0,
         **overrides,
     )
     fleet = None
@@ -424,15 +418,15 @@ def _replay_all(
     """
     references: dict[int | None, list] = {None: reference}
     index_stats: dict[tuple, dict] = {}
-    for backend, autoscale, extras in CONFIGURATIONS:
+    for backend, extras in CONFIGURATIONS:
         max_peers = extras.get("max_peers")
         if max_peers not in references:
             references[max_peers] = _oracle_trace(payload, script, max_peers)
-        trace, stats = _run_script(payload, script, backend, autoscale, extras)
+        trace, stats = _run_script(payload, script, backend, extras)
         assert trace == references[max_peers], (
-            f"backend={backend} autoscale={autoscale} extras={extras} {label}"
+            f"backend={backend} extras={extras} {label}"
         )
-        index_stats[(backend, autoscale, tuple(extras))] = stats
+        index_stats[(backend, tuple(extras))] = stats
     return index_stats
 
 

@@ -164,9 +164,6 @@ class TestServeCommand:
         assert args.similarity_cache == 500_000
         assert args.relevance_cache == 10_000
         assert args.no_warm is False
-        assert args.pool_min_workers == 0  # 0 = pin at --workers
-        assert args.pool_max_workers == 0
-        assert args.pool_idle_ttl == 30.0
 
 
 class TestServeBackendsAndSnapshots:
@@ -211,44 +208,31 @@ class TestServeBackendsAndSnapshots:
         assert code == 0
         assert "throughput:" in out
 
-    def test_serve_has_no_kernel_flag(self, capsys):
-        """The packed kernels are the only compute path: no --kernel."""
+    @pytest.mark.parametrize(
+        "flag",
+        [
+            "--kernel",
+            "--shards",
+            "--pool-min-workers",
+            "--pool-max-workers",
+            "--pool-idle-ttl",
+            "--pool-target-p99-ms",
+        ],
+        ids=lambda flag: flag[2:],
+    )
+    def test_serve_rejects_deleted_flag(self, flag, capsys):
+        """The packed kernels are the only compute path (no --kernel),
+        the neighbour index is never sharded (no --shards), and the
+        worker fleet's width is --workers (no --pool-* autoscaling).
+        --backend offers serial and the worker fleet only."""
         with pytest.raises(SystemExit):
             main(["serve", "--help"])
-        assert "--kernel" not in capsys.readouterr().out
+        usage = capsys.readouterr().out
+        assert flag not in usage
+        assert "{serial,pool,remote}" in usage
         with pytest.raises(SystemExit) as exc_info:
-            main(["serve", "data.json", "-", "--kernel", "dict"])
+            main(["serve", "data.json", "-", flag, "2"])
         assert exc_info.value.code == 2
-
-    def test_serve_autoscaling_pool(self, tmp_path, capsys):
-        """The autoscaling knobs reach the pool backend end-to-end."""
-        dataset_path = self._dataset(tmp_path)
-        capsys.readouterr()
-        code = main(
-            [
-                "serve",
-                str(dataset_path),
-                "-",
-                "--synthetic-requests",
-                "8",
-                "--backend",
-                "pool",
-                "--workers",
-                "1",
-                "--pool-min-workers",
-                "1",
-                "--pool-max-workers",
-                "4",
-                "--pool-idle-ttl",
-                "0.5",
-                "--peer-threshold",
-                "0.0",
-                "--quiet",
-            ]
-        )
-        out = capsys.readouterr().out
-        assert code == 0
-        assert "throughput:" in out
 
     def test_serve_snapshot_save_then_load(self, tmp_path, capsys):
         dataset_path = self._dataset(tmp_path)
@@ -360,18 +344,6 @@ class TestServeBackendsAndSnapshots:
         assert "regular file" in captured.err
         assert "Traceback" not in captured.err
         assert snapshot_path.read_text() == "{}"
-
-    def test_serve_rejects_the_shards_flag(self, capsys):
-        """The neighbour index is never sharded: no --shards, and
-        --backend offers serial and the worker fleet only."""
-        with pytest.raises(SystemExit):
-            main(["serve", "--help"])
-        usage = capsys.readouterr().out
-        assert "--shards" not in usage
-        assert "{serial,pool,remote}" in usage
-        with pytest.raises(SystemExit) as exc_info:
-            main(["serve", "data.json", "-", "--shards", "2"])
-        assert exc_info.value.code == 2
 
     def test_no_warm_does_not_save_an_empty_snapshot(self, tmp_path, capsys):
         dataset_path = self._dataset(tmp_path)
@@ -539,30 +511,3 @@ class TestMetricsSurfaces:
         assert code == 0
         assert "# TYPE repro_group_requests_total counter" in out
         assert "# TYPE repro_request_ms summary" in out
-
-    def test_serve_pool_target_p99_reaches_the_backend(self, tmp_path, capsys):
-        dataset_path = self._dataset(tmp_path)
-        capsys.readouterr()
-        code = main(
-            [
-                "serve",
-                str(dataset_path),
-                "-",
-                "--synthetic-requests",
-                "6",
-                "--backend",
-                "pool",
-                "--workers",
-                "2",
-                "--pool-max-workers",
-                "3",
-                "--pool-target-p99-ms",
-                "250",
-                "--peer-threshold",
-                "0.0",
-                "--quiet",
-            ]
-        )
-        out = capsys.readouterr().out
-        assert code == 0
-        assert "pool p99 target: 250.0 ms" in out

@@ -93,9 +93,6 @@ class TestExecutionConfig:
         config = RecommenderConfig()
         assert config.exec_backend == "serial"
         assert config.exec_workers == 0
-        assert config.pool_min_workers == 0  # 0 = exec_workers width
-        assert config.pool_max_workers == 0
-        assert config.pool_idle_ttl == 30.0
 
     @pytest.mark.parametrize(
         "overrides",
@@ -103,49 +100,24 @@ class TestExecutionConfig:
             {"exec_backend": "gpu"},
             {"exec_workers": -1},
             {"exec_backend": "thread"},
-            {"pool_min_workers": -1},
-            {"pool_max_workers": -2},
-            {"pool_min_workers": 5, "pool_max_workers": 2},
-            {"pool_idle_ttl": 0},
-            {"pool_idle_ttl": -1.5},
         ],
     )
     def test_invalid_values_rejected(self, overrides):
         with pytest.raises(ConfigurationError):
             RecommenderConfig(**overrides)
 
-    def test_autoscaling_bounds_accepted(self):
-        config = RecommenderConfig(
-            pool_min_workers=1, pool_max_workers=8, pool_idle_ttl=0.5
-        )
-        assert config.pool_min_workers == 1
-        assert config.pool_max_workers == 8
-        assert config.pool_idle_ttl == 0.5
-
     def test_round_trip_includes_new_fields(self):
-        config = RecommenderConfig(
-            exec_backend="pool",
-            exec_workers=4,
-            pool_min_workers=2,
-            pool_max_workers=6,
-            pool_idle_ttl=12.5,
-        )
+        config = RecommenderConfig(exec_backend="pool", exec_workers=4)
         rebuilt = RecommenderConfig.from_dict(config.to_dict())
         assert rebuilt == config
 
     def test_from_dict_tolerates_old_payloads(self):
         payload = RecommenderConfig().to_dict()
-        for key in (
-            "exec_backend",
-            "exec_workers",
-            "pool_min_workers",
-            "pool_max_workers",
-            "pool_idle_ttl",
-        ):
+        for key in ("exec_backend", "exec_workers"):
             payload.pop(key)
         config = RecommenderConfig.from_dict(payload)
         assert config.exec_backend == "serial"
-        assert config.pool_max_workers == 0
+        assert config.exec_workers == 0
 
 
 class TestFingerprint:
@@ -169,9 +141,6 @@ class TestFingerprint:
             exec_backend="pool",
             exec_workers=8,
             similarity_cache_size=1,
-            pool_min_workers=1,
-            pool_max_workers=8,
-            pool_idle_ttl=5.0,
         )
         assert base.fingerprint() == tuned.fingerprint()
 
@@ -183,10 +152,12 @@ class TestFingerprint:
 class TestDeletedKnobs:
     """``kernel``, ``packed_scan``, ``packed_topk`` and ``serve_workers``
     are gone: the packed kernels are the only compute path.  So is
-    ``index_shards``: the flat neighbour index is the only index."""
+    ``index_shards``: the flat neighbour index is the only index.  So
+    are the four ``pool_*`` autoscaling knobs: the fleet's width is
+    ``exec_workers``."""
 
-    def test_config_has_24_fields(self):
-        assert len(RecommenderConfig().to_dict()) == 24
+    def test_config_has_20_fields(self):
+        assert len(RecommenderConfig().to_dict()) == 20
 
     @pytest.mark.parametrize(
         "key, value",
@@ -196,6 +167,10 @@ class TestDeletedKnobs:
             ("packed_topk", False),
             ("serve_workers", 2),
             ("index_shards", 2),
+            ("pool_min_workers", 1),
+            ("pool_max_workers", 8),
+            ("pool_idle_ttl", 30.0),
+            ("pool_target_p99_ms", 50.0),
         ],
     )
     def test_from_dict_rejects_a_deleted_knob_by_name(self, key, value):
