@@ -313,7 +313,7 @@ def _measure_bootstrap(dataset, groups) -> dict[str, float]:
                 exec_backend="pool", exec_workers=2, **overrides
             )
             service = RecommendationService(dataset, config, metrics=registry)
-            service.recommend_many(list(groups), z=5, workers=2)
+            service.recommend_many(list(groups), z=5)
             pool = (service.stats().get("backend") or {}).get("pool") or {}
             measured[label] = float(pool.get("bootstrap_bytes", 0))
             service.close()

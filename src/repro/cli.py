@@ -608,9 +608,7 @@ def _replay_requests(service, requests, args, emit) -> int:
         # spans of every request in the batch share it.
         with request_context(f"batch@{number + 1}"):
             results = service.recommend_many(
-                [request.group() for request in pending],
-                z=pending[0].z,
-                workers=args.workers,
+                [request.group() for request in pending], z=pending[0].z
             )
         for request, recommendation in zip(pending, results):
             number += 1

@@ -1,15 +1,16 @@
 """repro.exec — the execution substrate shared by every compute layer.
 
 One abstraction (:class:`~repro.exec.backends.ExecutionBackend`) with
-three backend names — serial, pool, remote — used by the
-MapReduce engine, the similarity batch builds, the neighbour index, the
-serving batch API and the evaluation grids.  All backends produce
-bit-identical results; they differ only in wall-clock and in how state
-reaches the workers.  ``"pool"`` and ``"remote"`` are one class,
-:class:`~repro.exec.remote.RemoteBackend`: resident worker processes
-speaking the frames of :mod:`repro.exec.wire`, with broadcast epoch
-sync, heartbeats, dead-peer requeue and regrowth to a fixed width
-(``docs/ARCHITECTURE.md`` has the cross-layer picture).
+three backend names — serial, pool, remote — used by the MapReduce
+engine, the recommendation service (one backend per service, for its
+index builds and batches) and the evaluation grids.  All backends
+produce bit-identical results; they differ only in wall-clock and in
+how state reaches the workers.  ``"pool"`` and ``"remote"`` are one
+class, :class:`~repro.exec.remote.RemoteBackend`: resident worker
+processes speaking the frames of :mod:`repro.exec.wire`, with
+broadcast epoch sync, heartbeats, round-robin requeue after a death
+and regrowth to a fixed width (``docs/ARCHITECTURE.md`` has the
+cross-layer picture).
 """
 
 from .backends import (
@@ -31,7 +32,6 @@ from .remote import (
     DEFAULT_MAX_DELTA_LOG,
     DEGRADED_MODES,
     FleetLossError,
-    HashRing,
     RemoteBackend,
     run_worker,
 )
@@ -46,7 +46,6 @@ __all__ = [
     "DEGRADED_MODES",
     "ExecutionBackend",
     "FleetLossError",
-    "HashRing",
     "PeerDisconnected",
     "PoolBackend",
     "RemoteBackend",

@@ -2,9 +2,9 @@
 
 The paper frames the recommender as three MapReduce jobs precisely
 because peer-set and relevance computation dominate at scale — yet the
-engine, the similarity batch builds, the serving fan-out and the eval
-grids each hand-rolled their own (mostly serial) execution.  This
-module is the single substrate they all share:
+engine, the serving fan-out and the eval grids each hand-rolled their
+own (mostly serial) execution.  This module is the single substrate
+they all share:
 
 * :class:`SerialBackend` — a plain loop; the reference semantics.
 * :class:`~repro.exec.remote.RemoteBackend` — the worker fleet, for
@@ -148,28 +148,6 @@ class ExecutionBackend(ABC):
         between tasks — never mid-task — so no partial result is ever
         recorded.
         """
-
-    def map_partitions(
-        self,
-        fn: Callable[[T], R],
-        partitions: Sequence[T],
-        *,
-        initializer: Callable[..., None] | None = None,
-        initargs: tuple[Any, ...] = (),
-        deadline: Deadline | None = None,
-    ) -> list[R]:
-        """Apply ``fn`` to whole partitions, one task per partition."""
-        if deadline is not None:
-            return self.map_items(
-                fn,
-                partitions,
-                initializer=initializer,
-                initargs=initargs,
-                deadline=deadline,
-            )
-        return self.map_items(
-            fn, partitions, initializer=initializer, initargs=initargs
-        )
 
     def notify_state_change(self, delta: Any = None) -> int:
         """Report that per-worker state mutated since the last dispatch.

@@ -24,22 +24,21 @@ After the join there is one code path for every worker:
   a ``TASK`` written after the ``SYNC`` is read after it.  Without a
   usable delta (an undescribed mutation, a log past ``max_delta_log``,
   a new initializer or initargs) the fleet is re-shipped instead;
-* ``map_items`` places chunk *i* on live worker *i mod width*;
-  ``map_partitions`` places partition *N* by its ``shard-N`` key on a
-  consistent-hash ring (:class:`HashRing`), so each MapReduce partition
-  sticks to one worker across batches;
+* ``map_items`` places chunk *i* on live worker *i mod width*, the
+  one placement rule for every caller (MapReduce partitions included);
 * workers stream tagged ``RESULT`` frames plus ``HEARTBEAT`` beacons.
   A worker whose stream ends, tears a frame or stays silent past
   ``heartbeat_timeout`` is declared dead and its unanswered items are
-  **requeued** onto their ring owners among the survivors, so the batch
-  stays bit-identical while one worker lives.  Losing every worker
-  raises :class:`FleetLossError`, or serves the batch in-process under
+  **requeued** round-robin onto the survivors, so the batch stays
+  bit-identical while one worker lives.  Losing every worker raises
+  :class:`FleetLossError`, or serves the batch in-process under
   ``degraded_mode="serial"``;
 * a ``deadline`` is checked between collect rounds.
 
 The fleet has a **fixed width**: ``workers`` local workers, forked at
-the first dispatch or a rebind and regrown to that width after a death.
-Load never resizes it.
+the first dispatch or a rebind and regrown to that width after a death
+(a local worker found dead between batches is replaced before the next
+one runs).  Load never resizes it.
 
 Results are bit-identical to the serial backend as long as every
 mutation of the state behind the resident copies is reported: skipping
@@ -49,8 +48,6 @@ boot-time snapshot.  ``docs/ARCHITECTURE.md`` has the sequence diagram.
 
 from __future__ import annotations
 
-import bisect
-import hashlib
 import multiprocessing
 import pickle
 import queue
@@ -204,84 +201,6 @@ class FleetLossError(ExecutionError):
     fallback (``degraded_mode="serial"``) catches exactly this type —
     single-worker failures with survivors requeue instead.
     """
-
-
-class HashRing:
-    """Consistent hashing over a mutable set of node names.
-
-    Each node is mapped to ``replicas`` pseudo-random points on a ring
-    (MD5 of ``"node#i"`` — stable across processes and Python hash
-    seeds); a key is owned by the first node point at or after the
-    key's own point.  Removing a node re-homes only that node's keys —
-    which is exactly the requeue story: when a worker dies, its chunks
-    move to their next ring owner while every other placement is
-    untouched.
-
-    >>> ring = HashRing()
-    >>> ring.add("w0"); ring.add("w1")
-    >>> owner = ring.lookup("chunk-3")
-    >>> owner in ("w0", "w1")
-    True
-    """
-
-    def __init__(self, replicas: int = 64) -> None:
-        if replicas < 1:
-            raise ConfigurationError("replicas must be >= 1")
-        self._replicas = replicas
-        self._points: list[int] = []
-        self._owners: dict[int, str] = {}
-        self._nodes: set[str] = set()
-
-    @staticmethod
-    def _hash(data: str) -> int:
-        return int.from_bytes(
-            hashlib.md5(data.encode("utf-8")).digest()[:8], "big"
-        )
-
-    @property
-    def nodes(self) -> frozenset[str]:
-        """The current node names."""
-        return frozenset(self._nodes)
-
-    def __len__(self) -> int:
-        return len(self._nodes)
-
-    def add(self, node: str) -> None:
-        """Add ``node`` (idempotent)."""
-        if node in self._nodes:
-            return
-        self._nodes.add(node)
-        for replica in range(self._replicas):
-            point = self._hash(f"{node}#{replica}")
-            # Ties between distinct nodes are astronomically unlikely
-            # (64-bit points); first-added keeps the point.
-            if point not in self._owners:
-                bisect.insort(self._points, point)
-                self._owners[point] = node
-
-    def remove(self, node: str) -> None:
-        """Remove ``node`` (idempotent); its keys re-home to successors."""
-        if node not in self._nodes:
-            return
-        self._nodes.discard(node)
-        self._points = [
-            point for point in self._points if self._owners[point] != node
-        ]
-        self._owners = {
-            point: owner
-            for point, owner in self._owners.items()
-            if owner != node
-        }
-
-    def lookup(self, key: str) -> str | None:
-        """The node owning ``key``, or ``None`` on an empty ring."""
-        if not self._points:
-            return None
-        point = self._hash(key)
-        index = bisect.bisect_left(self._points, point)
-        if index == len(self._points):
-            index = 0
-        return self._owners[self._points[index]]
 
 
 # -- worker side -------------------------------------------------------------
@@ -678,16 +597,6 @@ def _local_worker_main(
 # -- parent side -------------------------------------------------------------
 
 
-class _Chunk:
-    """One in-flight task chunk: its ring key and unanswered pairs."""
-
-    __slots__ = ("key", "pairs")
-
-    def __init__(self, key: str, pairs: Iterable[tuple[int, Any]]) -> None:
-        self.key = key
-        self.pairs: dict[int, Any] = dict(pairs)
-
-
 class _Worker:
     """Parent-side handle of one worker: its stream, plus its process if local."""
 
@@ -713,14 +622,9 @@ class _Worker:
         #: ``None`` for TCP workers.
         self.process = process
         self.last_seen = 0.0
-        #: chunk_id -> :class:`_Chunk` with result-pending pairs.
-        self.chunks: dict[int, _Chunk] = {}
+        #: chunk_id -> {input index: item} of result-pending pairs.
+        self.chunks: dict[int, dict[int, Any]] = {}
         self.counted_rx = 0
-
-    @property
-    def node(self) -> str:
-        """This worker's ring node name."""
-        return f"worker-{self.worker_id}"
 
 
 class RemoteBackend(ExecutionBackend):
@@ -782,8 +686,9 @@ class RemoteBackend(ExecutionBackend):
     The resident state is bound by the first dispatch's ``initializer``
     and ``initargs``.  A later dispatch with a different initializer or
     initargs tuple (compared by identity) rebinds: local workers are
-    re-forked and TCP workers re-booted, so one backend can serve the
-    index build and the batch path in turn.
+    re-forked and TCP workers re-booted, so one backend can serve two
+    state owners in turn (two services sharing one fleet hand it over
+    this way).
     """
 
     requires_pickling = True
@@ -874,7 +779,6 @@ class RemoteBackend(ExecutionBackend):
         self._accept_thread: threading.Thread | None = None
         self._pending: list[_Worker] = []
         self._workers: list[_Worker] = []
-        self._ring = HashRing()
         self._next_worker_id = 0
         self._bound_init: Callable[..., None] | None = None
         self._bound_initargs: tuple[Any, ...] = ()
@@ -1098,10 +1002,9 @@ class RemoteBackend(ExecutionBackend):
         and the live and pending widths.
 
         The counters are read from :attr:`metrics`, so they are per
-        registry, not per fleet: fleets sharing a registry (a service
-        and the per-call batch fleets it builds) report each other's
-        re-ships and faults.  The epochs and widths are this fleet's
-        own.
+        registry, not per fleet: fleets sharing a registry report each
+        other's re-ships and faults.  The epochs and widths are this
+        fleet's own.
         """
         with self._lock:
             stats: dict[str, Any] = {
@@ -1173,7 +1076,6 @@ class RemoteBackend(ExecutionBackend):
         )
         worker.last_seen = self._clock()
         self._workers.append(worker)
-        self._ring.add(worker.node)
 
     def _initargs_bytes(self) -> int:
         """Pickled size of the bound initargs — the per-worker ship cost.
@@ -1244,7 +1146,6 @@ class RemoteBackend(ExecutionBackend):
         """Drop a live worker outside a batch (no chunks to requeue)."""
         if worker in self._workers:
             self._workers.remove(worker)
-        self._ring.remove(worker.node)
         self._reap(worker)
         self._counters["dead_workers"].inc()
 
@@ -1269,7 +1170,6 @@ class RemoteBackend(ExecutionBackend):
         local = self._local_workers()
         for worker in local:
             self._workers.remove(worker)
-            self._ring.remove(worker.node)
         self._stop_workers(local)
         self._bound_init = initializer
         self._bound_initargs = initargs
@@ -1338,7 +1238,6 @@ class RemoteBackend(ExecutionBackend):
         """Boot one parked TCP worker into the live fleet (under _lock)."""
         if self._send_boot(worker):
             self._workers.append(worker)
-            self._ring.add(worker.node)
         else:
             worker.conn.close()
 
@@ -1363,11 +1262,15 @@ class RemoteBackend(ExecutionBackend):
     ) -> tuple[list[_Worker], int]:
         """Bring the fleet to the current epoch; returns (workers, epoch).
 
-        Must run under :attr:`_lock`.  Order matters: re-ship or
-        broadcast first (stale workers get the packet), then fork up to
-        ``workers`` and admit (new workers boot at the current epoch
-        and need none).
+        Must run under :attr:`_lock`.  Order matters: drop the local
+        workers that died since the last batch (they get no packet),
+        re-ship or broadcast (stale workers get the packet), then fork
+        up to ``workers`` and admit (new workers boot at the current
+        epoch and need none).
         """
+        for worker in self._local_workers():
+            if not worker.process.is_alive():
+                self._discard_worker(worker)
         if self.port is not None or not self.spawn_workers:
             self._ensure_listener()
         rebind = (
@@ -1420,28 +1323,7 @@ class RemoteBackend(ExecutionBackend):
         failing item once the batch drains; a worker lost mid-batch has
         its unanswered items requeued onto the survivors.
         """
-        return self._dispatch(
-            fn, list(items), initializer, initargs, deadline, by_shard=False
-        )
-
-    def map_partitions(
-        self,
-        fn: Callable[[T], R],
-        partitions: Sequence[T],
-        *,
-        initializer: Callable[..., None] | None = None,
-        initargs: tuple[Any, ...] = (),
-        deadline: Deadline | None = None,
-    ) -> list[R]:
-        """One task per partition, placed by ``shard-N`` ring keys.
-
-        Stable keys mean partition ``N`` of a MapReduce job lands on
-        the same worker for every batch while the fleet is unchanged,
-        and a fleet change re-homes only the dead worker's partitions.
-        """
-        return self._dispatch(
-            fn, list(partitions), initializer, initargs, deadline, by_shard=True
-        )
+        return self._dispatch(fn, list(items), initializer, initargs, deadline)
 
     def _dispatch(
         self,
@@ -1450,7 +1332,6 @@ class RemoteBackend(ExecutionBackend):
         initializer: Callable[..., None] | None,
         initargs: tuple[Any, ...],
         deadline: Deadline | None,
-        by_shard: bool,
     ) -> list[Any]:
         """Prepare the fleet, place ``items``, run the batch (or degrade)."""
         if not items:
@@ -1465,20 +1346,14 @@ class RemoteBackend(ExecutionBackend):
                     workers, epoch = self._prepare_dispatch(
                         initializer, initargs
                     )
-                if by_shard:
-                    placed = [
-                        (None, f"shard-{position}", [(position, item)])
-                        for position, item in enumerate(items)
-                    ]
-                else:
-                    chunks = chunk_evenly(
-                        list(enumerate(items)),
-                        min(len(items), len(workers) * _CHUNKS_PER_WORKER),
-                    )
-                    placed = [
-                        (workers[position % len(workers)], f"chunk-{position}", chunk)
-                        for position, chunk in enumerate(chunks)
-                    ]
+                chunks = chunk_evenly(
+                    list(enumerate(items)),
+                    min(len(items), len(workers) * _CHUNKS_PER_WORKER),
+                )
+                placed = [
+                    (workers[position % len(workers)], chunk)
+                    for position, chunk in enumerate(chunks)
+                ]
                 return self._run_batch(fn, placed, epoch, len(items), deadline)
             except FleetLossError:
                 if self.degraded_mode != "serial":
@@ -1535,20 +1410,10 @@ class RemoteBackend(ExecutionBackend):
             results.append(fn(item))
         return results
 
-    def _worker_for(self, key: str) -> _Worker:
-        """The live worker owning ``key`` on the ring (under _lock)."""
-        node = self._ring.lookup(key)
-        for worker in self._workers:
-            if worker.node == node:
-                return worker
-        raise ExecutionError(
-            f"hash ring owner {node!r} for key {key!r} has no live worker"
-        )
-
     def _run_batch(
         self,
         fn: Callable[..., Any],
-        placed: list[tuple[_Worker | None, str, list[tuple[int, Any]]]],
+        placed: list[tuple[_Worker, list[tuple[int, Any]]]],
         epoch: int,
         expected: int,
         deadline: Deadline | None = None,
@@ -1562,11 +1427,9 @@ class RemoteBackend(ExecutionBackend):
         abort) can never alias a chunk of the next batch.
         """
         with self._lock:
-            sends: list[tuple[_Worker, int, str, list[tuple[int, Any]]]] = []
-            for worker, key, pairs in placed:
-                sends.append(
-                    (worker or self._worker_for(key), self._chunk_seq, key, pairs)
-                )
+            sends: list[tuple[_Worker, int, list[tuple[int, Any]]]] = []
+            for worker, pairs in placed:
+                sends.append((worker, self._chunk_seq, pairs))
                 self._chunk_seq += 1
         try:
             frames = [
@@ -1574,7 +1437,7 @@ class RemoteBackend(ExecutionBackend):
                     Task(chunk_id=chunk_id, fn=fn, pairs=tuple(pairs), epoch=epoch),
                     self.max_frame_bytes,
                 )
-                for _worker, chunk_id, _key, pairs in sends
+                for _worker, chunk_id, pairs in sends
             ]
         except WireError as exc:
             raise ExecutionError(
@@ -1582,10 +1445,10 @@ class RemoteBackend(ExecutionBackend):
                 f"serialise a chunk for {fn!r}: {exc}"
             ) from exc
         with self._lock:
-            for worker, chunk_id, key, pairs in sends:
-                worker.chunks[chunk_id] = _Chunk(key, pairs)
+            for worker, chunk_id, pairs in sends:
+                worker.chunks[chunk_id] = dict(pairs)
         failed: list[_Worker] = []
-        for (worker, _chunk_id, _key, _pairs), frame in zip(sends, frames):
+        for (worker, _chunk_id, _pairs), frame in zip(sends, frames):
             if worker in failed:
                 continue  # its chunks requeue through the failure path
             try:
@@ -1722,8 +1585,8 @@ class RemoteBackend(ExecutionBackend):
         if isinstance(message, TaskResult):
             chunk = worker.chunks.get(message.chunk_id)
             if chunk is not None:
-                chunk.pairs.pop(message.index, None)
-                if not chunk.pairs:
+                chunk.pop(message.index, None)
+                if not chunk:
                     del worker.chunks[message.chunk_id]
                 if (
                     message.index not in values
@@ -1764,9 +1627,9 @@ class RemoteBackend(ExecutionBackend):
     ) -> None:
         """Declare ``worker`` dead mid-batch and requeue its task items.
 
-        The dead worker leaves the ring (a local one is killed if still
-        running, and reaped), each of its in-flight chunks re-resolves
-        through its ring key onto a survivor, and the unanswered pairs
+        The dead worker leaves the fleet (a local one is killed if still
+        running, and reaped), its in-flight chunks go round-robin (by
+        their new chunk id) onto the survivors, and the unanswered pairs
         are re-sent at the same epoch — survivors share the broadcast
         state, so requeued results are bit-identical.  With no
         survivors left the batch fails loudly with
@@ -1776,7 +1639,6 @@ class RemoteBackend(ExecutionBackend):
             if worker not in self._workers:
                 return
             self._workers.remove(worker)
-            self._ring.remove(worker.node)
             self._breaker.record_failure(worker.host)
             self._faulted_hosts.add(worker.host)
         try:
@@ -1791,7 +1653,7 @@ class RemoteBackend(ExecutionBackend):
             chunk = queue.pop(0)
             remaining = [
                 (index, item)
-                for index, item in chunk.pairs.items()
+                for index, item in chunk.items()
                 if index not in values and index not in failures
             ]
             if not remaining:
@@ -1803,10 +1665,10 @@ class RemoteBackend(ExecutionBackend):
                         f"({reason}) and no workers survive to requeue "
                         f"task items for {fn!r}"
                     )
-                target = self._worker_for(chunk.key)
                 chunk_id = self._chunk_seq
                 self._chunk_seq += 1
-                requeued = _Chunk(chunk.key, remaining)
+                target = self._workers[chunk_id % len(self._workers)]
+                requeued = dict(remaining)
                 target.chunks[chunk_id] = requeued
             try:
                 self._send(
@@ -1841,7 +1703,6 @@ class RemoteBackend(ExecutionBackend):
                 workers = self._workers + self._pending
                 self._workers = []
                 self._pending = []
-                self._ring = HashRing()
                 listener, self._listener = self._listener, None
                 accept_thread, self._accept_thread = self._accept_thread, None
                 self._booted = False

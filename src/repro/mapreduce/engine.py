@@ -276,8 +276,10 @@ class MapReduceEngine:
 
         partitions = self._shuffle(job, intermediate)
 
+        # One task item per partition; outputs come back in partition
+        # order, so concatenating them reproduces the serial output.
         if job.combiner is not None:
-            combined = self.backend.map_partitions(
+            combined = self.backend.map_items(
                 functools.partial(_combine_partition, job.combiner, job.name),
                 partitions,
             )
@@ -287,7 +289,7 @@ class MapReduceEngine:
                 counters.combine_output_records += out_records
                 partitions.append(groups)
 
-        reduced_partitions = self.backend.map_partitions(
+        reduced_partitions = self.backend.map_items(
             functools.partial(_reduce_partition, job.reducer, job.name),
             partitions,
         )

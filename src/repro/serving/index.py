@@ -24,7 +24,9 @@ the index exactly equivalent to
   answers a change to ``u`` can stale;
 * rows are built through the measure's (batched, possibly cached)
   :meth:`~repro.similarity.base.UserSimilarity.similarities`, whose
-  scores are bit-identical to the pairwise path.
+  scores are bit-identical to the pairwise path — in this process, or
+  by whatever computes them for :meth:`NeighborIndex.build` (the
+  serving layer's worker fleet).
 
 After ``u``'s data changed, :meth:`NeighborIndex.refresh_user` rebuilds
 ``u``'s row with one batch, takes ``simU(v, u)`` for every other ``v``
@@ -38,10 +40,9 @@ from __future__ import annotations
 import heapq
 import threading
 from bisect import insort
-from typing import Collection, Iterable, Mapping
+from typing import Callable, Collection, Iterable, Mapping
 
 from ..data.ratings import RatingMatrix
-from ..exec import ExecutionBackend, chunk_evenly, resolve_backend
 from ..similarity.base import UserSimilarity
 from ..similarity.peers import Peer
 
@@ -51,33 +52,6 @@ from ..similarity.peers import Peer
 #: which rows are truncated (see :meth:`NeighborIndex.load_rows`), so
 #: raising it would load truncated rows of older snapshots as complete.
 ROW_SLACK = 16
-
-#: Per-process worker state for process-backend builds: each worker
-#: holds its own index over the shipped (fork-inherited) matrix and
-#: measure plus the parent's row limit, and returns already-thresholded
-#: peer rows — raw O(n²) score tables never cross back to the parent.
-_BUILD_WORKER: "tuple[NeighborIndex, int | None] | None" = None
-
-
-def _init_build_worker(
-    matrix: RatingMatrix,
-    similarity: UserSimilarity,
-    threshold: float,
-    limit: int | None,
-) -> None:
-    global _BUILD_WORKER
-    _BUILD_WORKER = (NeighborIndex(matrix, similarity, threshold), limit)
-
-
-def _build_rows_task(
-    user_chunk: list[str],
-) -> list[tuple[str, list[Peer], bool]]:
-    assert _BUILD_WORKER is not None
-    index, limit = _BUILD_WORKER
-    return [
-        (user_id, *index._compute_row(user_id, limit)) for user_id in user_chunk
-    ]
-
 
 def _sort_key(peer: Peer) -> tuple[float, str]:
     return (-peer.similarity, peer.user_id)
@@ -173,16 +147,20 @@ class NeighborIndex:
     def build(
         self,
         user_ids: Iterable[str] | None = None,
-        backend: "ExecutionBackend | str | None" = None,
+        compute: (
+            Callable[[list[str], int | None], Iterable[tuple[str, list[Peer], bool]]]
+            | None
+        ) = None,
     ) -> int:
         """Eagerly index ``user_ids`` (default: every user of the matrix).
 
         Returns the number of rows built.  Already-indexed users are
-        skipped, so repeated calls are cheap.  The missing rows fan out
-        per user through ``backend``; each task thresholds and cuts its
-        own row, so only peer rows (not O(users²) raw score tables) are
-        ever held at once.  The rows are bit-identical for every
-        backend, serial included.
+        skipped, so repeated calls are cheap.  Each row is thresholded
+        and cut as it is computed, so only peer rows (not O(users²) raw
+        score tables) are ever held at once.  ``compute`` replaces the
+        in-process row builds: it receives the missing user ids and the
+        row limit and returns ``(user_id, row, truncated)`` entries,
+        which must be bit-identical to this index's own.
         """
         targets = list(user_ids) if user_ids is not None else self.matrix.user_ids()
         with self._lock:
@@ -194,27 +172,11 @@ class NeighborIndex:
             ]
         if not missing:
             return 0
-        backend = resolve_backend(backend)
         limit = self._limit()
-        if backend.requires_pickling:
-            chunks = chunk_evenly(missing, max(1, backend.workers * 4))
-            row_chunks = backend.map_items(
-                _build_rows_task,
-                chunks,
-                initializer=_init_build_worker,
-                initargs=(
-                    self.matrix,
-                    self.similarity.picklable_measure(),
-                    self.threshold,
-                    limit,
-                ),
-            )
-            computed = [entry for chunk in row_chunks for entry in chunk]
+        if compute is None:
+            computed = [(uid, *self._compute_row(uid, limit)) for uid in missing]
         else:
-            rows = backend.map_items(
-                lambda user_id: self._compute_row(user_id, limit), missing
-            )
-            computed = [(uid, *row) for uid, row in zip(missing, rows)]
+            computed = compute(missing, limit)
         built = 0
         with self._lock:
             for user_id, row, truncated in computed:

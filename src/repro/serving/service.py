@@ -19,7 +19,7 @@ façade:
   list changed, and the users that count the touched user as a peer
   lose cached state;
 * :meth:`recommend_many` answers a batch of group requests, sharing
-  peer rows across overlapping groups, optionally on the worker fleet;
+  peer rows across overlapping groups, on the service's one backend;
 * :meth:`cached_group` / :meth:`cached_user` are the one cache-hit
   path of group and user requests; with ``wait=False`` they never
   compute and never wait for the data lock, which is how the request
@@ -58,7 +58,7 @@ from ..data.groups import Group
 from ..data.serialization import atomic_write
 from ..data.users import User
 from ..exceptions import ExecutionError, ValidationError
-from ..exec import ExecutionBackend, get_backend
+from ..exec import ExecutionBackend, chunk_evenly, get_backend
 from ..kernels import (
     SpillError,
     attach_spill,
@@ -72,7 +72,7 @@ from ..obs import MetricsRegistry, get_registry, span
 from ..resilience import Deadline
 from ..similarity.base import UserSimilarity
 from ..validation import validate_group_response, validate_user_response
-from ..similarity.peers import peers_as_mapping
+from ..similarity.peers import Peer, peers_as_mapping
 from .cache import CachedSimilarity, ScoreCache
 from .index import NeighborIndex
 from .snapshot import (
@@ -143,14 +143,14 @@ class _ReadWriteLock:
 
 # -- worker-fleet state ------------------------------------------------------
 #
-# ``recommend_many`` under the pool/remote worker fleet builds one
-# service per worker (from the dataset/config of the backend
-# initializer) and answers group requests from it.  The warm/cold
-# bit-identity invariant makes the worker's answers equal to the
-# parent's.  The worker service stays resident between batches;
-# ``_apply_serve_delta`` replays the parent's rating/profile mutations
-# into it so an epoch-stale worker converges on exactly the parent's
-# state.
+# On the pool/remote worker fleet each worker holds one resident
+# service (from the dataset/config of the backend initializer);
+# ``warm`` builds index rows and ``recommend_many`` answers group
+# requests from it.  The warm/cold bit-identity invariant makes the
+# worker's answers equal to the parent's.  The worker service stays
+# resident between batches; ``_apply_serve_delta`` replays the
+# parent's rating/profile mutations into it so an epoch-stale worker
+# converges on exactly the parent's state.
 
 _SERVE_WORKER: "RecommendationService | None" = None
 
@@ -288,6 +288,16 @@ def _serve_group_task(
     return _SERVE_WORKER.recommend_group(group, z=z)
 
 
+def _build_rows_task(
+    spec: tuple[list[str], int | None],
+) -> list[tuple[str, list[Peer], bool]]:
+    """``(user_id, row, truncated)`` for one chunk of users, cut at ``limit``."""
+    user_ids, limit = spec
+    assert _SERVE_WORKER is not None
+    index = _SERVE_WORKER.index
+    return [(user_id, *index._compute_row(user_id, limit)) for user_id in user_ids]
+
+
 def _apply_serve_delta(delta: tuple) -> None:
     """Replay one parent-side mutation into the resident worker service.
 
@@ -335,8 +345,9 @@ class RecommendationService:
         Optional pre-built similarity measure; defaults to the one the
         config selects.
     backend:
-        Execution backend (instance or name) for index builds and batch
-        requests; defaults to the config's ``exec_backend``.
+        The service's one execution backend (instance or name) for
+        index builds and batch requests, bound for the service's
+        lifetime; defaults to the config's ``exec_backend``.
     metrics:
         The :class:`~repro.obs.MetricsRegistry` every service-side
         counter, cache statistic, latency histogram and span records
@@ -372,8 +383,14 @@ class RecommendationService:
         if isinstance(backend, ExecutionBackend):
             self.backend = backend
         else:
-            self.backend = self._make_backend(
-                backend or config.exec_backend, config.exec_workers or None
+            self.backend = get_backend(
+                backend or config.exec_backend,
+                config.exec_workers or None,
+                remote_heartbeat_interval=config.remote_heartbeat_interval,
+                remote_heartbeat_timeout=config.remote_heartbeat_timeout,
+                remote_fingerprint=config.fingerprint(),
+                degraded_mode=config.degraded_mode,
+                metrics=self.metrics,
             )
         # A worker fleet keeps a resident worker service between
         # batches; teach it how to replay this service's mutations so
@@ -427,14 +444,6 @@ class RecommendationService:
         # initargs by element identity to decide whether their resident
         # workers were built from *this* service's state.
         self._serve_initargs: tuple | None = None
-        # Mutations applied so far, and what each caller-held pool has
-        # seen of them — used to force a re-ship on per-call backends
-        # that missed an update (their epoch counter only hears about
-        # mutations from the service that owns them).
-        self._mutations = 0
-        self._foreign_pools: "weakref.WeakKeyDictionary[ExecutionBackend, int]" = (
-            weakref.WeakKeyDictionary()
-        )
         # Request counters and latency histograms live in the registry;
         # stats() is a view over them.  The counter handles are cached
         # so the request paths pay one attribute load, not a registry
@@ -575,41 +584,31 @@ class RecommendationService:
 
     # -- warm-up -------------------------------------------------------------
 
-    def warm(
-        self,
-        user_ids: Iterable[str] | None = None,
-        backend: ExecutionBackend | str | None = None,
-    ) -> int:
+    def warm(self, user_ids: Iterable[str] | None = None) -> int:
         """Precompute peer rows (and nothing else); returns rows built.
 
-        The per-user row builds fan out on ``backend`` (default: the
-        service backend) — rows are bit-identical for every backend.
+        On a worker fleet the resident serve workers compute the rows,
+        so the fleet stays bound to the one state the batch path uses;
+        the serial backend builds them in-process.  Rows are
+        bit-identical for every backend.
         """
-        if isinstance(backend, ExecutionBackend):
-            self._sync_foreign_pool(backend)
+        compute = self._fleet_rows if self.backend.requires_pickling else None
         with self._data_lock.read():
             with span("warm_index", self.metrics):
-                return self.index.build(
-                    user_ids,
-                    backend=backend if backend is not None else self.backend,
-                )
+                return self.index.build(user_ids, compute)
 
-    def _sync_foreign_pool(self, backend: ExecutionBackend) -> None:
-        """Make a caller-held backend safe to dispatch this service's work.
-
-        The service reports its mutations to ``self.backend`` as they
-        happen; a pool instance handed in per call has missed any that
-        occurred since its last use here, so its resident workers may
-        hold pre-mutation state.  Bumping its epoch (with no delta —
-        this service's deltas were never logged there) forces a full
-        re-ship exactly when a mutation slipped in between its uses,
-        while leaving true steady-state reuse intact.
-        """
-        if backend is self.backend:
-            return
-        if self._foreign_pools.get(backend) != self._mutations:
-            backend.notify_state_change()
-            self._foreign_pools[backend] = self._mutations
+    def _fleet_rows(
+        self, user_ids: list[str], limit: int | None
+    ) -> list[tuple[str, list[Peer], bool]]:
+        """Compute peer rows on the serve workers, four chunks per worker."""
+        chunks = chunk_evenly(user_ids, max(1, self.backend.workers * 4))
+        row_chunks = self.backend.map_items(
+            _build_rows_task,
+            [(chunk, limit) for chunk in chunks],
+            initializer=_init_serve_worker,
+            initargs=self._worker_initargs(),
+        )
+        return [entry for chunk in row_chunks for entry in chunk]
 
     # -- packed spill --------------------------------------------------------
 
@@ -957,21 +956,18 @@ class RecommendationService:
         self,
         groups: Sequence[Group],
         z: int | None = None,
-        workers: int | None = None,
-        backend: ExecutionBackend | str | None = None,
+        *,
         deadline: Deadline | None = None,
     ) -> list[CaregiverRecommendation]:
         """Answer a batch of group requests, in input order.
 
         Identical groups in the batch are computed once; overlapping
-        groups share the members' stored peer rows.  The backend is the
-        explicit ``backend`` argument, else the service backend;
-        ``workers`` sets the width of a worker fleet and is ignored by
-        the serial backend, which answers the groups one by one.  On
-        the **pool / remote** fleet each resident worker process holds
-        the dataset and config and computes groups CPU-parallel;
-        results are bit-identical (the warm/cold invariant) and are
-        folded back into this service's group cache.
+        groups share the members' stored peer rows.  The serial backend
+        answers the groups one by one.  On the **pool / remote** fleet
+        each resident worker process holds the dataset and config and
+        computes groups CPU-parallel; results are bit-identical (the
+        warm/cold invariant) and are folded back into this service's
+        group cache.
 
         A ``deadline`` (see :class:`~repro.resilience.Deadline`) caps
         the whole batch end-to-end: it is checked on entry, between
@@ -986,70 +982,23 @@ class RecommendationService:
         distinct: dict[tuple[str, ...], Group] = {}
         for group in groups:
             distinct.setdefault(tuple(group.member_ids), group)
-        resolved, owned = self._batch_backend(workers, backend)
-        try:
-            with span(
-                "recommend_many",
-                self.metrics,
-                groups=len(groups),
-                distinct=len(distinct),
-                backend=resolved.name,
-            ):
-                if len(distinct) <= 1 or not resolved.requires_pickling:
-                    results = {
-                        key: self.recommend_group(
-                            group, z_value, deadline=deadline
-                        )
-                        for key, group in distinct.items()
-                    }
-                else:
-                    results = self._recommend_many_process(
-                        distinct, z_value, resolved, deadline
-                    )
-        finally:
-            if owned:
-                resolved.close()
-        return [results[tuple(group.member_ids)] for group in groups]
-
-    def _make_backend(self, name: str, workers: int | None) -> ExecutionBackend:
-        """Build a backend by name with this service's config knobs.
-
-        The one factory call behind the service backend and every
-        per-call batch backend, so a batch backend reports into
-        :attr:`metrics` and keeps the configured heartbeat,
-        fingerprint and degraded-mode settings.
-        """
-        config = self.config
-        return get_backend(
-            name,
-            workers,
-            remote_heartbeat_interval=config.remote_heartbeat_interval,
-            remote_heartbeat_timeout=config.remote_heartbeat_timeout,
-            remote_fingerprint=config.fingerprint(),
-            degraded_mode=config.degraded_mode,
-            metrics=self.metrics,
-        )
-
-    def _batch_backend(
-        self,
-        workers: int | None,
-        backend: ExecutionBackend | str | None,
-    ) -> tuple[ExecutionBackend, bool]:
-        """Pick the batch backend; ``owned`` means close it afterwards."""
-        if backend is not None:
-            if isinstance(backend, ExecutionBackend):
-                self._sync_foreign_pool(backend)
-                return backend, False
-            return self._make_backend(backend, workers), True
-        if (
-            self.backend.name != "serial"
-            and workers is not None
-            and workers != self.backend.workers
+        with span(
+            "recommend_many",
+            self.metrics,
+            groups=len(groups),
+            distinct=len(distinct),
+            backend=self.backend.name,
         ):
-            # An explicit per-call width wins over the service default
-            # — spin up a same-kind fleet for this batch.
-            return self._make_backend(self.backend.name, workers), True
-        return self.backend, False
+            if len(distinct) <= 1 or not self.backend.requires_pickling:
+                results = {
+                    key: self.recommend_group(group, z_value, deadline=deadline)
+                    for key, group in distinct.items()
+                }
+            else:
+                results = self._recommend_many_process(
+                    distinct, z_value, deadline
+                )
+        return [results[tuple(group.member_ids)] for group in groups]
 
     def _worker_initargs(self) -> tuple:
         """The (cached) initializer arguments for serve worker processes.
@@ -1080,11 +1029,14 @@ class RecommendationService:
                 # Workers skip response validation: the parent validates
                 # every folded-back answer at its own boundary, so a
                 # worker-side re-check would double the cost without
-                # adding coverage.
+                # adding coverage.  Their pair-score cache is off: row
+                # builds would fill it, and its contract keeps scores
+                # bit-identical either way.
                 self.config.with_overrides(
                     exec_backend="serial",
                     exec_workers=0,
                     validation="off",
+                    similarity_cache_size=0,
                 ),
                 self.selector_name,
                 None if spill_boot else self.similarity.picklable_measure(),
@@ -1095,7 +1047,6 @@ class RecommendationService:
         self,
         distinct: dict[tuple[str, ...], Group],
         z: int,
-        backend: ExecutionBackend,
         deadline: Deadline | None = None,
     ) -> dict[tuple[str, ...], CaregiverRecommendation]:
         """Fan distinct groups out to worker processes.
@@ -1119,7 +1070,7 @@ class RecommendationService:
             epoch = self.group_cache.epoch
             with span(
                 "exec_dispatch", self.metrics,
-                backend=backend.name, tasks=len(missing),
+                backend=self.backend.name, tasks=len(missing),
             ):
                 # The deadline kwarg is only forwarded when one is set:
                 # a caller-supplied ExecutionBackend subclass predating
@@ -1127,7 +1078,7 @@ class RecommendationService:
                 deadline_kwargs = (
                     {"deadline": deadline} if deadline is not None else {}
                 )
-                recommendations = backend.map_items(
+                recommendations = self.backend.map_items(
                     _serve_group_task,
                     [(group, z) for group in missing.values()],
                     initializer=_init_serve_worker,
@@ -1202,7 +1153,6 @@ class RecommendationService:
             # The spill journal entry lands first, so a worker spawned
             # from the spill can never miss a delta (see _journal_delta).
             delta = ("rating", user_id, item_id, value)
-            self._mutations += 1
             self._journal_delta(delta)
             self.backend.notify_state_change(delta)
             self._record("ingest", started, "ingested_ratings")
@@ -1246,7 +1196,6 @@ class RecommendationService:
             delta = (
                 "profile", user_id, self.dataset.users.get(user_id).to_dict()
             )
-            self._mutations += 1
             self._journal_delta(delta)
             self.backend.notify_state_change(delta)
             self._request_counters["profile_updates"].inc()

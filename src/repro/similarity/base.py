@@ -7,33 +7,14 @@ score, plus an optional vectorised helper for computing all similarities
 of a user against a set of candidates.  Implementations are free to
 cache whatever intermediate state they need (TF-IDF vectors, mean
 ratings, ...), which keeps peer search over large user sets tractable.
+A measure computes in the process that calls it; a worker fleet that
+needs one ships it whole (:meth:`UserSimilarity.picklable_measure`).
 """
 
 from __future__ import annotations
 
-import functools
 from abc import ABC, abstractmethod
 from typing import Iterable, Mapping
-
-from ..exec import ExecutionBackend, chunk_evenly, resolve_backend
-
-#: Per-process worker state for the process-backend batch path: the
-#: measure and candidate pool shipped once per worker via the backend's
-#: initializer instead of once per task.
-_WORKER_STATE: dict[str, object] = {}
-
-
-def _init_similarity_worker(
-    measure: "UserSimilarity", candidates: list[str]
-) -> None:
-    _WORKER_STATE["measure"] = measure
-    _WORKER_STATE["candidates"] = candidates
-
-
-def _similarity_rows_task(user_chunk: list[str]) -> list[dict[str, float]]:
-    measure = _WORKER_STATE["measure"]
-    candidates = _WORKER_STATE["candidates"]
-    return [measure.similarities(user_id, candidates) for user_id in user_chunk]
 
 
 class UserSimilarity(ABC):
@@ -97,45 +78,6 @@ class UserSimilarity(ABC):
             for candidate in candidates
             if candidate != user_id
         }
-
-    def similarities_many(
-        self,
-        user_ids: Iterable[str],
-        candidates: Iterable[str],
-        backend: "ExecutionBackend | str | None" = None,
-    ) -> dict[str, dict[str, float]]:
-        """One :meth:`similarities` row per user, through a backend.
-
-        The rows are computed independently, so they fan out on the
-        execution backend: the serial backend calls this measure in
-        place, while the worker fleet ships :meth:`picklable_measure`
-        and the candidate pool to each worker once and chunks the
-        users.  Row order follows ``user_ids``; scores are
-        bit-identical across backends.
-        """
-        users = list(user_ids)
-        candidate_list = list(candidates)
-        backend = resolve_backend(backend)
-        if backend.requires_pickling:
-            chunks = chunk_evenly(users, max(1, backend.workers * 4))
-            row_chunks = backend.map_items(
-                _similarity_rows_task,
-                chunks,
-                initializer=_init_similarity_worker,
-                initargs=(self.picklable_measure(), candidate_list),
-            )
-            rows = [row for chunk in row_chunks for row in chunk]
-        else:
-            rows = backend.map_items(
-                functools.partial(self._similarities_for, candidate_list), users
-            )
-        return dict(zip(users, rows))
-
-    def _similarities_for(
-        self, candidates: list[str], user_id: str
-    ) -> dict[str, float]:
-        """Argument-flipped :meth:`similarities` (partial-friendly)."""
-        return self.similarities(user_id, candidates)
 
     def picklable_measure(self) -> "UserSimilarity":
         """The measure to ship across a process boundary.

@@ -165,23 +165,23 @@ class TestDegradedService:
         payload = dataset.to_dict()
         groups = _groups(dataset, seed=53)
         reference = _serial_reference(payload, groups)
-        service = RecommendationService(
-            HealthDataset.from_dict(payload),
-            _config(
-                group_cache_size=0,
-                relevance_cache_size=0,
-            ),
-        )
         backend = RemoteBackend(
             spawn_workers=False,
             connect_timeout=0.5,
             degraded_mode="serial",
             **FAST,
         )
+        service = RecommendationService(
+            HealthDataset.from_dict(payload),
+            _config(
+                group_cache_size=0,
+                relevance_cache_size=0,
+            ),
+            backend=backend,
+        )
         try:
             degraded = [
-                repr(rec)
-                for rec in service.recommend_many(groups, z=4, backend=backend)
+                repr(rec) for rec in service.recommend_many(groups, z=4)
             ]
             assert degraded == reference
             stats = backend.pool_stats()
@@ -203,8 +203,7 @@ class TestDegradedService:
             )
             before = backend.pool_stats()
             again = [
-                repr(rec)
-                for rec in service.recommend_many(groups, z=4, backend=backend)
+                repr(rec) for rec in service.recommend_many(groups, z=4)
             ]
             assert again == reference_after
             after = backend.pool_stats()

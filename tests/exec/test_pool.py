@@ -440,6 +440,23 @@ class TestLocalWorkerFaults:
             ]
             assert backend.live_workers == 2
 
+    def test_worker_dead_between_batches_is_replaced_in_time(self):
+        """A local worker that died between batches is discarded and
+        re-forked before the next batch is placed, so that batch runs
+        at full width with nothing requeued."""
+        with PoolBackend(workers=2) as backend:
+            backend.map_items(_square, [0])  # boot the fleet
+            victim = backend._workers[0].process
+            os.kill(victim.pid, signal.SIGKILL)
+            victim.join(timeout=5.0)
+            assert backend.map_items(_square, range(16)) == [
+                x * x for x in range(16)
+            ]
+            stats = backend.pool_stats()
+            assert stats["requeues"] == 0
+            assert stats["dead_workers"] == 1
+            assert stats["live_workers"] == 2
+
     def test_total_loss_raises_fleet_loss_then_respawns(self):
         with PoolBackend(workers=2) as backend:
             backend.map_items(_square, [0])

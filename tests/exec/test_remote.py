@@ -2,11 +2,11 @@
 
 The chaos-grade fault scenarios (SIGKILL mid-batch, torn frames,
 fingerprint mismatch, heartbeat partitions) live in
-``tests/chaos/test_remote_faults.py``; this module pins the
-consistent-hash ring, the factory registration, the sync protocol,
-exception propagation and lifecycle against forked worker processes
-speaking the real wire protocol, and the same sync protocol against
-``run_worker`` processes that join over TCP.
+``tests/chaos/test_remote_faults.py``; this module pins the factory
+registration, placement, the sync protocol, exception propagation and
+lifecycle against forked worker processes speaking the real wire
+protocol, and the same sync protocol against ``run_worker`` processes
+that join over TCP.
 """
 
 from __future__ import annotations
@@ -21,7 +21,6 @@ import pytest
 from repro.exceptions import ConfigurationError, ExecutionError
 from repro.exec import (
     BACKEND_NAMES,
-    HashRing,
     RemoteBackend,
     get_backend,
     run_worker,
@@ -57,10 +56,6 @@ def _reciprocal(x: int) -> float:
     return 1 / x
 
 
-def _sum_partition(partition: list[int]) -> int:
-    return sum(partition)
-
-
 def _join_tcp_workers(backend: RemoteBackend, count: int) -> list:
     """Start ``count`` ``run_worker`` processes against ``backend``'s
     listener and wait until all of them are parked as pending."""
@@ -81,58 +76,6 @@ def _join_tcp_workers(backend: RemoteBackend, count: int) -> list:
         assert time.monotonic() < cutoff, "TCP workers never joined"
         time.sleep(0.01)
     return joiners
-
-
-class TestHashRing:
-    def test_lookup_is_deterministic(self):
-        ring = HashRing()
-        for node in ("worker-0", "worker-1", "worker-2"):
-            ring.add(node)
-        keys = [f"shard-{i}" for i in range(50)]
-        first = [ring.lookup(key) for key in keys]
-        assert first == [ring.lookup(key) for key in keys]
-        assert set(first) == {"worker-0", "worker-1", "worker-2"}
-
-    def test_independent_rings_agree(self):
-        a, b = HashRing(), HashRing()
-        for node in ("worker-0", "worker-1"):
-            a.add(node)
-            b.add(node)
-        assert [a.lookup(f"k{i}") for i in range(50)] == [
-            b.lookup(f"k{i}") for i in range(50)
-        ]
-
-    def test_removal_only_rehomes_the_dead_nodes_keys(self):
-        # The property the requeue path leans on: a worker death moves
-        # only that worker's shards; everyone else's placement (and
-        # warm state) survives untouched.
-        ring = HashRing()
-        for node in ("worker-0", "worker-1", "worker-2"):
-            ring.add(node)
-        keys = [f"shard-{i}" for i in range(100)]
-        before = {key: ring.lookup(key) for key in keys}
-        ring.remove("worker-1")
-        for key in keys:
-            after = ring.lookup(key)
-            if before[key] != "worker-1":
-                assert after == before[key]
-            else:
-                assert after in ("worker-0", "worker-2")
-
-    def test_empty_ring_looks_up_none(self):
-        ring = HashRing()
-        assert ring.lookup("anything") is None
-        assert len(ring) == 0
-        assert ring.nodes == frozenset()
-
-    def test_add_and_remove_round_trip(self):
-        ring = HashRing()
-        ring.add("worker-0")
-        assert ring.nodes == frozenset({"worker-0"})
-        assert len(ring) == 1
-        ring.remove("worker-0")
-        assert ring.lookup("k") is None
-        ring.remove("worker-0")  # idempotent
 
 
 class TestFactory:
@@ -190,13 +133,6 @@ class TestMapping:
             assert backend.map_items(_square, []) == []
             # No dispatch, so no fleet was ever spawned.
             assert backend.live_workers == 0
-
-    def test_map_partitions_matches_serial(self):
-        partitions = [[1, 2, 3], [4, 5], [6], [7, 8, 9, 10]]
-        with RemoteBackend(workers=2, **FAST) as backend:
-            assert backend.map_partitions(_sum_partition, partitions) == [
-                sum(p) for p in partitions
-            ]
 
     def test_fleet_survives_across_batches(self):
         with RemoteBackend(workers=2, **FAST) as backend:

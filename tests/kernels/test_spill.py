@@ -22,7 +22,6 @@ from repro.config import RecommenderConfig
 from repro.data.datasets import generate_dataset
 from repro.data.groups import Group
 from repro.data.ratings import RatingMatrix
-from repro.exceptions import ExecutionError
 from repro.kernels import (
     SPILL_MANIFEST_NAME,
     PackedRatings,
@@ -184,7 +183,7 @@ class TestSpillLifecycle:
 
 
 class TestSpillBootChaos:
-    """Worker death over the mmap-bootstrap pool surfaces and recovers."""
+    """Dead workers of the mmap-bootstrap pool are replaced from the spill."""
 
     def _service(self, dataset, spill_dir):
         # Caches off so every batch actually re-dispatches to the pool
@@ -202,7 +201,7 @@ class TestSpillBootChaos:
         )
         return RecommendationService(dataset, config)
 
-    def test_worker_kill_mid_stream_raises_then_recovers(self, tmp_path):
+    def test_worker_kill_between_batches_reboots_from_the_spill(self, tmp_path):
         dataset = generate_dataset(
             num_users=18, num_items=24, ratings_per_user=8, seed=13
         )
@@ -227,28 +226,29 @@ class TestSpillBootChaos:
             first = [repr(rec) for rec in service.recommend_many(groups, z=4)]
             assert first == reference
 
-            # Kill every resident worker out from under the pool: the
-            # batch is a loud ExecutionError (never a silent hang or a
-            # partial batch)...
+            # Kill every resident worker between batches: the next
+            # batch finds them dead, re-forks the pool from the same
+            # mmap spill and serves bit-identical results...
             for victim in list(service.backend._workers):
                 victim.process.terminate()
                 victim.process.join()
-            with pytest.raises(ExecutionError):
-                service.recommend_many(groups, z=4)
-
-            # ...the next batch re-forks the pool, booting from the
-            # same mmap spill, and serves bit-identical results again...
             recovered = [repr(rec) for rec in service.recommend_many(groups, z=4)]
             assert recovered == reference
+            pool_stats = service.backend.pool_stats()
+            assert pool_stats["dead_workers"] == 2
+            assert pool_stats["requeues"] == 0
+            assert pool_stats["live_workers"] == 2
 
-            # ...and losing one of the re-forked workers costs only a
-            # requeue onto the survivor.
+            # ...and losing one of the re-forked workers costs only its
+            # replacement, forked before the next batch runs.
             victim = service.backend._workers[0]
             victim.process.terminate()
             victim.process.join()
             again = [repr(rec) for rec in service.recommend_many(groups, z=4)]
             assert again == reference
             pool_stats = service.stats()["backend"]["pool"]
-            assert pool_stats["live_workers"] >= 1
+            assert pool_stats["dead_workers"] == 3
+            assert pool_stats["requeues"] == 0
+            assert pool_stats["live_workers"] == 2
         finally:
             service.close()

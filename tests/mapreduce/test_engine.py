@@ -201,8 +201,8 @@ class TestExecutionBackends:
     DOCUMENTS = [(i, f"w{i % 7} w{i % 3} w{i % 5}") for i in range(40)]
 
     def _run(self, backend):
-        engine = MapReduceEngine(backend=backend)
-        return engine.run(picklable_word_count_job(), self.DOCUMENTS)
+        with MapReduceEngine(backend=backend) as engine:
+            return engine.run(picklable_word_count_job(), self.DOCUMENTS)
 
     @pytest.mark.parametrize("backend", ["pool", "remote"])
     def test_output_and_counters_match_serial(self, backend):

@@ -415,18 +415,6 @@ class TestBatchApi:
             tuple(g.member_ids) for g in workload
         ]
 
-    def test_serial_batch_ignores_workers(self, mutable_dataset):
-        """A serial service ignores ``workers``: a wide batch is
-        answered one group at a time, exactly as a sequential one."""
-        sequential = RecommendationService(mutable_dataset, CONFIG)
-        wide = RecommendationService(mutable_dataset, CONFIG)
-        groups = self._groups(mutable_dataset, count=8)
-        expected = sequential.recommend_many(groups, workers=1)
-        resolved, owned = wide._batch_backend(workers=4, backend=None)
-        assert resolved is wide.backend and not owned
-        actual = wide.recommend_many(groups, workers=4)
-        assert [r.items for r in actual] == [r.items for r in expected]
-
 
 class TestStats:
     def test_stats_shape_and_counters(self, service, mutable_dataset):
@@ -472,33 +460,21 @@ class TestExecutionBackends:
                 == cold.candidates.group_relevance
             )
 
-    def test_backend_argument_overrides_service_backend(self, mutable_dataset):
-        service = RecommendationService(mutable_dataset, CONFIG)
-        groups = self._groups(mutable_dataset)
-        baseline = [r.items for r in service.recommend_many(groups)]
-        for backend in ("pool", "remote"):
-            fresh = RecommendationService(mutable_dataset, CONFIG)
-            got = [
-                r.items
-                for r in fresh.recommend_many(groups, backend=backend, workers=2)
-            ]
-            assert got == baseline
-
     def test_process_batch_populates_group_cache(self, mutable_dataset):
-        service = RecommendationService(mutable_dataset, CONFIG)
+        config = CONFIG.with_overrides(exec_backend="pool", exec_workers=2)
         groups = self._groups(mutable_dataset, count=3)
-        service.recommend_many(groups, backend="pool", workers=2)
-        hits_before = service.group_cache.stats.hits
-        service.recommend_many(groups)
-        assert service.group_cache.stats.hits >= hits_before + 3
+        with RecommendationService(mutable_dataset, config) as service:
+            service.recommend_many(groups)
+            hits_before = service.group_cache.stats.hits
+            service.recommend_many(groups)
+            assert service.group_cache.stats.hits >= hits_before + 3
 
-    def test_pool_backend_warm_then_serve_rebinds_resident_state(
-        self, mutable_dataset
-    ):
-        """warm() binds the pool to the index-build state, the first
-        batch rebinds it to the serve state, and both produce rows and
-        recommendations identical to a serial warm service — including
-        after an ingest that must survive both rebinds."""
+    def test_pool_warm_then_serve_binds_the_fleet_once(self, mutable_dataset):
+        """warm() builds rows on the resident serve workers, so the
+        batches that follow reuse the fleet it booted: one boot in all,
+        with rows and recommendations identical to a serial warm
+        service — including after an ingest, which reaches the fleet
+        as a delta."""
         config = CONFIG.with_overrides(exec_backend="pool", exec_workers=2)
         reference = RecommendationService(mutable_dataset, CONFIG)
         reference.warm()
@@ -508,9 +484,8 @@ class TestExecutionBackends:
             assert (
                 service.index.snapshot_rows() == reference.index.snapshot_rows()
             )
-            assert service.backend.restarts == 1  # the build pool
+            assert service.backend.restarts == 1
             batch = [r.items for r in service.recommend_many(groups)]
-            assert service.backend.restarts == 2  # rebound to serve state
             assert batch == [
                 r.items for r in reference.recommend_many(groups)
             ]
@@ -523,6 +498,10 @@ class TestExecutionBackends:
             assert [r.items for r in service.recommend_many(groups)] == [
                 r.items for r in reference.recommend_many(groups)
             ]
+            assert (
+                service.index.snapshot_rows() == reference.index.snapshot_rows()
+            )
+            assert service.backend.restarts == 1
 
     def test_stats_report_backend(self, mutable_dataset):
         """The backend is reported; the index has no shard count."""
@@ -549,22 +528,6 @@ class TestExplicitSizeValidation:
         with pytest.raises(ConfigurationError, match="k must be positive"):
             service.recommend_user(user_id, k=0)
 
-    def test_explicit_workers_override_service_backend_width(
-        self, mutable_dataset
-    ):
-        config = CONFIG.with_overrides(exec_backend="pool", exec_workers=2)
-        with RecommendationService(mutable_dataset, config) as service:
-            resolved, owned = service._batch_backend(workers=5, backend=None)
-            try:
-                assert resolved.name == "pool"
-                assert resolved.workers == 5
-                assert owned
-            finally:
-                resolved.close()
-            reused, owned = service._batch_backend(workers=2, backend=None)
-            assert reused is service.backend
-            assert not owned
-
 
 class TestBackendLifecycleAndCustomMeasures:
     def _groups(self, dataset, count):
@@ -582,20 +545,23 @@ class TestBackendLifecycleAndCustomMeasures:
         reference = RecommendationService(
             mutable_dataset, config, similarity=custom
         )
+        reference.warm()
         baseline = [r.items for r in reference.recommend_many(groups)]
-        fresh = RecommendationService(mutable_dataset, config, similarity=custom)
-        got = [
-            r.items
-            for r in fresh.recommend_many(groups, backend="pool", workers=2)
-        ]
+        pooled = config.with_overrides(exec_backend="pool", exec_workers=2)
+        with RecommendationService(
+            mutable_dataset, pooled, similarity=custom
+        ) as fresh:
+            fresh.warm()
+            assert (
+                fresh.index.snapshot_rows() == reference.index.snapshot_rows()
+            )
+            got = [r.items for r in fresh.recommend_many(groups)]
         assert got == baseline
 
-    def test_per_call_width_keeps_the_service_backend_config(
-        self, mutable_dataset
-    ):
-        """Regression: a per-call ``workers`` override built its batch
-        backend with default knobs and a private metrics registry, so
-        the batch's worker telemetry never reached the service."""
+    def test_fleet_keeps_service_config(self, mutable_dataset):
+        """The fleet a service builds carries the configured knobs and
+        reports into the service's registry, so the batch's worker
+        telemetry reaches the service."""
         config = CONFIG.with_overrides(
             exec_backend="pool",
             exec_workers=2,
@@ -607,18 +573,9 @@ class TestBackendLifecycleAndCustomMeasures:
         )
         groups = self._groups(mutable_dataset, count=4)
         with RecommendationService(mutable_dataset, config) as service:
-            built = []
-            pick = service._batch_backend
-
-            def recording_pick(workers, backend):
-                resolved, owned = pick(workers, backend)
-                built.append(resolved)
-                return resolved, owned
-
-            service._batch_backend = recording_pick
-            service.recommend_many(groups, workers=3)
-            (fleet,) = built
-            assert fleet is not service.backend and fleet.workers == 3
+            service.recommend_many(groups)
+            fleet = service.backend
+            assert fleet.workers == 2
             assert fleet.metrics is service.metrics
             assert fleet.heartbeat_interval == 0.5
             assert fleet.heartbeat_timeout == 3.0
@@ -630,9 +587,9 @@ class TestBackendLifecycleAndCustomMeasures:
                 if "worker" in dict(labels)
             ]
             assert worker_series
-            # The per-call fleet counted its boot in the service registry.
+            # The fleet counted its one boot in the service registry.
             assert service.metrics.value("pool_restarts") == 1
-            assert service.backend.pool_stats()["live_workers"] == 0
+            assert fleet.pool_stats()["live_workers"] == 2
 
     def test_service_close_releases_owned_fleet(self, mutable_dataset):
         """Closing a service stops the worker fleet it built."""
@@ -731,33 +688,6 @@ class TestSharedAndForeignPools:
             _cold(mutable_dataset, g).items for g in groups_a
         ]
         assert got_b == [_cold(other, g).items for g in groups_b]
-
-    def test_caller_held_pool_passed_per_call_sees_mutations(
-        self, mutable_dataset
-    ):
-        """A pool handed to recommend_many per call missed the epoch
-        bumps; the service must force it to re-ship after a mutation
-        instead of letting it serve its fork-time snapshot."""
-        from repro.exec import PoolBackend
-
-        groups = self._groups(mutable_dataset)
-        service = RecommendationService(mutable_dataset, CONFIG)
-        with PoolBackend(workers=2) as pool:
-            before = [
-                r.items for r in service.recommend_many(groups, backend=pool)
-            ]
-            # Steady state: a second dispatch must not restart the pool.
-            service.recommend_many(groups, backend=pool)
-            restarts_before_mutation = pool.restarts
-            user_id = groups[0].member_ids[0]
-            for item_id in mutable_dataset.ratings.item_ids()[:4]:
-                service.ingest_rating(user_id, item_id, 1.0)
-            after = [
-                r.items for r in service.recommend_many(groups, backend=pool)
-            ]
-            assert pool.restarts > restarts_before_mutation
-        assert before != after  # the mutations really moved results
-        assert after == [_cold(mutable_dataset, g).items for g in groups]
 
 
 class TestKernelStateInvalidation:

@@ -201,19 +201,6 @@ class TestBatchedPearson:
         assert "bob" in similarity._mean_cache
 
 
-class TestSimilaritiesMany:
-    """Batched multi-user rows must match per-user rows on any backend."""
-
-    @pytest.mark.parametrize("backend", ["serial", "pool"])
-    def test_rows_match_pairwise_path(self, tiny_matrix, backend):
-        measure = PearsonRatingSimilarity(tiny_matrix)
-        users = tiny_matrix.user_ids()
-        expected = {
-            uid: measure.similarities(uid, users) for uid in users
-        }
-        assert measure.similarities_many(users, users, backend=backend) == expected
-
-
 class TestCosineNormCache:
     """Per-user norms are cached and dropped via the invalidate hooks."""
 
