@@ -15,8 +15,8 @@ without writing any Python:
   :class:`~repro.serving.RecommendationService` and answer a stream of
   JSONL requests, printing latency and cache statistics (``--strict``
   validates every response against the declared shapes; ``--listen
-  HOST:PORT`` serves concurrent JSONL streams over TCP instead, with
-  bounded in-flight admission control);
+  HOST:PORT`` serves concurrent JSONL streams over TCP instead, one
+  request at a time on an event loop, with a bounded backlog);
 * ``worker`` — join a ``--backend remote`` fleet as a separate worker
   process, connecting to the parent's listener over TCP;
 * ``stats`` — replay a request stream quietly and print the metrics
@@ -249,10 +249,11 @@ def build_parser() -> argparse.ArgumentParser:
         type=int,
         default=16,
         help=(
-            "with --listen: cross-connection ceiling on concurrently "
-            "executing requests; excess requests are rejected "
-            'immediately with a typed {"error": "overloaded"} response '
-            "(cache hits are answered on the event loop and take no slot)"
+            "with --listen: cross-connection ceiling on the backlog, "
+            "the requests read and not yet answered (every request runs "
+            "in turn on the server's event loop); excess requests are "
+            'rejected immediately with a typed {"error": "overloaded"} '
+            "response"
         ),
     )
     serve.add_argument(

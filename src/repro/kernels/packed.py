@@ -239,9 +239,9 @@ class PackedRatings:
         users/items).  Anything else — a removal, or a version move the
         packed view was never told about — triggers :meth:`rebuild`.
 
-        Thread-safe: the request server's executor calls the kernels
-        from concurrent reader threads, so the staleness check and the
-        repack run under one lock — at most the first caller mutates,
+        Thread-safe: threads sharing one service may call the kernels
+        as concurrent readers, so the staleness check and the repack
+        run under one lock — at most the first caller mutates,
         the rest re-check and fall through.
         """
         matrix = self.matrix

@@ -16,8 +16,8 @@ adds the thin, stateful service layer a deployment needs:
 * :mod:`repro.serving.requests` — the JSONL request model replayed by
   the CLI ``serve`` command and the throughput benchmark;
 * :class:`~repro.serving.server.RequestServer` — the async TCP front
-  end (``serve --listen``): concurrent JSONL request streams with
-  bounded in-flight admission control and typed overload rejection.
+  end (``serve --listen``): concurrent JSONL request streams run on
+  one event loop, with a bounded backlog and typed overload rejection.
 
 Warm results are bit-identical to the cold pipeline — the serving layer
 changes *when* work happens, never *what* is computed.

@@ -158,24 +158,6 @@ class ScoreCache:
             self._hits.inc()
             return value
 
-    def get_hit(self, key: Hashable) -> Any:
-        """The cached value, counted as a hit, or ``None`` counting nothing.
-
-        The request server's event-loop lookup: a miss there falls back
-        to a request path whose own :meth:`get` counts it, so every
-        request still counts exactly one hit or one miss.  A disabled
-        cache returns ``None`` before touching the lock.
-        """
-        if self.capacity <= 0:
-            return None
-        with self._lock:
-            value = self._entries.get(key, _MISS)
-            if value is _MISS:
-                return None
-            self._entries.move_to_end(key)
-            self._hits.inc()
-            return value
-
     def put(self, key: Hashable, value: Any, epoch: int | None = None) -> None:
         """Store a value, evicting the least recently used beyond capacity.
 

@@ -73,14 +73,29 @@ def _optional_positive(payload: Mapping[str, Any], name: str) -> int | None:
 
     The serve loop resolves ``None`` to the config default; a present
     but non-positive value would otherwise only explode deep inside the
-    service, killing the whole replay mid-stream.
+    service, killing the whole replay mid-stream.  A JSON number with
+    an integral value is accepted; a bool, a string, a fractional or a
+    non-finite number is not.
     """
     value = payload.get(name)
     if value is None:
         return None
-    value = int(value)
-    if value <= 0:
-        raise ValueError(f"{name!r} must be a positive integer, got {value}")
+    if isinstance(value, float) and value.is_integer():
+        value = int(value)
+    if isinstance(value, bool) or not isinstance(value, int) or value <= 0:
+        raise ValueError(f"{name!r} must be a positive integer, got {value!r}")
+    return value
+
+
+def _required_id(payload: Mapping[str, Any], name: str, kind: str) -> str:
+    """Read a required id field (``user_id``/``item_id``) or fail the line.
+
+    Only a non-empty JSON string is an id: anything else would be
+    stringified into an id no client asked for.
+    """
+    value = payload.get(name)
+    if not isinstance(value, str) or not value:
+        raise ValueError(f"{kind} request needs a non-empty string {name!r}")
     return value
 
 
@@ -115,21 +130,18 @@ def parse_request(payload: Mapping[str, Any]) -> ServeRequest:
             z=_optional_positive(payload, "z"),
         )
     if kind == "user":
-        user_id = payload.get("user_id")
-        if not user_id:
-            raise ValueError("user request needs a 'user_id'")
         return ServeRequest(
             kind="user",
-            user_id=str(user_id),
+            user_id=_required_id(payload, "user_id", kind),
             k=_optional_positive(payload, "k"),
         )
-    user_id = payload.get("user_id")
-    item_id = payload.get("item_id")
+    user_id = _required_id(payload, "user_id", kind)
+    item_id = _required_id(payload, "item_id", kind)
     value = payload.get("value")
-    if not user_id or not item_id or value is None:
-        raise ValueError("rate request needs 'user_id', 'item_id' and 'value'")
+    if value is None:
+        raise ValueError("rate request needs a 'value'")
     return ServeRequest(
-        kind="rate", user_id=str(user_id), item_id=str(item_id), value=float(value)
+        kind="rate", user_id=user_id, item_id=item_id, value=float(value)
     )
 
 

@@ -10,26 +10,23 @@ line per request, in order.  Within one connection requests are
 processed strictly in order, so a client's ``rate`` mutation is always
 visible to its own next read.
 
-A request takes one of two paths:
+The loop thread is the only thread that runs the service.  Every
+request -- a cache hit, a miss or a ``rate`` write -- runs inline on
+the event loop through the service's request paths, which answer a hit
+from the group or relevance cache before they compute.  A second thread
+would buy no parallelism under the interpreter lock, and a thread that
+wants the lock can wait out its holder's whole switch interval.
 
-* **Cache hits are answered on the event loop.**  A ``group`` or
-  ``user`` request whose answer is already in the service's group or
-  relevance cache is served inline by
-  :meth:`~repro.serving.service.RecommendationService.cached_group` /
-  :meth:`~repro.serving.service.RecommendationService.cached_user`,
-  which never compute and never wait for the data lock: when a writer
-  holds it, the request simply takes the second path.  A hit takes no in-flight
-  slot, so it is answered even when the executor is saturated.
-* **Everything else runs on a thread pool.**  Misses and ``rate``
-  writes run on an executor via the service's thread-safe request
-  paths, so slow recommendations never stall the loop.  Admission
-  control bounds this work across connections: at most
-  ``max_inflight`` requests execute at once, and a request arriving
-  past the bound is rejected *immediately* with a typed
-  ``{"error": "overloaded"}`` response (and a ``server_overloads``
-  counter increment) instead of queueing without bound -- under
-  overload the server sheds load loudly rather than silently growing a
-  queue.
+While one request runs, the lines that arrive on other connections
+wait: together with the admitted requests not yet answered they form
+the *backlog*.  Admission control bounds it across connections: a
+request is counted in once its line is read and counted out once it is
+answered, and a request that finds ``max_inflight`` already counted is
+rejected *immediately* with a typed ``{"error": "overloaded"}``
+response (and a ``server_overloads`` counter increment) -- under
+overload the server sheds load loudly rather than silently growing a
+queue.  A connection reads its next line only after answering the
+last, so it holds at most one request in the backlog.
 
 A line that is not a valid request is answered with a typed
 ``bad-request``; a line longer than :data:`MAX_LINE_BYTES` is answered
@@ -39,10 +36,10 @@ the same way, after which that connection is closed.
 from __future__ import annotations
 
 import asyncio
+import contextvars
 import json
 import threading
 import time
-from concurrent.futures import ThreadPoolExecutor
 from typing import Any
 
 from ..core.pipeline import CaregiverRecommendation
@@ -70,9 +67,16 @@ _LATENCY_WINDOW_S = 30.0
 #: connections to reach their handler (a few turns suffice).
 _SETTLE_TURNS = 100
 
+#: The deadline of the request being answered in the current task, set
+#: by :meth:`RequestServer._respond` at admission (``None`` without a
+#: ``request_timeout``).
+_ADMITTED_DEADLINE: contextvars.ContextVar[Deadline | None] = (
+    contextvars.ContextVar("repro_admitted_deadline", default=None)
+)
+
 
 class OverloadedError(ReproError):
-    """Raised (and reported) when admission control rejects a request."""
+    """An admission-control rejection, answered as ``overloaded``."""
 
     def __init__(self, inflight: int, max_inflight: int) -> None:
         super().__init__(
@@ -84,38 +88,40 @@ class OverloadedError(ReproError):
 
 
 class RequestServer:
-    """Serve concurrent JSONL request streams with bounded in-flight work.
+    """Serve concurrent JSONL request streams with a bounded backlog.
 
     Parameters
     ----------
     service:
-        The (thread-safe) service requests execute against.
+        The service requests run against, on the loop thread only.
     host / port:
         Bind address; port ``0`` (default) picks a free port — read the
         resolved address back from :meth:`start`'s return value or
         :attr:`address`.
     max_inflight:
-        Cross-connection ceiling on requests executing on the thread
-        pool; cache hits answered on the event loop never take a slot.
-        Request number ``max_inflight + 1`` is rejected immediately
-        with a typed ``overloaded`` response carrying a
-        ``retry_after_ms`` hint (the windowed p50 of recent executor
-        latency — roughly when one in-flight slot should free up).
+        Cross-connection ceiling on the backlog: requests whose line
+        was read and not yet answered, the running one included.  A
+        request that finds ``max_inflight`` counted is rejected
+        immediately with a typed ``overloaded`` response carrying a
+        ``retry_after_ms`` hint (the windowed p50 of
+        ``server_request_ms`` — roughly when the request ahead of it
+        should be answered).
     request_timeout:
         Optional per-request time budget, in seconds.  A
         :class:`~repro.resilience.Deadline` built at admission is
-        threaded through the service into backend dispatch; a request
-        that overruns is answered with ``{"error": "deadline"}``
-        (``server_deadline_timeouts`` counts them).  ``None`` (default)
-        serves without a budget.
+        threaded through the service into backend dispatch, so the
+        time a request waits in the backlog counts against it; a
+        request that overruns is answered with ``{"error":
+        "deadline"}`` (``server_deadline_timeouts`` counts them).
+        ``rate`` writes take no budget.  ``None`` (default) serves
+        without a budget.
     metrics:
         Registry for the server's counters (``server_requests``, which
-        counts every answered request, hits included;
-        ``server_overloads``, ``server_connections``,
-        ``server_errors``, ``server_deadline_timeouts``,
-        ``server_degraded_responses``) and the ``server_request_ms``
-        histogram, which times executor work only; defaults to the
-        service's registry.
+        counts every answered request; ``server_overloads``,
+        ``server_connections``, ``server_errors``,
+        ``server_deadline_timeouts``, ``server_degraded_responses``)
+        and the ``server_request_ms`` histogram, which times every
+        request the loop runs; defaults to the service's registry.
     """
 
     def __init__(
@@ -153,9 +159,7 @@ class RequestServer:
         self._latency = self.metrics.histogram(
             "server_request_ms", window_s=_LATENCY_WINDOW_S
         )
-        self._inflight = 0
-        self._inflight_lock = threading.Lock()
-        self._executor: ThreadPoolExecutor | None = None
+        self._inflight = 0  # the backlog (loop thread only)
         self._loop: asyncio.AbstractEventLoop | None = None
         self._server: asyncio.AbstractServer | None = None
         self._thread: threading.Thread | None = None
@@ -177,10 +181,6 @@ class RequestServer:
         if self._thread is not None:
             assert self._address is not None
             return self._address
-        self._executor = ThreadPoolExecutor(
-            max_workers=self.max_inflight,
-            thread_name_prefix="repro-serve",
-        )
         self._thread = threading.Thread(
             target=self._run_loop, name="repro-serve-loop", daemon=True
         )
@@ -245,15 +245,12 @@ class RequestServer:
             await asyncio.gather(*tasks, return_exceptions=True)
 
     def stop(self) -> None:
-        """Stop the server thread and the worker pool (idempotent)."""
+        """Stop the server thread (idempotent)."""
         loop, self._loop = self._loop, None
         thread, self._thread = self._thread, None
         if loop is not None and thread is not None:
             loop.call_soon_threadsafe(loop.stop)
             thread.join(timeout=10.0)
-        if self._executor is not None:
-            self._executor.shutdown(wait=False, cancel_futures=True)
-            self._executor = None
         self._server = None
         self._address = None
         self._started.clear()
@@ -324,10 +321,12 @@ class RequestServer:
         await writer.drain()
 
     async def _respond(self, number: int, text: str) -> dict[str, Any]:
-        """Parse and answer one request line; never raises.
+        """Parse, admit and answer one request line; never raises.
 
-        A cache hit is answered here, on the loop thread, before
-        admission; anything else is admitted and run on the executor.
+        An admitted request yields the loop once before it runs, so
+        every line that arrived while the loop was busy is read -- and
+        counted in or shed -- before any of them runs.  Its deadline
+        starts at admission: the time it waits counts against it.
         """
         try:
             request = parse_request(json.loads(text))
@@ -335,12 +334,9 @@ class RequestServer:
             # RecursionError: JSON nested too deep for the decoder.
             self._errors.inc()
             return {"id": number, "error": "bad-request", "detail": str(exc)}
-        try:
-            result = self._cached_result(request)
-            if result is None:
-                result = await self._run_admitted(request)
-        except OverloadedError as rejection:
+        if self._inflight >= self.max_inflight:
             self._overloads.inc()
+            rejection = OverloadedError(self._inflight, self.max_inflight)
             return {
                 "id": number,
                 "error": "overloaded",
@@ -349,6 +345,15 @@ class RequestServer:
                 "max_inflight": rejection.max_inflight,
                 "retry_after_ms": self._retry_after_ms(),
             }
+        self._inflight += 1
+        token = _ADMITTED_DEADLINE.set(
+            Deadline.after(self.request_timeout)
+            if self.request_timeout is not None
+            else None
+        )
+        try:
+            await asyncio.sleep(0)
+            result = self._execute(request)
         except DeadlineExceeded as exc:
             self._errors.inc()
             self._deadline_timeouts.inc()
@@ -363,53 +368,19 @@ class RequestServer:
         except Exception as exc:  # pragma: no cover - defensive
             self._errors.inc()
             return {"id": number, "error": "internal", "detail": repr(exc)}
+        finally:
+            _ADMITTED_DEADLINE.reset(token)
+            self._inflight -= 1
         self._requests.inc()
         result["id"] = number
         return result
 
-    def _cached_result(self, request: ServeRequest) -> dict[str, Any] | None:
-        """The response to a cache hit, or ``None`` (loop thread).
-
-        Never computes and never waits for the service's data lock.
-        """
-        if request.kind == "group":
-            recommendation = self.service.cached_group(
-                request.members, request.z, wait=False
-            )
-            if recommendation is not None:
-                return _group_result(request, recommendation)
-        elif request.kind == "user":
-            items = self.service.cached_user(
-                request.user_id, request.k, wait=False
-            )
-            if items is not None:
-                return _user_result(request, items)
-        return None
-
-    async def _run_admitted(self, request: ServeRequest) -> dict[str, Any]:
-        """Run ``request`` on the executor in one in-flight slot.
-
-        Raises :class:`OverloadedError` when every slot is taken.
-        """
-        with self._inflight_lock:
-            if self._inflight >= self.max_inflight:
-                raise OverloadedError(self._inflight, self.max_inflight)
-            self._inflight += 1
-        try:
-            return await asyncio.get_running_loop().run_in_executor(
-                self._executor, self._execute, request
-            )
-        finally:
-            with self._inflight_lock:
-                self._inflight -= 1
-
     def _retry_after_ms(self) -> int:
-        """Overload hint: windowed p50 executor latency, in whole ms.
+        """Overload hint: windowed p50 request latency, in whole ms.
 
-        Roughly when one of the in-flight slots should free up; cache
-        hits hold no slot, so only executor work is in the window.
-        Before any request has completed the window is empty and a
-        small fixed hint is returned instead.
+        Roughly when the request ahead in the backlog should be
+        answered.  Before any request has completed the window is empty
+        and a small fixed hint is returned instead.
         """
         p50 = self._latency.windowed_quantile(0.5)
         if p50 is None or p50 <= 0:
@@ -417,22 +388,19 @@ class RequestServer:
         return max(1, round(p50))
 
     def _execute(self, request: ServeRequest) -> dict[str, Any]:
-        """Run one admitted request on the service (worker thread).
+        """Run one admitted request on the service (loop thread).
 
-        With a ``request_timeout`` configured, a fresh
-        :class:`~repro.resilience.Deadline` rides the request into the
-        service (and from there into backend dispatch).  If the worker
-        fleet served this request degraded (its serial fallback marked
-        this request's context, see
-        :func:`~repro.resilience.mark_degraded`), the response is marked
-        ``"degraded": true`` -- clients see that the answer is correct
-        but was computed without the fleet.
+        With a ``request_timeout`` configured, the deadline built at
+        admission rides a ``group`` or ``user`` request into the
+        service and from there into backend dispatch; the service's
+        entry check answers ``deadline`` without computing when the
+        budget ran out in the backlog.  If the worker fleet served this
+        request degraded (its serial fallback marked this request's
+        context, see :func:`~repro.resilience.mark_degraded`), the
+        response is marked ``"degraded": true`` -- clients see that the
+        answer is correct but was computed without the fleet.
         """
-        deadline = (
-            Deadline.after(self.request_timeout)
-            if self.request_timeout is not None
-            else None
-        )
+        deadline = _ADMITTED_DEADLINE.get()
         deadline_kwargs: dict[str, Any] = (
             {"deadline": deadline} if deadline is not None else {}
         )

@@ -21,9 +21,8 @@ façade:
 * :meth:`recommend_many` answers a batch of group requests, sharing
   peer rows across overlapping groups, on the service's one backend;
 * :meth:`cached_group` / :meth:`cached_user` are the one cache-hit
-  path of group and user requests; with ``wait=False`` they never
-  compute and never wait for the data lock, which is how the request
-  server answers hits on its event loop.
+  path of group and user requests: :meth:`recommend_group`,
+  :meth:`recommend_user` and :meth:`recommend_many` look there first.
 
 Warm results are bit-identical to the cold
 :class:`~repro.core.pipeline.CaregiverPipeline`: both use the same peer
@@ -86,9 +85,10 @@ class _ReadWriteLock:
     """Many concurrent readers, one exclusive writer.
 
     Request paths read the rating matrix (whose dicts must not be
-    mutated mid-iteration); the update paths mutate it.  Readers run
-    in parallel (the request server's executor threads), a writer
-    waits for the readers to drain and blocks new ones.
+    mutated mid-iteration); the update paths mutate it.  Readers on
+    different threads (a library caller sharing one service) run in
+    parallel; a writer waits for the readers to drain and blocks new
+    ones.
     """
 
     def __init__(self) -> None:
@@ -97,31 +97,14 @@ class _ReadWriteLock:
         self._writing = False
 
     @contextmanager
-    def read(self, wait: bool = True) -> Iterator[bool]:
-        """Hold the lock as a reader; yields whether the hold was taken.
-
-        ``wait=False`` never blocks: when a writer holds the lock, or
-        the lock's own mutex is busy at that instant, it yields
-        ``False`` without a hold and the caller must leave the guarded
-        data alone.  The request server's event loop reads this way,
-        so a write in progress sends a request to the executor instead
-        of stalling every connection.
-        """
-        held = self._condition.acquire(blocking=wait)
-        if held:
-            try:
-                while wait and self._writing:
-                    self._condition.wait()
-                held = not self._writing
-                if held:
-                    self._readers += 1
-            finally:
-                self._condition.release()
-        if not held:
-            yield False
-            return
+    def read(self) -> Iterator[None]:
+        """Hold the lock as a reader, waiting out any writer."""
+        with self._condition:
+            while self._writing:
+                self._condition.wait()
+            self._readers += 1
         try:
-            yield True
+            yield
         finally:
             with self._condition:
                 self._readers -= 1
@@ -806,27 +789,20 @@ class RecommendationService:
         return result
 
     def cached_user(
-        self, user_id: str, k: int | None = None, *, wait: bool = True
+        self, user_id: str, k: int | None = None
     ) -> list[ScoredItem] | None:
         """Top-``k`` from ``user_id``'s cached relevance row, or ``None``.
 
         The row is the one :meth:`recommend_user` caches, under key
-        ``user_id``.  A hit is ranked, validated (unless
-        ``validation`` is ``off``) and recorded as one user request.
-        ``wait`` works as in :meth:`cached_group`, except that the
-        data read lock is always taken: the row is ranked under it, as
-        on the compute path.
+        ``user_id``.  The lookup counts one hit or one miss.  A hit is
+        ranked under the data read lock, as on the compute path,
+        validated (unless ``validation`` is ``off``) and recorded as
+        one user request.
         """
         k = resolve_positive(k, self.config.top_k, "k")
-        cache = self.relevance_cache
-        if not wait and cache.capacity <= 0:
-            return None
         started = time.perf_counter()
-        lookup = cache.get if wait else cache.get_hit
-        with self._data_lock.read(wait) as held:
-            if not held:
-                return None
-            row = lookup(user_id)
+        with self._data_lock.read():
+            row = self.relevance_cache.get(user_id)
             if row is None:
                 return None
             result = rank_items(row, k)
@@ -912,40 +888,26 @@ class RecommendationService:
         return recommendation
 
     def cached_group(
-        self, members: Sequence[str], z: int | None = None, *, wait: bool = True
+        self, members: Sequence[str], z: int | None = None
     ) -> CaregiverRecommendation | None:
         """The cached answer for ``(members, z)``, or ``None`` on a miss.
 
-        A hit is a served response: it is validated (unless
-        ``validation`` is ``off``; strict mode must catch a corrupted
-        entry, not just a fresh compute) and recorded as one group
-        request.  Each request counts exactly one cache hit or miss:
-
-        * ``wait=True`` -- the request paths (:meth:`recommend_group`,
-          :meth:`recommend_many`): the lookup counts the hit or the
-          miss, and validation may wait for the data read lock;
-        * ``wait=False`` -- the request server's event loop: never
-          computes, never waits for the data lock, and counts only a
-          hit it answers.  A disabled cache, a miss, or a writer
-          holding the lock that validation needs all return ``None``
-          with nothing counted; the caller falls back to a request
-          path, which counts.
+        The lookup counts one hit or one miss.  A hit is a served
+        response: it is validated (unless ``validation`` is ``off``;
+        strict mode must catch a corrupted entry, not just a fresh
+        compute) under the data read lock and recorded as one group
+        request.
         """
         z = resolve_positive(z, self.config.top_z, "z")
         cache = self.group_cache
-        if not wait and cache.capacity <= 0:
-            return None
         started = time.perf_counter()
         key = (tuple(members), z)
-        lookup = cache.get if wait else cache.get_hit
         if self._validation == "off":
-            cached = lookup(key)
+            cached = cache.get(key)
         else:
-            with self._data_lock.read(wait) as held:
-                if not held:
-                    return None
+            with self._data_lock.read():
                 epoch = cache.epoch
-                cached = lookup(key)
+                cached = cache.get(key)
                 if cached is not None:
                     self._validate_group(cached, z, epoch, locked=True)
         if cached is not None:

@@ -371,8 +371,9 @@ class TestMutationInterleaveParity:
         """Each batch's answers, replayed through a started server.
 
         Every group of a batch gets its own client connection, and all
-        of them are sent before any answer is read, so the misses run
-        as concurrent readers on the server's executor.  Each ingest
+        of them are sent before any answer is read, so the misses queue
+        in the server's backlog and run one after another on its event
+        loop.  Each ingest
         is a ``rate`` request; a profile edit goes to the service
         between batches, as the request schema has no profile kind.
         """

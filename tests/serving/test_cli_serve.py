@@ -45,6 +45,11 @@ class TestRequestModel:
             42,
             "x",
             None,
+            {"type": "user", "user_id": 5},
+            {"type": "rate", "user_id": ["u1"], "item_id": "d1", "value": 3},
+            {"type": "rate", "user_id": 5, "item_id": "d1", "value": 3},
+            {"type": "rate", "user_id": {"a": 1}, "item_id": "d1", "value": 3},
+            {"type": "rate", "user_id": "u1", "item_id": 7, "value": 3},
         ],
     )
     def test_invalid_requests_rejected(self, payload):
@@ -373,11 +378,22 @@ class TestRequestValidation:
             {"type": "group", "members": ["u1", "u2"], "z": 0},
             {"type": "group", "members": ["u1", "u2"], "z": -4},
             {"type": "user", "user_id": "u1", "k": 0},
+            {"type": "user", "user_id": "u1", "k": json.loads("1e400")},
+            {"type": "user", "user_id": "u1", "k": float("-inf")},
+            {"type": "group", "members": ["u1", "u2"], "z": float("nan")},
+            {"type": "user", "user_id": "u1", "k": 2.9},
+            {"type": "user", "user_id": "u1", "k": True},
+            {"type": "group", "members": ["u1", "u2"], "z": "3"},
         ],
     )
     def test_non_positive_z_k_rejected_at_parse_time(self, payload):
         with pytest.raises(ValueError, match="positive"):
             parse_request(payload)
+
+    def test_an_integral_float_z_k_is_an_int(self):
+        request = parse_request({"type": "user", "user_id": "u1", "k": 3.0})
+        assert request.k == 3
+        assert type(request.k) is int
 
     def test_missing_z_k_still_default(self):
         request = parse_request({"type": "group", "members": ["u1", "u2"]})

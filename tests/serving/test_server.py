@@ -61,19 +61,84 @@ def _ask(sock: socket.socket, payload: object) -> dict:
     return _readline(sock)
 
 
-class _UncachedService:
-    """Base of the service doubles: a cache that never hits.
+#: How long a test holds the event loop while other lines arrive.
+_HELD_S = 0.2
 
-    The server asks the service for a cache hit on the event loop
-    before it admits a request; a double answers ``None`` so every
-    request reaches its ``recommend_*`` method on the executor.
+
+class _LoopHoldingService:
+    """A service double that holds the event loop while it serves.
+
+    ``recommend_user("block")`` returns once :attr:`release` is set;
+    any other user takes ``hold`` seconds.  Like the real service it
+    checks its deadline on entry, and :attr:`served` lists each user it
+    went on to compute for.
     """
 
-    def cached_group(self, members, z=None, *, wait=True):
-        return None
+    def __init__(self, hold: float = 0.0) -> None:
+        self.hold = hold
+        self.entered = threading.Event()
+        self.release = threading.Event()
+        self.served: list[str] = []
 
-    def cached_user(self, user_id, k=None, *, wait=True):
-        return None
+    def recommend_user(self, user_id, k=None, *, deadline=None) -> list:
+        if deadline is not None:
+            deadline.check(f"recommend_user({user_id!r})")
+        self.served.append(user_id)
+        if user_id == "block":
+            self.entered.set()
+            assert self.release.wait(timeout=30.0)
+        else:
+            time.sleep(self.hold)
+        return []
+
+
+def _behind_a_held_loop(server, held, users) -> list[dict]:
+    """Answers to a ``block`` request and to ``users``, in that order.
+
+    Each user is sent on its own connection while ``block`` holds the
+    loop, so the server reads all of their lines in one loop turn.
+    """
+    connections = server.metrics.counter("server_connections")
+    expected = connections.value + len(users) + 1
+    socks = [_connect(server.address) for _ in range(len(users) + 1)]
+    try:
+        # Every handler is reading before the loop is held; a connection
+        # still being accepted would read its line a turn late.
+        give_up = time.monotonic() + 10.0
+        while connections.value < expected:
+            assert time.monotonic() < give_up, "connections never set up"
+            time.sleep(0.001)
+        _send(socks[0], {"type": "user", "user_id": "block"})
+        assert held.entered.wait(timeout=10.0)
+        for sock, user in zip(socks[1:], users):
+            _send(sock, {"type": "user", "user_id": user})
+        time.sleep(_HELD_S)  # the lines land while the loop is held
+        held.release.set()
+        return [_readline(sock) for sock in socks]
+    finally:
+        held.release.set()
+        for sock in socks:
+            sock.close()
+
+
+class _ThreadRecorder:
+    """Serves through a real service, recording each caller's thread."""
+
+    def __init__(self, service: RecommendationService) -> None:
+        self.service = service
+        self.threads: list[int] = []
+
+    def recommend_group(self, *args, **kwargs):
+        self.threads.append(threading.get_ident())
+        return self.service.recommend_group(*args, **kwargs)
+
+    def recommend_user(self, *args, **kwargs):
+        self.threads.append(threading.get_ident())
+        return self.service.recommend_user(*args, **kwargs)
+
+    def ingest_rating(self, *args, **kwargs):
+        self.threads.append(threading.get_ident())
+        return self.service.ingest_rating(*args, **kwargs)
 
 
 class TestRequestKinds:
@@ -197,6 +262,53 @@ class TestRejections:
         assert "error" not in good
         assert good["id"] == 2
 
+    @pytest.mark.parametrize(
+        "k", ["1e400", "Infinity", "-Infinity", "NaN", "2.9", "true"]
+    )
+    def test_a_non_integral_k_is_bad_request_and_the_stream_goes_on(
+        self, service, k
+    ):
+        user_id = service.dataset.users.ids()[0]
+        registry = MetricsRegistry()
+        with RequestServer(service, metrics=registry) as server:
+            with _connect(server.address) as sock:
+                rejected = _ask(
+                    sock, f'{{"type": "user", "user_id": "{user_id}", "k": {k}}}'
+                )
+                good = _ask(sock, {"type": "user", "user_id": user_id})
+        assert rejected["error"] == "bad-request"
+        assert "'k'" in rejected["detail"]
+        assert registry.counter("server_errors").value == 1
+        assert "error" not in good
+        assert good["id"] == 2
+
+    @pytest.mark.parametrize(
+        ("field", "value"),
+        [("user_id", ["u0000"]), ("user_id", 5), ("user_id", {"a": 1}),
+         ("item_id", 7)],
+        ids=["user-list", "user-number", "user-object", "item-number"],
+    )
+    def test_a_non_string_id_is_bad_request_and_adds_nothing(
+        self, service, field, value
+    ):
+        request = {
+            "type": "rate",
+            "user_id": service.dataset.users.ids()[0],
+            "item_id": service.dataset.ratings.item_ids()[0],
+            "value": 3,
+        }
+        request[field] = value
+        users, items = service.matrix.num_users, service.matrix.num_items
+        with RequestServer(service) as server:
+            with _connect(server.address) as sock:
+                response = _ask(sock, request)
+        assert response["error"] == "bad-request"
+        assert repr(field) in response["detail"]
+        assert (service.matrix.num_users, service.matrix.num_items) == (
+            users,
+            items,
+        )
+
     def test_an_oversized_line_is_bad_request_and_closes(self, service):
         user_id = service.dataset.users.ids()[0]
         with RequestServer(service) as server:
@@ -217,7 +329,7 @@ class TestRejections:
         assert "error" not in good
 
     def test_repro_errors_map_to_their_type_name(self):
-        class _Exploding(_UncachedService):
+        class _Exploding:
             def recommend_user(self, user_id, k=None):
                 raise ReproError(f"no such user {user_id!r}")
 
@@ -231,60 +343,39 @@ class TestRejections:
         assert registry.counter("server_errors").value == 1
 
 
-class _StallingService(_UncachedService):
-    """A service double whose requests block until released."""
-
-    def __init__(self) -> None:
-        self.entered = threading.Semaphore(0)
-        self.release = threading.Event()
-
-    def recommend_user(self, user_id: str, k: int | None = None) -> list:
-        self.entered.release()
-        assert self.release.wait(timeout=30.0)
-        return []
-
-
 class TestAdmissionControl:
     def test_overload_is_shed_immediately_and_typed(self):
-        stalling = _StallingService()
+        held = _LoopHoldingService()
         registry = MetricsRegistry()
-        server = RequestServer(stalling, max_inflight=1, metrics=registry)
+        server = RequestServer(held, max_inflight=1, metrics=registry)
         with server:
-            blocked = _connect(server.address)
-            rejected = _connect(server.address)
-            try:
-                _send(blocked, {"type": "user", "user_id": "a"})
-                # The admitted request is inside the service before the
-                # second one arrives — no race on the inflight gauge.
-                assert stalling.entered.acquire(timeout=10.0)
-                response = _ask(rejected, {"type": "user", "user_id": "b"})
-                assert response["error"] == "overloaded"
-                assert response["inflight"] == 1
-                assert response["max_inflight"] == 1
-                assert "overloaded" in response["detail"]
-                stalling.release.set()
-                admitted = _readline(blocked)
-                assert admitted == {"id": 1, "kind": "user", "user": "a", "items": []}
-            finally:
-                stalling.release.set()
-                blocked.close()
-                rejected.close()
+            first, *burst = _behind_a_held_loop(server, held, ["b", "c"])
+        assert first == {"id": 1, "kind": "user", "user": "block", "items": []}
+        shed = [answer for answer in burst if "error" in answer]
+        served = [answer for answer in burst if "error" not in answer]
+        # Both lines were read in one turn: the first counted in filled
+        # the backlog, the second was shed before anything ran.
+        assert len(shed) == len(served) == 1
+        assert shed[0]["error"] == "overloaded"
+        assert shed[0]["inflight"] == 1
+        assert shed[0]["max_inflight"] == 1
+        assert "overloaded" in shed[0]["detail"]
+        assert held.served == ["block", served[0]["user"]]
         assert registry.counter("server_overloads").value == 1
-        assert registry.counter("server_requests").value == 1
+        assert registry.counter("server_requests").value == 2
 
     def test_capacity_recovers_after_the_burst(self):
-        stalling = _StallingService()
-        server = RequestServer(stalling, max_inflight=1, metrics=MetricsRegistry())
+        held = _LoopHoldingService()
+        registry = MetricsRegistry()
+        server = RequestServer(held, max_inflight=1, metrics=registry)
         with server:
-            with _connect(server.address) as first:
-                _send(first, {"type": "user", "user_id": "a"})
-                assert stalling.entered.acquire(timeout=10.0)
-                stalling.release.set()
-                _readline(first)
-            # The in-flight slot is free again: a fresh request is served.
-            with _connect(server.address) as second:
-                response = _ask(second, {"type": "user", "user_id": "c"})
+            _behind_a_held_loop(server, held, ["b", "c"])
+            # The backlog drained: a fresh request is served.
+            with _connect(server.address) as sock:
+                response = _ask(sock, {"type": "user", "user_id": "d"})
         assert "error" not in response
+        assert held.served[-1] == "d"
+        assert registry.counter("server_overloads").value == 1
 
     def test_overloaded_error_is_typed(self):
         error = OverloadedError(inflight=4, max_inflight=4)
@@ -298,13 +389,40 @@ class TestAdmissionControl:
             RequestServer(service, max_inflight=0)
 
 
-def _executor_requests(registry: MetricsRegistry) -> int:
-    """How many requests the server ran on its executor."""
-    return registry.histogram("server_request_ms").count
+class TestOneThread:
+    def test_hits_misses_and_writes_run_on_the_loop_thread(
+        self, service, mutable_dataset
+    ):
+        recorder = _ThreadRecorder(service)
+        ids = mutable_dataset.users.ids()
+        group = {"type": "group", "members": ids[:3]}
+        rate = {
+            "type": "rate",
+            "user_id": ids[0],
+            "item_id": mutable_dataset.ratings.item_ids()[0],
+            "value": 4,
+        }
+        before = set(threading.enumerate())
+        server = RequestServer(recorder, metrics=MetricsRegistry())
+        server.start()
+        try:
+            with _connect(server.address) as sock:
+                answers = [_ask(sock, group), _ask(sock, group), _ask(sock, rate)]
+            added = set(threading.enumerate()) - before
+        finally:
+            server.stop()
+        left = set(threading.enumerate()) - before
+        assert all("error" not in answer for answer in answers)
+        group_cache = service.stats()["group_cache"]
+        assert (group_cache["misses"], group_cache["hits"]) == (1, 1)
+        assert len(added) == 1  # start() added the loop thread, nothing else
+        (loop_thread,) = added
+        assert recorder.threads == [loop_thread.ident] * 3
+        assert not left  # stop() removed it
 
 
 class TestCacheHitsOnTheLoop:
-    """Hits are answered on the event loop, misses on the executor."""
+    """Hits and misses both run on the loop; the cache decides which computes."""
 
     @pytest.mark.parametrize(
         ("kind", "cache", "counter"),
@@ -336,76 +454,8 @@ class TestCacheHitsOnTheLoop:
         assert stats[cache]["hits"] == repeats - 1
         assert stats["requests"][counter] == repeats
         assert registry.counter("server_requests").value == repeats
-        assert _executor_requests(registry) == 1  # only the miss
-
-    def test_a_hit_is_answered_while_every_slot_is_held(
-        self, service, mutable_dataset
-    ):
-        members = mutable_dataset.users.ids()[:3]
-        expected = service.recommend_group(Group(member_ids=list(members)))
-        entered = threading.Event()
-        release = threading.Event()
-
-        def stalled_ingest(user_id, item_id, value):
-            entered.set()
-            assert release.wait(timeout=30.0)
-
-        service.ingest_rating = stalled_ingest
-        registry = MetricsRegistry()
-        server = RequestServer(service, max_inflight=1, metrics=registry)
-        with server:
-            writer = _connect(server.address)
-            reader = _connect(server.address)
-            try:
-                _send(
-                    writer,
-                    {"type": "rate", "user_id": members[0],
-                     "item_id": "d0000", "value": 3},
-                )
-                assert entered.wait(timeout=10.0)
-                hit = _ask(reader, {"type": "group", "members": members})
-                release.set()
-                assert _readline(writer)["ok"] is True
-            finally:
-                release.set()
-                writer.close()
-                reader.close()
-        assert hit["items"] == list(expected.items)
-        assert "degraded" not in hit
-        assert registry.counter("server_overloads").value == 0
-        assert registry.counter("server_requests").value == 2
-
-    def test_a_writer_holding_the_lock_never_blocks_the_loop(
-        self, service, mutable_dataset
-    ):
-        ids = mutable_dataset.users.ids()
-        user_id, members = ids[0], ids[1:4]
-        expected_user = [
-            item.item_id for item in service.recommend_user(user_id)
-        ]
-        expected_group = service.recommend_group(Group(member_ids=members))
-        registry = MetricsRegistry()
-        with RequestServer(service, metrics=registry) as server:
-            user_sock = _connect(server.address)
-            group_sock = _connect(server.address)
-            try:
-                with service._data_lock.write():
-                    _send(user_sock, {"type": "user", "user_id": user_id})
-                    group = _ask(group_sock, {"type": "group", "members": members})
-                    # The cached user request needs the read lock the
-                    # writer holds: it waits on the executor, not the loop.
-                    user_sock.settimeout(0.3)
-                    with pytest.raises(socket.timeout):
-                        user_sock.recv(1)
-                user_sock.settimeout(10.0)
-                user = _readline(user_sock)
-            finally:
-                user_sock.close()
-                group_sock.close()
-        assert group["items"] == list(expected_group.items)
-        assert user["items"] == expected_user
-        assert _executor_requests(registry) == 1  # the user request
-        assert service.stats()["relevance_cache"]["hits"] >= 1
+        # server_request_ms observes every request the loop runs.
+        assert registry.histogram("server_request_ms").count == repeats
 
     def test_strict_validation_fails_a_poisoned_hit_on_the_loop(
         self, mutable_dataset
@@ -423,15 +473,18 @@ class TestCacheHitsOnTheLoop:
             with RequestServer(service) as server:
                 with _connect(server.address) as sock:
                     response = _ask(sock, {"type": "group", "members": members})
+            group_cache = service.stats()["group_cache"]
         finally:
             service.close()
         assert response["error"] == "ValidationError"
         assert "score_order" in response["detail"]
-        assert _executor_requests(registry) == 0  # answered on the loop
+        # The poisoned entry was the hit that failed, not a recompute:
+        # the one miss is the clean compute above.
+        assert (group_cache["hits"], group_cache["misses"]) == (1, 1)
         assert registry.counter("server_errors").value == 1
 
 
-class _SlowService(_UncachedService):
+class _SlowService:
     """A service double that overruns any small request budget."""
 
     def recommend_user(
@@ -443,7 +496,7 @@ class _SlowService(_UncachedService):
         return []
 
 
-class _DegradingService(_UncachedService):
+class _DegradingService:
     """A service double whose backend 'degrades' on every request."""
 
     def __init__(self) -> None:
@@ -455,7 +508,7 @@ class _DegradingService(_UncachedService):
         return []
 
 
-class _BystanderService(_UncachedService):
+class _BystanderService:
     """A double whose registry sees another request's degraded batch.
 
     The shared ``pool_degraded_dispatches`` counter moves while this
@@ -471,35 +524,20 @@ class _BystanderService(_UncachedService):
 
 
 class TestResilienceSurface:
-    def test_overload_rejection_carries_a_retry_hint(self):
-        stalling = _StallingService()
-        server = RequestServer(stalling, max_inflight=1, metrics=MetricsRegistry())
+    def test_overload_rejection_carries_a_retry_hint(self, service):
+        # No request has completed yet: the latency window is empty and
+        # the fixed fallback hint is served.
+        fresh = RequestServer(service, metrics=MetricsRegistry())
+        assert fresh._retry_after_ms() == 50
+        held = _LoopHoldingService()
+        server = RequestServer(held, max_inflight=1, metrics=MetricsRegistry())
         with server:
-            blocked = _connect(server.address)
-            rejected = _connect(server.address)
-            try:
-                _send(blocked, {"type": "user", "user_id": "a"})
-                assert stalling.entered.acquire(timeout=10.0)
-                response = _ask(rejected, {"type": "user", "user_id": "b"})
-                assert response["error"] == "overloaded"
-                # No request has completed yet: the latency window is
-                # empty and the fixed fallback hint is served.
-                assert response["retry_after_ms"] == 50
-                stalling.release.set()
-                _readline(blocked)
-                stalling.release.clear()
-                # With one stalled completion in the window, the hint
-                # tracks the windowed p50 instead of the fallback.
-                _send(blocked, {"type": "user", "user_id": "a"})
-                assert stalling.entered.acquire(timeout=10.0)
-                hinted = _ask(rejected, {"type": "user", "user_id": "b"})
-                assert hinted["error"] == "overloaded"
-                assert isinstance(hinted["retry_after_ms"], int)
-                assert hinted["retry_after_ms"] >= 1
-            finally:
-                stalling.release.set()
-                blocked.close()
-                rejected.close()
+            _, *burst = _behind_a_held_loop(server, held, ["b", "c"])
+        (shed,) = [answer for answer in burst if "error" in answer]
+        # The hint is the windowed p50 of server_request_ms; the window
+        # holds one request, the one that held the loop.
+        assert isinstance(shed["retry_after_ms"], int)
+        assert shed["retry_after_ms"] >= _HELD_S * 1000
 
     def test_request_timeout_maps_to_a_deadline_error(self):
         registry = MetricsRegistry()
@@ -513,6 +551,22 @@ class TestResilienceSurface:
         assert "recommend_user('slow')" in response["detail"]
         assert registry.counter("server_deadline_timeouts").value == 1
         assert registry.counter("server_errors").value == 1
+
+    def test_a_budget_spent_in_the_backlog_computes_nothing(self):
+        held = _LoopHoldingService(hold=0.3)
+        registry = MetricsRegistry()
+        server = RequestServer(held, request_timeout=0.1, metrics=registry)
+        with server:
+            first, *burst = _behind_a_held_loop(server, held, ["b", "c"])
+        assert "error" not in first
+        # Both were admitted in one turn; the second waited 0.3 s behind
+        # the first, past its 0.1 s budget.
+        late = [answer for answer in burst if "error" in answer]
+        served = [answer for answer in burst if "error" not in answer]
+        assert len(late) == len(served) == 1
+        assert late[0]["error"] == "deadline"
+        assert held.served == ["block", served[0]["user"]]
+        assert registry.counter("server_deadline_timeouts").value == 1
 
     def test_generous_timeout_rides_through_the_real_service(self, service):
         with RequestServer(service, request_timeout=30.0) as server:

@@ -8,6 +8,8 @@ data — before updates, after `ingest_rating`, and after
 
 from __future__ import annotations
 
+import threading
+
 import pytest
 
 from repro.config import RecommenderConfig
@@ -15,8 +17,9 @@ from repro.core.pipeline import CaregiverPipeline
 from repro.data.groups import Group, random_group
 from repro.data.phr import HealthProblem
 from repro.data.users import User
-from repro.exceptions import UnknownUserError
+from repro.exceptions import DeadlineExceeded, UnknownUserError
 from repro.kernels.oracle import DictPearsonSimilarity
+from repro.resilience import Deadline
 from repro.serving import RecommendationService
 from repro.serving import service as service_module
 from repro.serving.service import _ReadWriteLock
@@ -73,7 +76,7 @@ class TestWarmColdParity:
 
         service.index.peers_excluding = untouchable
         assert service.recommend_user(user_id) == first
-        assert service.cached_user(user_id, wait=False) == first
+        assert service.cached_user(user_id) == first
 
 
 class TestGroupPathContract:
@@ -220,16 +223,41 @@ class TestUnknownIds:
 
 
 class TestReadWriteLock:
-    def test_a_nowait_read_gives_way_to_a_writer(self):
+    def test_a_read_waits_for_the_writer(self):
         lock = _ReadWriteLock()
-        with lock.read(wait=False) as held:
-            assert held
-            assert lock._readers == 1
+        reading = threading.Event()
+
+        def reader() -> None:
+            with lock.read():
+                reading.set()
+
         with lock.write():
-            with lock.read(wait=False) as held:
-                assert not held
-            assert lock._readers == 0
+            thread = threading.Thread(target=reader)
+            thread.start()
+            assert not reading.wait(timeout=0.2)
+        assert reading.wait(timeout=10.0)
+        thread.join(timeout=10.0)
         assert lock._readers == 0
+
+
+class TestDeadlineEntryCheck:
+    """A spent budget is refused on entry, before any cache or compute."""
+
+    @pytest.mark.parametrize("kind", ["group", "user"])
+    def test_a_spent_budget_computes_and_counts_nothing(
+        self, service, mutable_dataset, kind
+    ):
+        spent = Deadline(expires_at=0.0, budget=1.0, clock=lambda: 1.0)
+        ids = mutable_dataset.users.ids()
+        before = service.stats()
+        with pytest.raises(DeadlineExceeded):
+            if kind == "group":
+                service.recommend_group(Group(member_ids=ids[:3]), deadline=spent)
+            else:
+                service.recommend_user(ids[0], deadline=spent)
+        after = service.stats()
+        for name in ("group_cache", "relevance_cache", "requests"):
+            assert after[name] == before[name]
 
 
 class TestIngestInvalidation:
